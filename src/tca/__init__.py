@@ -6,13 +6,10 @@ Boolean conditions over the variables of the model's equilibrium DAG.
 """
 
 from .condition import (
-    ConjunctionTerm,
     EffectTable,
     TransmissionCondition,
     any_horizon,
-    effect_by_edge_deletion,
     effect_from_irfs,
-    expand_terms,
     parse_condition,
     transmission_effect,
 )
@@ -46,7 +43,6 @@ from .model import (
     simulate_var,
 )
 from .system import (
-    IrfSet,
     SingleShockSystem,
     SystemsForm,
     TransmissionOrdering,

@@ -9,7 +9,7 @@ paths         list every path of a shock/target pair with coefficients
 verify        re-check the decomposition identity of an effects file
 
 Exit codes: 0 ok; 2 data or model problem; 3 condition problem;
-4 unstable bootstrap; 5 path or term explosion.
+4 unstable bootstrap; 5 path or evaluator-state explosion.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from .inference import (
     bootstrap_effects,
     point_effects,
 )
+from .linalg import solve_unit_lower
 from .model import ReducedVar, VarmaModel, estimate_var_ols
-from .system import TransmissionOrdering, irf_total, make_systems_form
+from .system import TransmissionOrdering, make_systems_form
 
 IDENTITY_RTOL = 1e-8
 
@@ -262,10 +263,10 @@ def _structural_tables(model, ordering, shock, conditions, horizon, xi,
     sf = make_systems_form(model, ordering, horizon)
     if normalize is not None:
         name, value = normalize
-        phi = irf_total(sf)
-        row = ordering.position(name)
-        denom = phi[row - 1, shock - 1]
-        if abs(denom) < 1e-12:
+        phi = solve_unit_lower(sf.B, sf.shock_column(shock))
+        denom = phi[ordering.position(name) - 1]
+        # the scale-aware rule of identify_internal_instrument
+        if abs(denom) < 1e-12 * max(1.0, np.abs(phi[: sf.K]).max()):
             raise ZeroImpactError(
                 f"impact of shock {shock} on {name!r} is {denom:.3e}"
             )

@@ -1,17 +1,21 @@
-"""The transmission-channel condition language and its evaluators.
+"""The transmission-channel condition language and its evaluator.
 
 Conditions are Boolean formulas over system variables, written as
 ``name_horizon`` atoms (``ffr_0``), raw indices (``x12``), the
 constants ``true``/``false``, and the operators ``!`` > ``&`` > ``|``
-with parentheses.  A parsed condition is normalised into signed
-conjunction terms; each term is evaluated by deleting edges from
-``(B, Omega)`` and re-solving, which prices exactly the paths the term
-admits.  An alternative evaluator works from IRF matrices alone.
+with parentheses.  Paths visit system indices in increasing order, so a
+condition is decided literal by literal.  A parsed condition is compiled
+once into a plan over states (last visited literal, residual formula),
+with residuals interned as an ordered BDD; evaluating it takes one
+multi-column triangular solve on ``B`` with the literals' rows zeroed
+plus one scalar step per plan transition.  The same evaluator prices
+conditions from IRF matrices alone, after rebuilding ``B`` from them.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,11 +25,11 @@ from .errors import (
     DimensionMismatchError,
     HorizonOutOfRangeError,
     ParseError,
+    SingularMatrixError,
     TermExplosionError,
     UnknownVariableError,
-    UnsupportedConditionError,
 )
-from .linalg import solve_unit_lower
+from .linalg import as_matrix, solve_unit_lower
 from .system import SingleShockSystem, SystemsForm
 
 __all__ = [
@@ -36,17 +40,16 @@ __all__ = [
     "TRUE",
     "FALSE",
     "TransmissionCondition",
-    "ConjunctionTerm",
     "EffectTable",
     "parse_condition",
-    "expand_terms",
-    "effect_by_edge_deletion",
     "transmission_effect",
     "effect_from_irfs",
     "satisfied_by",
     "any_horizon",
 ]
 
+#: Bound on the evaluator's plan: its BDD nodes and its transitions
+#: (which bound its states); beyond it :class:`TermExplosionError`.
 TERM_CAP = 1_000_000
 
 
@@ -267,177 +270,7 @@ def parse_condition(text: str, var_names, K: int, h: int) -> TransmissionConditi
 
 
 # ---------------------------------------------------------------------------
-# Expansion into signed conjunction terms
-
-
-@dataclass(frozen=True)
-class ConjunctionTerm:
-    """``sign * (all of required on the path, none of forbidden)``."""
-
-    sign: int
-    required: frozenset
-    forbidden: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "required", frozenset(self.required))
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        if self.required & self.forbidden:
-            raise ValueError("required and forbidden literals overlap")
-
-    @property
-    def required_sorted(self) -> tuple:
-        return tuple(sorted(self.required))
-
-    @property
-    def forbidden_sorted(self) -> tuple:
-        return tuple(sorted(self.forbidden))
-
-
-def _nnf(node, negated: bool = False):
-    if isinstance(node, Var):
-        return Not(node) if negated else node
-    if node is TRUE:
-        return FALSE if negated else TRUE
-    if node is FALSE:
-        return TRUE if negated else FALSE
-    if isinstance(node, Not):
-        return _nnf(node.child, not negated)
-    if isinstance(node, And):
-        cls = Or if negated else And
-        return cls(_nnf(node.left, negated), _nnf(node.right, negated))
-    if isinstance(node, Or):
-        cls = And if negated else Or
-        return cls(_nnf(node.left, negated), _nnf(node.right, negated))
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _combine(a, b, cap):
-    out = []
-    for s1, r1, f1 in a:
-        for s2, r2, f2 in b:
-            out.append((s1 * s2, r1 | r2, f1 | f2))
-            if len(out) > cap:
-                raise TermExplosionError(f"more than {cap} raw terms")
-    return out
-
-
-def _expand_ie(node, cap):
-    """Inclusion-exclusion directly on the formula tree."""
-    if isinstance(node, Var):
-        return [(1, frozenset([node.index]), frozenset())]
-    if isinstance(node, Not):  # NNF keeps negation only on atoms
-        return [(1, frozenset(), frozenset([node.child.index]))]
-    if node is TRUE:
-        return [(1, frozenset(), frozenset())]
-    if node is FALSE:
-        return []
-    if isinstance(node, And):
-        return _combine(_expand_ie(node.left, cap), _expand_ie(node.right, cap), cap)
-    if isinstance(node, Or):
-        a = _expand_ie(node.left, cap)
-        b = _expand_ie(node.right, cap)
-        both = _combine(a, b, cap)
-        out = a + b + [(-s, r, f) for s, r, f in both]
-        if len(out) > cap:
-            raise TermExplosionError(f"more than {cap} raw terms")
-        return out
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _dnf_disjuncts(node, cap):
-    """NNF tree -> list of (required, forbidden) conjunctions."""
-    if isinstance(node, Var):
-        return [(frozenset([node.index]), frozenset())]
-    if isinstance(node, Not):
-        return [(frozenset(), frozenset([node.child.index]))]
-    if node is TRUE:
-        return [(frozenset(), frozenset())]
-    if node is FALSE:
-        return []
-    if isinstance(node, Or):
-        out = _dnf_disjuncts(node.left, cap) + _dnf_disjuncts(node.right, cap)
-        if len(out) > cap:
-            raise TermExplosionError(f"more than {cap} DNF disjuncts")
-        return out
-    if isinstance(node, And):
-        left = _dnf_disjuncts(node.left, cap)
-        right = _dnf_disjuncts(node.right, cap)
-        out = []
-        for r1, f1 in left:
-            for r2, f2 in right:
-                out.append((r1 | r2, f1 | f2))
-                if len(out) > cap:
-                    raise TermExplosionError(f"more than {cap} DNF disjuncts")
-        return out
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _expand_disjuncts(disjuncts, cap, budget):
-    """Signed terms for a union of conjunctions, made disjoint pairwise."""
-    if not disjuncts:
-        return []
-    head, rest = disjuncts[0], disjuncts[1:]
-    budget[0] += 1
-    if budget[0] > cap:
-        raise TermExplosionError(f"more than {cap} expansion steps")
-    if not rest:
-        return [(1, head[0], head[1])]
-    # conjunctions with a contradictory literal admit no paths; dropping
-    # them from a union leaves the union unchanged
-    overlap = [
-        (r, f)
-        for r, f in ((head[0] | r, head[1] | f) for r, f in rest)
-        if not r & f
-    ]
-    out = (
-        [(1, head[0], head[1])]
-        + _expand_disjuncts(rest, cap, budget)
-        + [(-s, r, f) for s, r, f in _expand_disjuncts(overlap, cap, budget)]
-    )
-    if len(out) > cap:
-        raise TermExplosionError(f"more than {cap} raw terms")
-    return out
-
-
-def expand_terms(cond, method: str = "ie", cap: int = TERM_CAP):
-    """Normalise a condition to signed conjunction terms.
-
-    Negations are pushed to the literals first; disjunctions are then
-    priced by inclusion-exclusion, either directly on the tree
-    (``method="ie"``) or after flattening to disjunctive normal form
-    (``method="dnf"``).  Both give the same summed effect.  Terms with a
-    literal both required and forbidden are contradictory and dropped;
-    duplicate terms are merged by summing signs.
-    """
-    root = cond.root if isinstance(cond, TransmissionCondition) else cond
-    return list(_expand_cached(root, method, cap))
-
-
-@lru_cache(maxsize=512)
-def _expand_cached(root, method: str, cap: int) -> tuple:
-    tree = _nnf(root)
-    if method == "ie":
-        raw = _expand_ie(tree, cap)
-    elif method == "dnf":
-        raw = _expand_disjuncts(_dnf_disjuncts(tree, cap), cap, [0])
-    else:
-        raise ValueError(f"unknown expansion method {method!r}")
-
-    merged = {}
-    for s, req, forb in raw:
-        if req & forb:
-            continue
-        key = (req, forb)
-        merged[key] = merged.get(key, 0) + s
-    return tuple(
-        ConjunctionTerm(sign=s, required=req, forbidden=forb)
-        for (req, forb), s in merged.items()
-        if s != 0
-    )
-
-
-# ---------------------------------------------------------------------------
-# Evaluation on paths (used by the brute-force oracle)
+# Evaluation on paths (used by the brute-force oracles)
 
 
 def satisfied_by(cond, nodes) -> bool:
@@ -473,42 +306,6 @@ def any_horizon(name: str, horizons) -> str:
     if not hs:
         raise ValueError("need at least one horizon")
     return " | ".join(f"{name}_{t}" for t in hs)
-
-
-# ---------------------------------------------------------------------------
-# Edge-deletion evaluation
-
-
-def effect_by_edge_deletion(B, omega_col, term: ConjunctionTerm,
-                         xi: float = 1.0) -> np.ndarray:
-    """Effects of one conjunction term on every system index at once.
-
-    For each required literal ``k``, edges jumping over ``k`` (from
-    below ``k`` into above ``k``) are deleted; for each forbidden ``k``,
-    edges into ``k`` are deleted.  One triangular solve then prices all
-    surviving paths for every target.  Targets below the largest
-    required literal admit no path and are zeroed; a required literal
-    equal to the target is trivially satisfied (every path ends there).
-    """
-    B = np.array(B, dtype=float)
-    col = np.array(omega_col, dtype=float).reshape(-1)
-    n = B.shape[0]
-    if col.shape[0] != n:
-        raise DimensionMismatchError("omega_col does not match B")
-    for k in term.required_sorted:
-        if k < 1 or k > n:
-            raise DimensionMismatchError(f"literal {k} outside 1..{n}")
-        B[k:, : k - 1] = 0.0
-        col[k:] = 0.0
-    for k in term.forbidden_sorted:
-        if k < 1 or k > n:
-            raise DimensionMismatchError(f"literal {k} outside 1..{n}")
-        B[k - 1, : k - 1] = 0.0
-        col[k - 1] = 0.0
-    v = xi * solve_unit_lower(B, col)
-    if term.required:
-        v[: max(term.required) - 1] = 0.0
-    return v
 
 
 @dataclass(frozen=True)
@@ -548,79 +345,198 @@ class EffectTable:
         return float(getattr(self, kind)[horizon, position - 1])
 
 
-def _resolve_system(system, shock):
-    if isinstance(system, SystemsForm):
-        if shock is None:
-            raise ValueError("a SystemsForm needs an explicit shock index")
-        return (
-            system.B,
-            system.shock_column(shock),
-            system.ordering,
-            system.K,
-            system.h,
-            f"eps[{shock}]",
-        )
-    if isinstance(system, SingleShockSystem):
-        return (
-            system.B,
-            system.omega_col,
-            system.ordering,
-            system.K,
-            system.h,
-            system.shock_label,
-        )
-    raise TypeError(f"unsupported system type: {type(system).__name__}")
+# ---------------------------------------------------------------------------
+# Evaluation
+#
+# Column 0 of the masked solve prices the literal-free stretches of paths
+# from the shock, column 1 + k those from the literal of rank k; a state's
+# column is that of its last visited literal.
+
+_LEAF = sys.maxsize  # variable of the two terminal nodes, after every index
+
+
+class _Bdd:
+    """Reduced ordered BDD over system indices, ascending.  Node ids are
+    ints with 0 and 1 the terminals; interning gives equal residual
+    formulas one id."""
+
+    def __init__(self, cap: int):
+        self.nodes = [(_LEAF, 0, 0), (_LEAF, 1, 1)]  # (variable, low, high)
+        self.ids = {}
+        self.memo = {}
+        self.cap = cap
+
+    def node(self, v: int, low: int, high: int) -> int:
+        if low == high:
+            return low
+        key = (v, low, high)
+        if key not in self.ids:
+            if len(self.nodes) > self.cap:
+                raise TermExplosionError(f"more than {self.cap} evaluator states")
+            self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return self.ids[key]
+
+    def apply(self, op: str, u: int, v: int) -> int:
+        """``u & v`` or ``u | v``; ``apply("!", u, u)`` is ``!u``."""
+        if op == "!" and u < 2:
+            return 1 - u
+        if op != "!":
+            absorbing = int(op == "|")
+            if absorbing in (u, v):
+                return absorbing
+            if u == v or v == 1 - absorbing:
+                return u
+            if u == 1 - absorbing:
+                return v
+        key = (op, u, v)
+        if key not in self.memo:
+            (x, u0, u1), (y, v0, v1) = self.nodes[u], self.nodes[v]
+            top = min(x, y)
+            if x > top:
+                u0 = u1 = u
+            if y > top:
+                v0 = v1 = v
+            self.memo[key] = self.node(top, self.apply(op, u0, v0),
+                                       self.apply(op, u1, v1))
+        return self.memo[key]
+
+    def build(self, node) -> int:
+        if isinstance(node, Var):
+            return self.node(node.index, 0, 1)
+        if isinstance(node, _Const):
+            return int(node.value)
+        if isinstance(node, Not):
+            child = self.build(node.child)
+            return self.apply("!", child, child)
+        if not isinstance(node, (And, Or)):
+            raise TypeError(f"not an AST node: {node!r}")
+        # fold a chain of one operator from the right, so that an
+        # ascending disjunction (any_horizon) costs O(1) per operand
+        operands, stack = [], [node]
+        while stack:
+            n = stack.pop()
+            if type(n) is type(node):
+                stack += (n.right, n.left)
+            else:
+                operands.append(n)
+        op = "&" if isinstance(node, And) else "|"
+        acc = self.build(operands.pop())
+        while operands:
+            acc = self.apply(op, self.build(operands.pop()), acc)
+        return acc
+
+
+@lru_cache(maxsize=512)
+def _plan(root, cap: int):
+    """``(literals, steps, column, accept)`` of the forward pass.
+
+    State 0 is the start.  ``steps`` lists ``(source, target, k, c)`` in
+    topological order, where the target's last visited literal has rank
+    ``k`` and ``c`` is the source's column; ``accept`` marks the states
+    whose residual holds if no further literal is visited.
+    """
+    bdd = _Bdd(cap)
+    top = bdd.build(root)
+    literals = sorted({v for v, _, _ in bdd.nodes[2:]})
+    # per state: its residual if no further literal is visited; every
+    # BDD variable is a literal, so each literal looks one node deep
+    column, cursor, steps = [0], [top], []
+    for k, lit in enumerate(literals):
+        arrivals = {}
+        for s in range(len(cursor)):
+            r = cursor[s]
+            v, low, high = bdd.nodes[r]
+            if v == lit:
+                r, cursor[s] = high, low
+            if r:
+                target = arrivals.setdefault(r, len(cursor) + len(arrivals))
+                steps.append((s, target, k, column[s]))
+        if len(steps) > cap:
+            raise TermExplosionError(f"more than {cap} evaluator transitions")
+        cursor += arrivals
+        column += [k + 1] * len(arrivals)
+    return (np.array(literals, dtype=np.intp) - 1, tuple(steps),
+            np.array(column), np.array(cursor) == 1)
+
+
+def _effects(B, col, root):
+    """Total and channel effects of the shock column ``col`` on every
+    system index, for strictly lower-triangular ``B``."""
+    lits, steps, column, accept = _plan(root, TERM_CAP)
+    n = B.shape[0]
+    if lits.size and lits[-1] >= n:
+        raise DimensionMismatchError(f"literal x{lits[-1] + 1} outside 1..{n}")
+    rhs = np.column_stack([col, B[:, lits]])
+    rhs[lits] = 0.0
+    masked = B.copy()
+    masked[lits] = 0.0
+    Y = solve_unit_lower(masked, rhs)
+    # g[k][0]: the shock into literal k; g[k][1 + a]: literal a into k
+    rows = B[lits]
+    G = rows @ Y
+    G[:, 0] += col[lits]
+    G[:, 1:] += rows[:, lits]
+    g = G.tolist()
+
+    amp = [1.0] + [0.0] * (len(column) - 1)
+    for s, target, k, c in steps:
+        amp[target] += amp[s] * g[k][c]
+    w = np.bincount(column, weights=np.where(accept, amp, 0.0),
+                    minlength=lits.size + 1)
+    channel = Y @ w
+    channel[lits] = w[1:]
+    into = []  # every path into each literal, by forward substitution
+    for k in range(lits.size):
+        into.append(g[k][0] + sum(a * b for a, b in zip(into, g[k][1:])))
+    total = Y @ np.array([1.0] + into)
+    total[lits] = into
+    return total, channel
+
+
+def _table(cond, labels, shock_label, xi, total, channel) -> EffectTable:
+    shape = (cond.h + 1, cond.K)
+    return EffectTable(
+        shock_label=shock_label,
+        condition=cond.source,
+        labels=labels,
+        xi=xi,
+        total=(xi * total).reshape(shape),
+        channel=(xi * channel).reshape(shape),
+        complement=(xi * (total - channel)).reshape(shape),
+    )
 
 
 def transmission_effect(system, cond, shock: int | None = None,
-                        xi: float = 1.0, method: str = "ie",
-                        cap: int = TERM_CAP) -> EffectTable:
+                        xi: float = 1.0) -> EffectTable:
     """Decompose the total effect of one shock along a condition.
 
     ``system`` is a full :class:`SystemsForm` (pass ``shock``) or a
     :class:`SingleShockSystem`.  ``cond`` may be text, parsed against
-    the system's ordering.  The channel sums the signed edge-deletion
-    effects of the expanded terms, in term order; the complement is the
-    remainder of the total.
+    the system's ordering.  The channel sums the effects of the paths
+    whose set of visited literals satisfies the condition; the
+    complement is the remainder of the total.  Raises
+    :class:`TermExplosionError` when the condition's evaluator plan
+    exceeds ``TERM_CAP``.
     """
-    B, col, ordering, K, h, shock_label = _resolve_system(system, shock)
+    if isinstance(system, SystemsForm):
+        if shock is None:
+            raise ValueError("a SystemsForm needs an explicit shock index")
+        col, shock_label = system.shock_column(shock), f"eps[{shock}]"
+    elif isinstance(system, SingleShockSystem):
+        col, shock_label = system.omega_col, system.shock_label
+    else:
+        raise TypeError(f"unsupported system type: {type(system).__name__}")
+    labels = system.ordering.labels
     if isinstance(cond, str):
-        cond = parse_condition(cond, ordering.labels, K, h)
-    total = xi * solve_unit_lower(B, col)
-    channel = np.zeros_like(total)
-    for term in expand_terms(cond, method=method, cap=cap):
-        channel += term.sign * effect_by_edge_deletion(B, col, term, xi)
-    shape = (h + 1, K)
-    return EffectTable(
-        shock_label=shock_label,
-        condition=cond.source,
-        labels=ordering.labels,
-        xi=xi,
-        total=total.reshape(shape),
-        channel=channel.reshape(shape),
-        complement=(total - channel).reshape(shape),
-    )
-
-
-# ---------------------------------------------------------------------------
-# IRF-only evaluation
-
-
-def _chain_effect(phi_col, phi_tilde, literals, j: int) -> float:
-    """Effect through all paths visiting ``literals`` in order, ending at j."""
-    if not literals:
-        return float(phi_col[j - 1])
-    val = float(phi_col[literals[0] - 1])
-    prev = literals[0]
-    for nxt in list(literals[1:]) + [j]:
-        val *= phi_tilde[nxt - 1, prev - 1] / phi_tilde[prev - 1, prev - 1]
-        prev = nxt
-    return val
+        cond = parse_condition(cond, labels, system.K, system.h)
+    total, channel = _effects(np.asarray(system.B, dtype=float),
+                              np.asarray(col, dtype=float), cond.root)
+    return _table(cond, labels, shock_label, xi, total, channel)
 
 
 def effect_from_irfs(phi_col, phi_tilde, cond, xi: float = 1.0,
-                     shock_label: str = "shock",
-                     cap: int = TERM_CAP) -> EffectTable:
+                     shock_label: str = "shock") -> EffectTable:
     """Transmission effects computed from IRFs alone.
 
     ``phi_col`` is the identified shock's structural IRF column on the
@@ -633,56 +549,31 @@ def effect_from_irfs(phi_col, phi_tilde, cond, xi: float = 1.0,
     effect of variable r on variable s only when orthogonalised
     innovations enter the system contemporaneously, as they do for VAR
     and local-projection grids; moving-average terms let innovations
-    skip periods and break that reading, so use the edge-deletion route
-    for models with MA components.
+    skip periods and break that reading, so use
+    :func:`transmission_effect` for models with MA components.
 
-    Forbidden literals are priced by alternating sums over
-    required-literal chains, so the cost grows with ``2**|forbidden|``
-    per term; the ``cap`` bounds the total number of chain evaluations.
+    The IRFs determine ``B = I - diag(phi_tilde) phi_tilde^{-1}`` (one
+    unit-triangular inverse of the ratio matrix) and the shock column
+    ``(I - B) phi_col``, which the evaluator of
+    :func:`transmission_effect` then prices.  ``phi_tilde`` must be
+    lower-triangular with a nonzero diagonal.
     """
     if not isinstance(cond, TransmissionCondition):
         raise TypeError("cond must be a parsed TransmissionCondition")
     phi_col = np.asarray(phi_col, dtype=float).reshape(-1)
-    phi_tilde = np.asarray(phi_tilde, dtype=float)
+    phi_tilde = as_matrix(phi_tilde, "phi_tilde", square=True)
     n = cond.size
     if phi_col.shape[0] != n or phi_tilde.shape != (n, n):
         raise DimensionMismatchError(
             f"IRF inputs do not match the condition grid of size {n}"
         )
-    terms = expand_terms(cond, cap=cap)
-
-    evaluations = 0
-    total = xi * phi_col.copy()
-    channel = np.zeros(n)
-    for j in range(1, n + 1):
-        acc = 0.0
-        for term in terms:
-            if any(k > j for k in term.required):
-                continue
-            if j in term.forbidden:
-                continue
-            req = tuple(k for k in term.required_sorted if k < j)
-            forb = tuple(k for k in term.forbidden_sorted if k < j)
-            evaluations += 2 ** len(forb)
-            if evaluations > cap:
-                raise UnsupportedConditionError(
-                    f"IRF-route expansion exceeded {cap} chain evaluations"
-                )
-            for mask in range(2 ** len(forb)):
-                extra = [forb[b] for b in range(len(forb)) if mask >> b & 1]
-                sign = -1 if len(extra) % 2 else 1
-                chain = tuple(sorted(set(req) | set(extra)))
-                acc_term = _chain_effect(phi_col, phi_tilde, chain, j)
-                acc += term.sign * sign * acc_term
-        channel[j - 1] = acc
-
-    shape = (cond.h + 1, cond.K)
-    return EffectTable(
-        shock_label=shock_label,
-        condition=cond.source,
-        labels=cond.labels or tuple(f"x{i+1}" for i in range(cond.K)),
-        xi=xi,
-        total=total.reshape(shape),
-        channel=(xi * channel).reshape(shape),
-        complement=(total - xi * channel).reshape(shape),
-    )
+    if np.any(np.triu(phi_tilde, 1) != 0.0):
+        raise DimensionMismatchError("phi_tilde must be lower-triangular")
+    diag = np.diag(phi_tilde)
+    if np.any(diag == 0.0):
+        raise SingularMatrixError("phi_tilde has a zero on its diagonal")
+    ratios = phi_tilde / diag[None, :]
+    B = -np.tril(solve_unit_lower(-np.tril(ratios, -1), np.eye(n)), -1)
+    _, channel = _effects(B, phi_col - B @ phi_col, cond.root)
+    labels = cond.labels or tuple(f"x{i + 1}" for i in range(cond.K))
+    return _table(cond, labels, shock_label, xi, phi_col, channel)

@@ -61,11 +61,7 @@ class HorizonOutOfRangeError(ParseError):
 
 
 class TermExplosionError(TcaError):
-    """Condition expansion produced more conjunction terms than the cap."""
-
-
-class UnsupportedConditionError(TcaError):
-    """The IRF-only route cannot evaluate this condition within its caps."""
+    """A condition's evaluator plan grew beyond the cap."""
 
 
 class BootstrapUnstableError(TcaError):

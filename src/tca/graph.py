@@ -77,14 +77,6 @@ class Path:
         return f"{chain} (coef = {self.coefficient:.17g})"
 
 
-def _successors(B: np.ndarray, zero_tol: float):
-    n = B.shape[0]
-    return [
-        [int(r) + 1 for r in np.nonzero(np.abs(B[:, c]) > zero_tol)[0]]
-        for c in range(n)
-    ]
-
-
 def _reaches_target(succ, target: int, n: int) -> np.ndarray:
     """Boolean mask (1-based indexing on position m-1) of nodes with a
     path to ``target``, including the target itself."""

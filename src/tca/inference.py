@@ -126,15 +126,18 @@ class EffectBands:
 
 
 def n_threads() -> int:
-    """Worker count, capped by the TCA_THREADS environment variable."""
+    """Worker count, capped by the TCA_THREADS environment variable.
+
+    Raises ``ValueError`` when TCA_THREADS is set but is not a positive
+    integer.
+    """
     cap = os.environ.get("TCA_THREADS")
     available = os.cpu_count() or 1
-    if cap:
-        try:
-            return max(1, min(available, int(cap)))
-        except ValueError:
-            pass
-    return available
+    if not cap:
+        return available
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise ValueError(f"TCA_THREADS must be a positive integer, got {cap!r}")
+    return min(available, int(cap))
 
 
 def point_effects(var: ReducedVar, ident: InstrumentSpec,

@@ -29,7 +29,6 @@ __all__ = [
     "TransmissionOrdering",
     "SystemsForm",
     "SingleShockSystem",
-    "IrfSet",
     "make_systems_form",
     "irf_total",
     "cholesky_irfs",
@@ -147,29 +146,6 @@ class SingleShockSystem:
     @property
     def size(self) -> int:
         return (self.h + 1) * self.K
-
-
-@dataclass(frozen=True)
-class IrfSet:
-    """Structural IRFs and the orthogonalised IRFs used alongside them."""
-
-    phi: np.ndarray
-    phi_tilde: np.ndarray
-    ordering: TransmissionOrdering
-    K: int
-    h: int
-
-    @classmethod
-    def from_model(cls, model: VarmaModel, ordering: TransmissionOrdering,
-                   h: int, allow_large: bool = False) -> "IrfSet":
-        sf = make_systems_form(model, ordering, h, allow_large=allow_large)
-        return cls(
-            phi=irf_total(sf),
-            phi_tilde=cholesky_irfs(model, ordering, h, allow_large=allow_large),
-            ordering=ordering,
-            K=model.K,
-            h=h,
-        )
 
 
 def _check_size(K: int, h: int, allow_large: bool) -> None:

@@ -1,17 +1,12 @@
-"""Shared generators, closed forms, and brute-force oracles."""
+"""Shared generators and closed forms; the oracles live in oracles.py."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from tca import (
-    TransmissionCondition,
-    TransmissionOrdering,
-    VarmaModel,
-    enumerate_paths,
-)
-from tca.condition import And, Not, Or, Var, satisfied_by
+from tca import TransmissionCondition, TransmissionOrdering, VarmaModel
+from tca.condition import And, Not, Or, Var
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +122,7 @@ def wrap_condition(root, sf) -> TransmissionCondition:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles
-
-
-def path_filter_effect(sf, shock, target, cond, xi=1.0) -> float:
-    """Ground truth: enumerate every path, keep those satisfying the
-    condition, and sum their coefficient products."""
-    paths = enumerate_paths(sf, shock, target)
-    kept = [p for p in paths if satisfied_by(cond, p.nodes)]
-    return xi * sum(p.coefficient for p in kept)
+# Closed-form IRFs
 
 
 def companion_irfs(model: VarmaModel, h: int) -> np.ndarray:

@@ -1,0 +1,180 @@
+"""Brute-force oracles the fast evaluator is checked against.
+
+Two independent routes to a channel effect:
+
+- :func:`path_filter_effect` enumerates every path and keeps those that
+  satisfy the condition;
+- :func:`ie_channel` expands the condition into signed conjunction terms
+  by inclusion-exclusion on the formula tree and prices each term by
+  deleting edges and re-solving.  Its cost is exponential in the number
+  of literals, so it only serves small conditions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from tca import enumerate_paths, solve_unit_lower
+from tca.condition import (
+    FALSE,
+    TERM_CAP,
+    TRUE,
+    And,
+    Not,
+    Or,
+    TransmissionCondition,
+    Var,
+    satisfied_by,
+)
+from tca.errors import DimensionMismatchError, TermExplosionError
+
+
+def path_filter_effect(sf, shock, target, cond, xi=1.0) -> float:
+    """Ground truth: enumerate every path, keep those satisfying the
+    condition, and sum their coefficient products."""
+    paths = enumerate_paths(sf, shock, target)
+    kept = [p for p in paths if satisfied_by(cond, p.nodes)]
+    return xi * sum(p.coefficient for p in kept)
+
+
+# ---------------------------------------------------------------------------
+# Inclusion-exclusion into signed conjunction terms
+
+
+@dataclass(frozen=True)
+class ConjunctionTerm:
+    """``sign * (all of required on the path, none of forbidden)``."""
+
+    sign: int
+    required: frozenset
+    forbidden: frozenset = frozenset()
+
+    def __post_init__(self):
+        object.__setattr__(self, "required", frozenset(self.required))
+        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
+        if self.required & self.forbidden:
+            raise ValueError("required and forbidden literals overlap")
+
+    @property
+    def required_sorted(self) -> tuple:
+        return tuple(sorted(self.required))
+
+    @property
+    def forbidden_sorted(self) -> tuple:
+        return tuple(sorted(self.forbidden))
+
+
+def _nnf(node, negated: bool = False):
+    if isinstance(node, Var):
+        return Not(node) if negated else node
+    if node is TRUE:
+        return FALSE if negated else TRUE
+    if node is FALSE:
+        return TRUE if negated else FALSE
+    if isinstance(node, Not):
+        return _nnf(node.child, not negated)
+    if isinstance(node, And):
+        cls = Or if negated else And
+        return cls(_nnf(node.left, negated), _nnf(node.right, negated))
+    if isinstance(node, Or):
+        cls = And if negated else Or
+        return cls(_nnf(node.left, negated), _nnf(node.right, negated))
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def _combine(a, b, cap):
+    out = []
+    for s1, r1, f1 in a:
+        for s2, r2, f2 in b:
+            out.append((s1 * s2, r1 | r2, f1 | f2))
+            if len(out) > cap:
+                raise TermExplosionError(f"more than {cap} raw terms")
+    return out
+
+
+def _expand_ie(node, cap):
+    """Inclusion-exclusion directly on the formula tree."""
+    if isinstance(node, Var):
+        return [(1, frozenset([node.index]), frozenset())]
+    if isinstance(node, Not):  # NNF keeps negation only on atoms
+        return [(1, frozenset(), frozenset([node.child.index]))]
+    if node is TRUE:
+        return [(1, frozenset(), frozenset())]
+    if node is FALSE:
+        return []
+    if isinstance(node, And):
+        return _combine(_expand_ie(node.left, cap), _expand_ie(node.right, cap), cap)
+    if isinstance(node, Or):
+        a = _expand_ie(node.left, cap)
+        b = _expand_ie(node.right, cap)
+        both = _combine(a, b, cap)
+        out = a + b + [(-s, r, f) for s, r, f in both]
+        if len(out) > cap:
+            raise TermExplosionError(f"more than {cap} raw terms")
+        return out
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def expand_terms(cond, cap: int = TERM_CAP):
+    """Normalise a condition to signed conjunction terms.
+
+    Negations are pushed to the literals first; disjunctions are then
+    priced by inclusion-exclusion on the tree.  Terms with a literal
+    both required and forbidden are contradictory and dropped;
+    duplicate terms are merged by summing signs.
+    """
+    root = cond.root if isinstance(cond, TransmissionCondition) else cond
+    merged = {}
+    for s, req, forb in _expand_ie(_nnf(root), cap):
+        if req & forb:
+            continue
+        key = (req, forb)
+        merged[key] = merged.get(key, 0) + s
+    return [
+        ConjunctionTerm(sign=s, required=req, forbidden=forb)
+        for (req, forb), s in merged.items()
+        if s != 0
+    ]
+
+
+def effect_by_edge_deletion(B, omega_col, term: ConjunctionTerm,
+                            xi: float = 1.0) -> np.ndarray:
+    """Effects of one conjunction term on every system index at once.
+
+    For each required literal ``k``, edges jumping over ``k`` (from
+    below ``k`` into above ``k``) are deleted; for each forbidden ``k``,
+    edges into ``k`` are deleted.  One triangular solve then prices all
+    surviving paths for every target.  Targets below the largest
+    required literal admit no path and are zeroed; a required literal
+    equal to the target is trivially satisfied (every path ends there).
+    """
+    B = np.array(B, dtype=float)
+    col = np.array(omega_col, dtype=float).reshape(-1)
+    n = B.shape[0]
+    if col.shape[0] != n:
+        raise DimensionMismatchError("omega_col does not match B")
+    for k in term.required_sorted:
+        if k < 1 or k > n:
+            raise DimensionMismatchError(f"literal {k} outside 1..{n}")
+        B[k:, : k - 1] = 0.0
+        col[k:] = 0.0
+    for k in term.forbidden_sorted:
+        if k < 1 or k > n:
+            raise DimensionMismatchError(f"literal {k} outside 1..{n}")
+        B[k - 1, : k - 1] = 0.0
+        col[k - 1] = 0.0
+    v = xi * solve_unit_lower(B, col)
+    if term.required:
+        v[: max(term.required) - 1] = 0.0
+    return v
+
+
+def ie_channel(B, omega_col, cond, xi: float = 1.0) -> np.ndarray:
+    """Channel effect on every system index: the signed sum of the
+    edge-deletion effects of the inclusion-exclusion terms."""
+    channel = np.zeros(np.shape(B)[0])
+    for term in expand_terms(cond):
+        channel += term.sign * effect_by_edge_deletion(B, omega_col, term, xi)
+    return channel

@@ -14,7 +14,6 @@ import pytest
 
 from conftest import (
     orderings_fixed_at,
-    path_filter_effect,
     random_condition,
     random_ordering,
     random_varma,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import three_var_closed_forms, three_var_model
-from tca import simulate_var
+from tca import VarmaModel, simulate_var
 from tca.cli import (
     load_model_file,
     main,
@@ -167,6 +167,50 @@ class TestTransmission:
             "--out", str(tmp_path / "e.csv"), "--quiet",
         ])
         assert code == 3
+
+    def test_normalize_sets_impact(self, tmp_path, model3_path):
+        out = tmp_path / "e.csv"
+        code = main([
+            "transmission", "--model", str(model3_path),
+            "--order", "x,pi,i", "--shock", "1", "--normalize", "pi=0.25",
+            "--condition", "pi_0", "--horizon", "2", "--out", str(out),
+            "--quiet",
+        ])
+        assert code == 0
+        rows = [r for r in csv.DictReader(open(out))
+                if r["variable"] == "pi" and r["horizon"] == "0"]
+        assert abs(float(rows[0]["total"]) - 0.25) <= 1e-12
+
+    @pytest.mark.parametrize("a1, scale", [(0.0, 1.0), (1e-14, 1e-6)])
+    def test_normalize_on_zero_impact_exits_2(self, tmp_path, capsys, a1,
+                                              scale):
+        # (nearly) recursive model: the policy shock does not move the
+        # output gap; at scale 1e-6 its impact on x is 1e-8 against an
+        # own impact of 1e6, zero for a scale-aware tolerance
+        m = three_var_model(a1, 0.5, 0.8, 1.5)
+        model = tmp_path / "recursive.json"
+        save_model_file(model, VarmaModel(var_names=m.var_names,
+                                          A0=scale * m.A0))
+        code = main([
+            "transmission", "--model", str(model), "--order", "x,pi,i",
+            "--shock", "3", "--normalize", "x=1", "--condition", "pi_0",
+            "--horizon", "0", "--out", str(tmp_path / "e.csv"), "--quiet",
+        ])
+        assert code == 2
+        assert "impact of shock 3 on 'x'" in capsys.readouterr().err
+
+    def test_evaluator_explosion_exits_5(self, tmp_path, model3_path,
+                                         monkeypatch, capsys):
+        import tca.condition
+
+        monkeypatch.setattr(tca.condition, "TERM_CAP", 50)
+        pairs = " | ".join(f"(x{i} & x{i + 12})" for i in range(1, 13))
+        code = main([
+            "transmission", "--model", str(model3_path), "--order", "x,pi,i",
+            "--shock", "1", "--condition", pairs, "--horizon", "7",
+            "--out", str(tmp_path / "e.csv"), "--quiet",
+        ])
+        assert code == 5
 
     def test_condition_parse_error_exits_3(self, tmp_path, model3_path,
                                            capsys):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    path_filter_effect,
     random_condition,
     random_ordering,
     random_varma,
@@ -12,22 +11,28 @@ from conftest import (
     three_var_model,
     wrap_condition,
 )
-from tca import (
+from oracles import (
     ConjunctionTerm,
+    effect_by_edge_deletion,
+    expand_terms,
+    ie_channel,
+    path_filter_effect,
+)
+from tca import (
     TransmissionOrdering,
     cholesky_irfs,
-    effect_by_edge_deletion,
     effect_from_irfs,
-    expand_terms,
     irf_total,
     make_systems_form,
     parse_condition,
     transmission_effect,
 )
-from tca.condition import And, Not, Or, Var, any_horizon, satisfied_by
+from tca.condition import FALSE, TRUE, And, Not, Or, Var, any_horizon, satisfied_by
 from tca.errors import (
+    DimensionMismatchError,
     HorizonOutOfRangeError,
     ParseError,
+    SingularMatrixError,
     TermExplosionError,
     UnknownVariableError,
 )
@@ -65,10 +70,8 @@ class TestParser:
         assert cond.root == Not(And(Var(1), Var(2)))
 
     def test_constants(self):
-        assert expand_terms(parse_condition("true", LABELS3, 3, 0)) == [
-            ConjunctionTerm(1, frozenset())
-        ]
-        assert expand_terms(parse_condition("false", LABELS3, 3, 0)) == []
+        assert parse_condition("true", LABELS3, 3, 0).root is TRUE
+        assert parse_condition("false", LABELS3, 3, 0).root is FALSE
 
     def test_horizon_suffix_resolution(self):
         cond = parse_condition("i_2", LABELS3, 3, 4)
@@ -121,6 +124,8 @@ def wrap_condition_text(root):
 
 
 class TestExpandTerms:
+    """The inclusion-exclusion oracle of oracles.py."""
+
     def test_single_literal(self):
         cond = parse_condition("x2", LABELS3, 3, 0)
         assert expand_terms(cond) == [ConjunctionTerm(1, frozenset([2]))]
@@ -164,20 +169,6 @@ class TestExpandTerms:
         cond = parse_condition(text, LABELS3, 3, 2)
         with pytest.raises(TermExplosionError):
             expand_terms(cond, cap=10)
-
-    def test_methods_agree_on_random_conditions(self, rng):
-        for trial in range(40):
-            m = random_varma(rng, K=3, ell=1)
-            sf = make_systems_form(m, random_ordering(rng, m.var_names), 1)
-            cond = wrap_condition(random_condition(rng, sf.size), sf)
-            col = sf.shock_column(1)
-            effs = []
-            for method in ("ie", "dnf"):
-                acc = np.zeros(sf.size)
-                for term in expand_terms(cond, method=method):
-                    acc += term.sign * effect_by_edge_deletion(sf.B, col, term)
-                effs.append(acc)
-            assert np.max(np.abs(effs[0] - effs[1])) <= 1e-10
 
 
 class TestSatisfiedBy:
@@ -241,8 +232,6 @@ def _term_to_ast(term):
     for k in term.forbidden_sorted:
         lit = Not(Var(k))
         node = lit if node is None else And(node, lit)
-    from tca.condition import TRUE
-
     return TRUE if node is None else node
 
 
@@ -261,6 +250,46 @@ class TestTransmissionEffect:
         table = transmission_effect(sf, "true", shock=2, xi=0.5)
         assert np.allclose(table.channel, table.total)
         assert np.max(np.abs(table.complement)) == 0.0
+
+    def test_matches_ie_oracle_on_random_conditions(self, rng):
+        for trial in range(150):
+            K = int(rng.integers(2, 5))
+            m = random_varma(rng, K=K, ell=int(rng.integers(0, 3)),
+                             q=int(rng.integers(0, 2)))
+            sf = make_systems_form(m, random_ordering(rng, m.var_names),
+                                   int(rng.integers(0, 4)))
+            shock = int(rng.integers(1, K + 1))
+            n_literals = int(rng.integers(1, 7))
+            cond = wrap_condition(random_condition(rng, sf.size, n_literals), sf)
+            table = transmission_effect(sf, cond, shock=shock)
+            oracle = ie_channel(sf.B, sf.shock_column(shock), cond)
+            scale = max(1.0, np.max(np.abs(table.total)))
+            gap = np.max(np.abs(table.channel.reshape(-1) - oracle)) / scale
+            assert gap <= 1e-12
+
+    def test_any_horizon_beyond_inclusion_exclusion(self, rng):
+        # 21 literals: inclusion-exclusion needs 2**21 - 1 terms here and
+        # exceeds TERM_CAP; the evaluator needs 22 states
+        m = random_varma(rng, K=4, ell=2)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 20)
+        text = any_horizon(sf.ordering.labels[1], range(21))
+        through = transmission_effect(sf, text, shock=1)
+        never = transmission_effect(sf, f"!({text})", shock=1)
+        scale = np.maximum(1.0, np.abs(through.total))
+        gap = np.abs(through.channel + never.channel - through.total) / scale
+        assert np.max(gap) <= 1e-10
+        assert np.max(np.abs(through.total - never.total)) <= 1e-12
+
+    def test_state_cap(self, monkeypatch):
+        import tca.condition
+
+        monkeypatch.setattr(tca.condition, "TERM_CAP", 50)
+        sf = three_var_sf(0.2, 0.5, 0.8, 1.5, h=7)
+        # pairs (x_i, x_{i+12}): the residual after x1..x12 remembers
+        # which of them were visited, 2**12 states
+        text = " | ".join(f"(x{i} & x{i + 12})" for i in range(1, 13))
+        with pytest.raises(TermExplosionError):
+            transmission_effect(sf, text, shock=1)
 
     def test_matches_path_oracle_on_random_conditions(self, rng):
         for trial in range(25):
@@ -399,17 +428,21 @@ class TestEffectFromIrfs:
             assert np.max(np.abs(a.channel - b.channel)) <= 1e-9
             assert np.max(np.abs(a.total - b.total)) <= 1e-9
 
-    def test_chain_evaluation_cap(self, rng):
+    def test_rejects_non_triangular_or_zero_diagonal(self, rng):
         m = random_varma(rng, K=3, ell=1)
         ordering = random_ordering(rng, m.var_names)
         sf = make_systems_form(m, ordering, 1)
-        phi = irf_total(sf)
+        phi = irf_total(sf)[:, 0]
         pt = cholesky_irfs(m, ordering, 1)
-        cond = parse_condition("!x1 & !x2 & !x3", ordering.labels, 3, 1)
-        from tca.errors import UnsupportedConditionError
-
-        with pytest.raises(UnsupportedConditionError):
-            effect_from_irfs(phi[:, 0], pt, cond, cap=4)
+        cond = parse_condition("x2", ordering.labels, 3, 1)
+        upper = pt.copy()
+        upper[0, 4] = 0.1
+        with pytest.raises(DimensionMismatchError):
+            effect_from_irfs(phi, upper, cond)
+        singular = pt.copy()
+        singular[3, 3] = 0.0
+        with pytest.raises(SingularMatrixError):
+            effect_from_irfs(phi, singular, cond)
 
     def test_ratio_matrix_works_like_full_matrix(self, rng):
         # only ratios of the orthogonalised IRFs enter, so a matrix

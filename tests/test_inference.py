@@ -16,6 +16,7 @@ from tca.inference import (
     InstrumentSpec,
     VarSpec,
     bootstrap_effects,
+    n_threads,
     point_effects,
 )
 
@@ -55,6 +56,20 @@ class TestBootstrapSpec:
             BootstrapSpec(replications=10, seed=1, level=1.0)
         with pytest.raises(ValueError):
             BootstrapSpec(replications=10, seed=1, scheme="wild")
+
+
+class TestNThreads:
+    def test_cap_and_default(self, monkeypatch):
+        monkeypatch.setenv("TCA_THREADS", "1")
+        assert n_threads() == 1
+        monkeypatch.delenv("TCA_THREADS")
+        assert n_threads() >= 1
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
+    def test_invalid_value_raises(self, monkeypatch, value):
+        monkeypatch.setenv("TCA_THREADS", value)
+        with pytest.raises(ValueError, match=repr(value)):
+            n_threads()
 
 
 class TestBootstrapEffects:

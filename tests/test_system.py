@@ -9,7 +9,6 @@ from conftest import (
     three_var_model,
 )
 from tca import (
-    IrfSet,
     ReducedVar,
     TransmissionOrdering,
     VarmaModel,
@@ -322,20 +321,3 @@ class TestInvarianceUnderReordering:
                         i1 = trow * K + pos
                         i2 = trow * K + remap[pos]
                         assert abs(p1[i1, col] - p2[i2, col]) <= 1e-10
-
-
-class TestIrfSet:
-    def test_from_model_consistency(self, rng):
-        m = random_varma(rng, K=3, ell=1, q=1)
-        ordering = random_ordering(rng, m.var_names)
-        irfs = IrfSet.from_model(m, ordering, 2)
-        sf = make_systems_form(m, ordering, 2)
-        gap = (np.eye(sf.size) - sf.B) @ irfs.phi - sf.omega
-        assert np.max(np.abs(gap)) <= 1e-10
-        K = 3
-        for bi in range(3):
-            for bj in range(bi + 1, 3):
-                assert np.all(
-                    irfs.phi_tilde[bi * K : (bi + 1) * K, bj * K : (bj + 1) * K]
-                    == 0.0
-                )
