@@ -14,11 +14,7 @@ from .condition import (
     transmission_effect,
 )
 from .graph import (
-    AssignmentVector,
     Path,
-    assignment_effect,
-    assignment_for_paths,
-    assignment_index,
     enumerate_paths,
     total_path_effect,
     variable_paths,

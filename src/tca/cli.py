@@ -214,6 +214,10 @@ def verify_effects_csv(path: str) -> int:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
             total = float(row[i_total])
             acc = sum(float(row[i]) for i in i_channels) + float(row[i_comp])
             if abs(acc - total) > IDENTITY_RTOL * max(1.0, abs(total)):

@@ -52,6 +52,11 @@ __all__ = [
 #: (which bound its states); beyond it :class:`TermExplosionError`.
 TERM_CAP = 1_000_000
 
+#: Deepest nesting of ``(`` and ``!`` the parser accepts; beyond it
+#: :class:`ParseError`.  Chains of ``&`` or ``|`` parse into balanced
+#: trees and add only their logarithm to the depth.
+NESTING_CAP = 100
+
 
 # ---------------------------------------------------------------------------
 # AST
@@ -91,6 +96,16 @@ class _Const:
 
 TRUE = _Const(True)
 FALSE = _Const(False)
+
+
+def _chain(cls, operands):
+    """Balanced tree of ``cls`` over ``operands``, paired left to right,
+    so that depth grows as ``log2(len(operands))``; three operands give
+    ``cls(cls(a, b), c)``."""
+    while len(operands) > 1:
+        pairs = [cls(a, b) for a, b in zip(operands[::2], operands[1::2])]
+        operands = pairs + operands[2 * len(pairs) :]
+    return operands[0]
 
 
 def _to_text(node, parent_prec: int = 0) -> str:
@@ -148,6 +163,7 @@ class _Parser:
         self.K = K
         self.h = h
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, pos: int | None = None, cls=ParseError):
         raise cls(message, self.pos if pos is None else pos)
@@ -177,30 +193,39 @@ class _Parser:
         return node
 
     def parse_or(self):
-        node = self.parse_and()
+        operands = [self.parse_and()]
         while True:
             m, _ = self.peek()
             if m is None or m.group("op") != "|":
-                return node
-            self.take()
-            node = Or(node, self.parse_and())
+                return _chain(Or, operands)
+            self.pos = m.end()
+            operands.append(self.parse_and())
 
     def parse_and(self):
-        node = self.parse_unary()
+        operands = [self.parse_unary()]
         while True:
             m, _ = self.peek()
             if m is None or m.group("op") != "&":
-                return node
-            self.take()
-            node = And(node, self.parse_unary())
+                return _chain(And, operands)
+            self.pos = m.end()
+            operands.append(self.parse_unary())
+
+    def nested(self, parse, start):
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth == NESTING_CAP:
+            self.error(f"nesting deeper than {NESTING_CAP} levels", pos=start)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse_unary(self):
         m, start = self.peek()
         if m is None:
             self.error("expected an atom, got end of input")
         if m.group("op") == "!":
-            self.take()
-            return Not(self.parse_unary())
+            self.pos = m.end()
+            return Not(self.nested(self.parse_unary, start))
         return self.parse_atom()
 
     def parse_atom(self):
@@ -208,7 +233,7 @@ class _Parser:
         if tok is None:
             self.error("expected an atom, got end of input")
         if tok == "(":
-            node = self.parse_or()
+            node = self.nested(self.parse_or, start)
             close, cstart = self.take()
             if close != ")":
                 self.error("expected ')'", pos=cstart)
@@ -342,6 +367,10 @@ class EffectTable:
 
     def cell(self, kind: str, position: int, horizon: int) -> float:
         """1-based ordered position, horizon in 0..h."""
+        if not 1 <= position <= self.K:
+            raise IndexError(f"position must be in 1..{self.K}")
+        if not 0 <= horizon <= self.h:
+            raise IndexError(f"horizon must be in 0..{self.h}")
         return float(getattr(self, kind)[horizon, position - 1])
 
 
@@ -378,17 +407,14 @@ class _Bdd:
         return self.ids[key]
 
     def apply(self, op: str, u: int, v: int) -> int:
-        """``u & v`` or ``u | v``; ``apply("!", u, u)`` is ``!u``."""
-        if op == "!" and u < 2:
-            return 1 - u
-        if op != "!":
-            absorbing = int(op == "|")
-            if absorbing in (u, v):
-                return absorbing
-            if u == v or v == 1 - absorbing:
-                return u
-            if u == 1 - absorbing:
-                return v
+        """``u & v`` or ``u | v``."""
+        absorbing = int(op == "|")
+        if absorbing in (u, v):
+            return absorbing
+        if u == v or v == 1 - absorbing:
+            return u
+        if u == 1 - absorbing:
+            return v
         key = (op, u, v)
         if key not in self.memo:
             (x, u0, u1), (y, v0, v1) = self.nodes[u], self.nodes[v]
@@ -401,29 +427,31 @@ class _Bdd:
                                        self.apply(op, u1, v1))
         return self.memo[key]
 
-    def build(self, node) -> int:
+    def build(self, node, negated: bool = False) -> int:
+        """BDD of ``node``, or of ``!node``; negations are pushed down to
+        the literals (De Morgan), so ``apply`` needs no negation."""
+        while isinstance(node, Not):
+            node, negated = node.child, not negated
         if isinstance(node, Var):
-            return self.node(node.index, 0, 1)
+            return self.node(node.index, int(negated), int(not negated))
         if isinstance(node, _Const):
-            return int(node.value)
-        if isinstance(node, Not):
-            child = self.build(node.child)
-            return self.apply("!", child, child)
+            return int(node.value != negated)
         if not isinstance(node, (And, Or)):
             raise TypeError(f"not an AST node: {node!r}")
-        # fold a chain of one operator from the right, so that an
-        # ascending disjunction (any_horizon) costs O(1) per operand
         operands, stack = [], [node]
         while stack:
             n = stack.pop()
             if type(n) is type(node):
                 stack += (n.right, n.left)
             else:
-                operands.append(n)
-        op = "&" if isinstance(node, And) else "|"
-        acc = self.build(operands.pop())
+                operands.append(self.build(n, negated))
+        op = "|" if isinstance(node, Or) != negated else "&"
+        # fold from the highest top variable down, so that a chain of
+        # literals (any_horizon) costs O(1) per operand in any order
+        operands.sort(key=lambda u: self.nodes[u][0])
+        acc = operands.pop()
         while operands:
-            acc = self.apply(op, self.build(operands.pop()), acc)
+            acc = self.apply(op, operands.pop(), acc)
         return acc
 
 
@@ -463,7 +491,12 @@ def _plan(root, cap: int):
 def _effects(B, col, root):
     """Total and channel effects of the shock column ``col`` on every
     system index, for strictly lower-triangular ``B``."""
-    lits, steps, column, accept = _plan(root, TERM_CAP)
+    try:  # hashing the root for the cache and building it both recurse
+        lits, steps, column, accept = _plan(root, TERM_CAP)
+    except RecursionError:
+        raise TermExplosionError(
+            "condition too deeply nested for the evaluator plan"
+        ) from None
     n = B.shape[0]
     if lits.size and lits[-1] >= n:
         raise DimensionMismatchError(f"literal x{lits[-1] + 1} outside 1..{n}")

@@ -33,10 +33,6 @@ class PathExplosionError(TcaError):
     """Path enumeration exceeded the configured cap."""
 
 
-class TargetTooLargeError(TcaError):
-    """The assignment-vector oracle is infeasible for this target index."""
-
-
 class MixedEndpointsError(TcaError):
     """Paths passed to an aggregate do not share origin and target."""
 

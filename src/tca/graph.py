@@ -1,12 +1,13 @@
-"""Path enumeration and the assignment-vector oracle.
+"""Path enumeration.
 
 The systems form induces a DAG whose edges run only from lower to
 higher system index: an edge ``x_m -> x_n`` exists when ``B[n, m]`` is
 nonzero, and ``e_i -> x_m`` when ``Omega[m, i]`` is nonzero.  A channel
 is a set of paths; its effect is the shock size times the sum over
-paths of the product of edge coefficients.  Everything here is
-brute-force by design: it is the ground truth the fast edge-deletion
-route is validated against.
+paths of the product of edge coefficients.  Enumeration is brute-force
+by design: ``tca paths`` lists the paths behind an effect, and the
+tests use it as the ground truth the condition evaluator is checked
+against.
 """
 
 from __future__ import annotations
@@ -19,23 +20,17 @@ from .errors import (
     DimensionMismatchError,
     MixedEndpointsError,
     PathExplosionError,
-    TargetTooLargeError,
 )
 from .system import SystemsForm
 
 __all__ = [
     "Path",
-    "AssignmentVector",
     "enumerate_paths",
     "variable_paths",
     "total_path_effect",
-    "assignment_effect",
-    "assignment_index",
-    "assignment_for_paths",
 ]
 
 PATH_CAP = 10_000_000
-ASSIGNMENT_TARGET_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -180,93 +175,3 @@ def total_path_effect(paths, xi: float = 1.0) -> float:
                 "paths mix origins or targets; effects are per endpoint pair"
             )
     return xi * float(sum(p.coefficient for p in paths))
-
-
-@dataclass(frozen=True)
-class AssignmentVector:
-    """Which nested causal chains into the target receive the shock.
-
-    ``entries`` has length ``2**(target-1)``; each entry is 0 (chain
-    shut off) or the common shock size ``xi``.
-    """
-
-    target: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.target < 1:
-            raise ValueError("target must be >= 1")
-        if self.target > ASSIGNMENT_TARGET_CAP:
-            raise TargetTooLargeError(
-                f"target {self.target} exceeds the enumeration cap "
-                f"{ASSIGNMENT_TARGET_CAP}"
-            )
-        e = np.asarray(self.entries, dtype=float).reshape(-1)
-        if e.shape[0] != 2 ** (self.target - 1):
-            raise DimensionMismatchError(
-                f"need 2**(target-1) = {2 ** (self.target - 1)} entries, "
-                f"got {e.shape[0]}"
-            )
-        nz = e[e != 0.0]
-        if nz.size and not np.all(nz == nz[0]):
-            raise ValueError("nonzero entries must all equal one shock size")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def xi(self) -> float:
-        nz = self.entries[self.entries != 0.0]
-        return float(nz[0]) if nz.size else 0.0
-
-
-def assignment_effect(sf, shock: int, assignment: AssignmentVector) -> float:
-    """Causal effect of an assignment vector on its target.
-
-    Expands the nested chains into the target recursively: the direct
-    dependence on the shock is the last entry, and the block of entries
-    ``2**(k-1)-1 .. 2**k-1`` (0-based, half-open) covers the chains
-    running through intermediate node ``k``.  Desk-scale oracle only.
-    """
-    j = assignment.target
-    B = sf.B
-    col = sf.omega[:, shock - 1] if hasattr(sf, "omega") else sf.omega_col
-    if j > B.shape[0]:
-        raise DimensionMismatchError("target outside the system grid")
-
-    def effect(node: int, vec: np.ndarray) -> float:
-        acc = col[node - 1] * vec[-1]
-        for k in range(1, node):
-            if B[node - 1, k - 1] == 0.0:
-                continue
-            sub = vec[2 ** (k - 1) - 1 : 2 ** k - 1]
-            acc += B[node - 1, k - 1] * effect(k, sub)
-        return acc
-
-    return float(effect(j, assignment.entries))
-
-
-def assignment_index(path: Path) -> int:
-    """1-based position of a shock path in its target's assignment vector.
-
-    The direct edge into a node occupies the last slot of that node's
-    block; a path arriving via intermediate node ``k`` recurses into the
-    block offset ``2**(k-1) - 1``.
-    """
-    if path.origin_kind != "shock":
-        raise ValueError("assignment indices are defined for shock paths")
-
-    def index(nodes) -> int:
-        if len(nodes) == 1:
-            return 2 ** (nodes[0] - 1)
-        return 2 ** (nodes[-2] - 1) - 1 + index(nodes[:-1])
-
-    return index(path.nodes)
-
-
-def assignment_for_paths(target: int, paths, xi: float = 1.0) -> AssignmentVector:
-    """Assignment vector activating exactly the given paths into ``target``."""
-    entries = np.zeros(2 ** (target - 1))
-    for p in paths:
-        if p.target != target:
-            raise MixedEndpointsError(f"path targets {p.target}, not {target}")
-        entries[assignment_index(p) - 1] = xi
-    return AssignmentVector(target=target, entries=entries)

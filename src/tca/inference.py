@@ -29,7 +29,8 @@ from .errors import (
     ZeroImpactError,
 )
 from .linalg import as_matrix
-from .model import ReducedVar, estimate_var_ols, identify_internal_instrument
+from .model import (ReducedVar, _var_recursion, estimate_var_ols,
+                    identify_internal_instrument)
 from .system import TransmissionOrdering, reconstruct_from_single_shock
 
 __all__ = [
@@ -176,17 +177,7 @@ def _resample_and_regenerate(var: ReducedVar, spec: BootstrapSpec) -> np.ndarray
     for r in range(R):
         rng = np.random.default_rng((spec.seed, r))
         draws[r] = resid[rng.integers(0, n, size=n)]
-
-    out = np.empty((R, T, K))
-    out[:, :p] = data[:p]
-    c = np.zeros(K) if var.intercept is None else var.intercept
-    coefs_t = [Ai.T for Ai in var.coefs]
-    for t in range(p, T):
-        y = c + draws[:, t - p]
-        for i, AiT in enumerate(coefs_t, start=1):
-            y = y + out[:, t - i] @ AiT
-        out[:, t] = y
-    return out
+    return _var_recursion(var.coefs, var.intercept, draws, data[:p])
 
 
 def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,

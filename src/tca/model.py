@@ -273,25 +273,6 @@ def estimate_var_ols(data, p: int, include_intercept: bool = True,
     )
 
 
-def ma_coefficients(var: ReducedVar, h: int) -> np.ndarray:
-    """Reduced-form moving-average matrices ``Theta_0..Theta_h``.
-
-    ``Theta_t`` maps a reduced-form innovation at time 0 to the response
-    of ``y`` at time t, via ``Theta_t = sum_i coefs[i] Theta_{t-i}``.
-    """
-    K = var.K
-    theta = np.zeros((h + 1, K, K))
-    theta[0] = np.eye(K)
-    for t in range(1, h + 1):
-        acc = np.zeros((K, K))
-        for i, Ai in enumerate(var.coefs, start=1):
-            if i > t:
-                break
-            acc += Ai @ theta[t - i]
-        theta[t] = acc
-    return theta
-
-
 def identify_internal_instrument(var: ReducedVar, instrument_position: int,
                                  normalize_on: int, impact: float,
                                  h: int = 0) -> StructuralShockColumn:
@@ -317,8 +298,10 @@ def identify_internal_instrument(var: ReducedVar, instrument_position: int,
             "residual covariance is not positive definite"
         ) from exc
 
-    theta = ma_coefficients(var, h)
-    raw = np.concatenate([theta[t] @ P[:, 0] for t in range(h + 1)])
+    impulse = np.zeros((h + 1, K))
+    impulse[0] = P[:, 0]
+    raw = _var_recursion(var.coefs, None, impulse, np.zeros((var.p, K)))
+    raw = raw[var.p :].reshape(-1)
     denom = raw[normalize_on - 1]
     tol = 1e-12 * max(1.0, np.abs(P).max())
     if abs(denom) < tol:
@@ -393,6 +376,28 @@ def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
     return LpEstimates(beta=beta, gamma=gamma, flagged=tuple(flagged))
 
 
+def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
+    """``y_t = c + sum_i coefs[i] y_{t-i} + shocks_t``, unchecked.
+
+    Runs over the last two axes, so leading axes batch independent
+    samples: ``initial`` is ``(..., p, K)`` and ``shocks`` is
+    ``(..., n, K)``; the result is ``(..., p + n, K)`` and starts with
+    ``initial``.  ``intercept`` may be ``None`` (zero).
+    """
+    p = len(coefs)
+    *batch, n, K = shocks.shape
+    c = 0.0 if intercept is None else intercept
+    coefs_t = [Ai.T for Ai in coefs]
+    out = np.empty((*batch, p + n, K))
+    out[..., :p, :] = initial
+    for t in range(p, p + n):
+        y = c + shocks[..., t - p, :]
+        for i, AiT in enumerate(coefs_t, start=1):
+            y = y + out[..., t - i, :] @ AiT
+        out[..., t, :] = y
+    return out
+
+
 def simulate_var(coefs, intercept, innovations, initial) -> np.ndarray:
     """Generate data recursively from VAR coefficients.
 
@@ -402,20 +407,10 @@ def simulate_var(coefs, intercept, innovations, initial) -> np.ndarray:
     coefs = [as_matrix(m, "coefs") for m in coefs]
     p = len(coefs)
     innovations = as_matrix(innovations, "innovations")
-    n, K = innovations.shape
+    K = innovations.shape[1]
     initial = as_matrix(initial, "initial") if p else np.empty((0, K))
     if initial.shape != (p, K):
         raise DimensionMismatchError(f"initial must be ({p}, {K})")
-    c = (
-        np.zeros(K)
-        if intercept is None
-        else np.asarray(intercept, dtype=float).reshape(K)
-    )
-    out = np.empty((p + n, K))
-    out[:p] = initial
-    for t in range(p, p + n):
-        y = c + innovations[t - p]
-        for i, Ai in enumerate(coefs, start=1):
-            y = y + Ai @ out[t - i]
-        out[t] = y
-    return out
+    if intercept is not None:
+        intercept = np.asarray(intercept, dtype=float).reshape(K)
+    return _var_recursion(coefs, intercept, innovations, initial)

@@ -172,6 +172,53 @@ def _stack_blocks(K: int, h: int, diag: np.ndarray, sub) -> np.ndarray:
     return out
 
 
+def _triangular_form(source, ordering: TransmissionOrdering, h: int,
+                     allow_large: bool):
+    """``(B, L, blocks, Q)``: the triangular form of ``source`` under
+    ``ordering`` on horizons ``0..h``.
+
+    A structural :class:`VarmaModel` has its column-permuted
+    contemporaneous matrix QL-factored, ``A0 T' = Q L``; a
+    :class:`ReducedVar` has ``Q = I`` and ``L`` the inverse Cholesky
+    factor of its permuted residual covariance, which turns its
+    coefficients into the lag matrices ``L A_i``.  With ``D`` the
+    inverse of ``diag(L)``, ``B`` has diagonal blocks ``I - D L`` and
+    lag-``i`` blocks ``D Q' A_i`` (in permuted coordinates), and
+    ``blocks`` are the orthogonalised Omega blocks ``[D, D Psibar_1,
+    ...]`` with ``Psibar_j = Q' Psi_j Q``; the structural ``Omega``
+    blocks are these times ``Q'``.  Pre-sample terms are dropped: only a
+    time-0 shock propagates.
+    """
+    if not isinstance(source, (VarmaModel, ReducedVar)):
+        raise TypeError(f"unsupported source type: {type(source).__name__}")
+    K = source.K
+    _check_size(K, h, allow_large)
+    _check_ordering(ordering, source.var_names)
+    dest = list(ordering.perm.dest)
+    if isinstance(source, VarmaModel):
+        Q, L = ql_decompose(source.A0[:, dest])
+        lags = [Ai[:, dest] for Ai in source.A]
+        psi = source.Psi
+    else:
+        try:
+            P = np.linalg.cholesky(source.sigma_u[np.ix_(dest, dest)])
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                "permuted residual covariance has no Cholesky factor"
+            ) from exc
+        L = solve_triangular(P, np.eye(K), lower=True)
+        Q = np.eye(K)
+        lags = [L @ Ai[np.ix_(dest, dest)] for Ai in source.coefs]
+        psi = ()
+    d = 1.0 / np.diag(L)
+    b_diag = -(d[:, None] * L)
+    np.fill_diagonal(b_diag, 0.0)
+    DQt = d[:, None] * Q.T
+    B = _stack_blocks(K, h, b_diag, [DQt @ Ai for Ai in lags[:h]])
+    blocks = [np.diag(d)] + [d[:, None] * (Q.T @ Pj @ Q) for Pj in psi[:h]]
+    return B, L, blocks, Q
+
+
 def make_systems_form(model: VarmaModel, ordering: TransmissionOrdering,
                       h: int, allow_large: bool = False) -> SystemsForm:
     """Build ``(B, Omega)`` from a structural model under an ordering.
@@ -180,69 +227,17 @@ def make_systems_form(model: VarmaModel, ordering: TransmissionOrdering,
     ``D`` the inverse of the triangular factor's diagonal, the diagonal
     blocks of ``B`` are ``I - D L`` and its lag-``i`` blocks ``D Q' A_i``
     (in permuted coordinates).  ``Omega`` has diagonal blocks ``D Q'``
-    and MA blocks ``D Q' Psi_j``.  Pre-sample terms are dropped: only a
-    time-0 shock propagates.
+    and MA blocks ``D Q' Psi_j``.
     """
-    _check_ordering(ordering, model.var_names)
-    K = model.K
-    _check_size(K, h, allow_large)
-    dest = list(ordering.perm.dest)
-
-    Q, L = ql_decompose(model.A0[:, dest])
-    d = 1.0 / np.diag(L)
-    DQt = d[:, None] * Q.T
-
-    b_diag = -(d[:, None] * L)
-    np.fill_diagonal(b_diag, 0.0)
-    b_sub = [DQt @ Ai[:, dest] for Ai in model.A[: min(h, model.ar_order)]]
-    o_sub = [DQt @ Pj for Pj in model.Psi[: min(h, model.ma_order)]]
-
-    B = _stack_blocks(K, h, b_diag, b_sub)
-    omega = _stack_blocks(K, h, DQt, o_sub)
-    return SystemsForm(K=K, h=h, B=B, omega=omega, ordering=ordering)
+    B, _, blocks, Q = _triangular_form(model, ordering, h, allow_large)
+    rotated = [block @ Q.T for block in blocks]
+    omega = _stack_blocks(model.K, h, rotated[0], rotated[1:])
+    return SystemsForm(K=model.K, h=h, B=B, omega=omega, ordering=ordering)
 
 
 def irf_total(sf: SystemsForm) -> np.ndarray:
     """Total-effect IRF matrix ``(I - B)^{-1} Omega``."""
     return solve_unit_lower(sf.B, sf.omega)
-
-
-def _cholesky_form(source, ordering: TransmissionOrdering):
-    """Orthogonalised-form quantities ``(L, D, Abar, Psibar)``.
-
-    These are exactly the objects recoverable from the reduced form
-    alone: the triangular contemporaneous matrix under the ordering, the
-    inverse of its diagonal, and the rotated AR and MA matrices.
-    """
-    dest = list(ordering.perm.dest)
-    if isinstance(source, VarmaModel):
-        _check_ordering(ordering, source.var_names)
-        Q, L = ql_decompose(source.A0[:, dest])
-        abar = [Q.T @ Ai[:, dest] for Ai in source.A]
-        psibar = [Q.T @ Pj @ Q for Pj in source.Psi]
-    elif isinstance(source, ReducedVar):
-        _check_ordering(ordering, source.var_names)
-        sigma = source.sigma_u[np.ix_(dest, dest)]
-        try:
-            P = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(
-                "permuted residual covariance has no Cholesky factor"
-            ) from exc
-        L = solve_triangular(P, np.eye(source.K), lower=True)
-        abar = [L @ Ai[np.ix_(dest, dest)] for Ai in source.coefs]
-        psibar = []
-    else:
-        raise TypeError(f"unsupported source type: {type(source).__name__}")
-    d = 1.0 / np.diag(L)
-    return L, d, abar, psibar
-
-
-def _b_from_cholesky_form(K, h, L, d, abar) -> np.ndarray:
-    b_diag = -(d[:, None] * L)
-    np.fill_diagonal(b_diag, 0.0)
-    b_sub = [d[:, None] * Ab for Ab in abar[:h]]
-    return _stack_blocks(K, h, b_diag, b_sub)
 
 
 def cholesky_irfs(source, ordering: TransmissionOrdering, h: int,
@@ -255,13 +250,8 @@ def cholesky_irfs(source, ordering: TransmissionOrdering, h: int,
     computational device tied to the ordering, not an identification
     claim.
     """
-    K = source.K
-    _check_size(K, h, allow_large)
-    L, d, abar, psibar = _cholesky_form(source, ordering)
-    B = _b_from_cholesky_form(K, h, L, d, abar)
-    o_sub = [d[:, None] * Pb for Pb in psibar[:h]]
-    omega_tilde = _stack_blocks(K, h, np.diag(d), o_sub)
-    return solve_unit_lower(B, omega_tilde)
+    B, _, blocks, _ = _triangular_form(source, ordering, h, allow_large)
+    return solve_unit_lower(B, _stack_blocks(source.K, h, blocks[0], blocks[1:]))
 
 
 def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
@@ -275,10 +265,11 @@ def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
     model's native variable order) to the identified shock; a
     :class:`StructuralShockColumn` or a length-K vector is accepted.
     The result suffices to compute every transmission effect of that
-    shock, without knowing the other structural shocks.
+    shock, without knowing the other structural shocks: the
+    orthogonalised Omega blocks applied to ``L`` times the permuted
+    impact column.
     """
     K = reduced.K
-    _check_size(K, h, allow_large)
     if isinstance(phi_col, StructuralShockColumn):
         if phi_col.K != K:
             raise InconsistentNormalizationError(
@@ -296,21 +287,15 @@ def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
     if shock_label is None:
         shock_label = "shock"
 
-    L, d, abar, psibar = _cholesky_form(reduced, ordering)
-    B = _b_from_cholesky_form(K, h, L, d, abar)
-
+    B, L, blocks, _ = _triangular_form(reduced, ordering, h, allow_large)
     q_col = L @ impact[list(ordering.perm.dest)]
-    blocks = [d * q_col]
-    for j in range(1, h + 1):
-        if j <= len(psibar):
-            blocks.append(d * (psibar[j - 1] @ q_col))
-        else:
-            blocks.append(np.zeros(K))
+    omega_col = np.zeros((h + 1) * K)
+    omega_col[: len(blocks) * K] = np.concatenate([b @ q_col for b in blocks])
     return SingleShockSystem(
         K=K,
         h=h,
         B=B,
-        omega_col=np.concatenate(blocks),
+        omega_col=omega_col,
         ordering=ordering,
         shock_label=shock_label,
     )

@@ -1,13 +1,19 @@
-"""Brute-force oracles the fast evaluator is checked against.
+"""Brute-force oracles the fast routes are checked against.
 
-Two independent routes to a channel effect:
+Three independent routes to a channel effect:
 
 - :func:`path_filter_effect` enumerates every path and keeps those that
   satisfy the condition;
 - :func:`ie_channel` expands the condition into signed conjunction terms
   by inclusion-exclusion on the formula tree and prices each term by
   deleting edges and re-solving.  Its cost is exponential in the number
-  of literals, so it only serves small conditions.
+  of literals, so it only serves small conditions;
+- :func:`assignment_effect` evaluates the potential outcome of an
+  :class:`AssignmentVector` that switches nested causal chains into the
+  target on or off, with ``2**(target-1)`` entries.
+
+:func:`ma_coefficients` is the textbook reduced-form MA recursion, the
+reference for identified and local-projection IRFs.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tca import enumerate_paths, solve_unit_lower
+from tca import Path, ReducedVar, enumerate_paths, solve_unit_lower
 from tca.condition import (
     FALSE,
     TERM_CAP,
@@ -28,7 +34,12 @@ from tca.condition import (
     Var,
     satisfied_by,
 )
-from tca.errors import DimensionMismatchError, TermExplosionError
+from tca.errors import (
+    DimensionMismatchError,
+    MixedEndpointsError,
+    TcaError,
+    TermExplosionError,
+)
 
 
 def path_filter_effect(sf, shock, target, cond, xi=1.0) -> float:
@@ -178,3 +189,126 @@ def ie_channel(B, omega_col, cond, xi: float = 1.0) -> np.ndarray:
     for term in expand_terms(cond):
         channel += term.sign * effect_by_edge_deletion(B, omega_col, term, xi)
     return channel
+
+
+# ---------------------------------------------------------------------------
+# Nested-chain potential outcomes
+
+ASSIGNMENT_TARGET_CAP = 24
+
+
+class TargetTooLargeError(TcaError):
+    """The assignment-vector oracle is infeasible for this target index."""
+
+
+@dataclass(frozen=True)
+class AssignmentVector:
+    """Which nested causal chains into the target receive the shock.
+
+    ``entries`` has length ``2**(target-1)``; each entry is 0 (chain
+    shut off) or the common shock size ``xi``.
+    """
+
+    target: int
+    entries: np.ndarray
+
+    def __post_init__(self):
+        if self.target < 1:
+            raise ValueError("target must be >= 1")
+        if self.target > ASSIGNMENT_TARGET_CAP:
+            raise TargetTooLargeError(
+                f"target {self.target} exceeds the enumeration cap "
+                f"{ASSIGNMENT_TARGET_CAP}"
+            )
+        e = np.asarray(self.entries, dtype=float).reshape(-1)
+        if e.shape[0] != 2 ** (self.target - 1):
+            raise DimensionMismatchError(
+                f"need 2**(target-1) = {2 ** (self.target - 1)} entries, "
+                f"got {e.shape[0]}"
+            )
+        nz = e[e != 0.0]
+        if nz.size and not np.all(nz == nz[0]):
+            raise ValueError("nonzero entries must all equal one shock size")
+        object.__setattr__(self, "entries", e)
+
+    @property
+    def xi(self) -> float:
+        nz = self.entries[self.entries != 0.0]
+        return float(nz[0]) if nz.size else 0.0
+
+
+def assignment_effect(sf, shock: int, assignment: AssignmentVector) -> float:
+    """Causal effect of an assignment vector on its target.
+
+    Expands the nested chains into the target recursively: the direct
+    dependence on the shock is the last entry, and the block of entries
+    ``2**(k-1)-1 .. 2**k-1`` (0-based, half-open) covers the chains
+    running through intermediate node ``k``.  Desk-scale oracle only.
+    """
+    j = assignment.target
+    B = sf.B
+    col = sf.omega[:, shock - 1] if hasattr(sf, "omega") else sf.omega_col
+    if j > B.shape[0]:
+        raise DimensionMismatchError("target outside the system grid")
+
+    def effect(node: int, vec: np.ndarray) -> float:
+        acc = col[node - 1] * vec[-1]
+        for k in range(1, node):
+            if B[node - 1, k - 1] == 0.0:
+                continue
+            sub = vec[2 ** (k - 1) - 1 : 2 ** k - 1]
+            acc += B[node - 1, k - 1] * effect(k, sub)
+        return acc
+
+    return float(effect(j, assignment.entries))
+
+
+def assignment_index(path: Path) -> int:
+    """1-based position of a shock path in its target's assignment vector.
+
+    The direct edge into a node occupies the last slot of that node's
+    block; a path arriving via intermediate node ``k`` recurses into the
+    block offset ``2**(k-1) - 1``.
+    """
+    if path.origin_kind != "shock":
+        raise ValueError("assignment indices are defined for shock paths")
+
+    def index(nodes) -> int:
+        if len(nodes) == 1:
+            return 2 ** (nodes[0] - 1)
+        return 2 ** (nodes[-2] - 1) - 1 + index(nodes[:-1])
+
+    return index(path.nodes)
+
+
+def assignment_for_paths(target: int, paths, xi: float = 1.0) -> AssignmentVector:
+    """Assignment vector activating exactly the given paths into ``target``."""
+    entries = np.zeros(2 ** (target - 1))
+    for p in paths:
+        if p.target != target:
+            raise MixedEndpointsError(f"path targets {p.target}, not {target}")
+        entries[assignment_index(p) - 1] = xi
+    return AssignmentVector(target=target, entries=entries)
+
+
+# ---------------------------------------------------------------------------
+# Reduced-form MA coefficients
+
+
+def ma_coefficients(var: ReducedVar, h: int) -> np.ndarray:
+    """Reduced-form moving-average matrices ``Theta_0..Theta_h``.
+
+    ``Theta_t`` maps a reduced-form innovation at time 0 to the response
+    of ``y`` at time t, via ``Theta_t = sum_i coefs[i] Theta_{t-i}``.
+    """
+    K = var.K
+    theta = np.zeros((h + 1, K, K))
+    theta[0] = np.eye(K)
+    for t in range(1, h + 1):
+        acc = np.zeros((K, K))
+        for i, Ai in enumerate(var.coefs, start=1):
+            if i > t:
+                break
+            acc += Ai @ theta[t - i]
+        theta[t] = acc
+    return theta

@@ -22,12 +22,11 @@ from conftest import (
     three_var_model,
     wrap_condition,
 )
+from oracles import assignment_effect, assignment_for_paths
 from tca import (
     ReducedVar,
     TransmissionOrdering,
     VarmaModel,
-    assignment_effect,
-    assignment_for_paths,
     cholesky_irfs,
     enumerate_paths,
     estimate_var_ols,

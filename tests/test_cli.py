@@ -223,6 +223,16 @@ class TestTransmission:
         assert code == 3
         assert "position" in capsys.readouterr().err
 
+    def test_over_deep_nesting_exits_3(self, tmp_path, model3_path, capsys):
+        code = main([
+            "transmission", "--model", str(model3_path),
+            "--order", "x,pi,i", "--shock", "1",
+            "--condition", "(" * 600 + "pi_0" + ")" * 600, "--horizon", "0",
+            "--out", str(tmp_path / "e.csv"), "--quiet",
+        ])
+        assert code == 3
+        assert "nesting deeper than" in capsys.readouterr().err
+
     def test_instrument_route(self, tmp_path, var_data):
         model = tmp_path / "m.json"
         main(["estimate", "--data", str(var_data), "--lags", "1",
@@ -420,6 +430,12 @@ class TestVerify:
         lines[-1] = ",".join(cells)
         out.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(out)]) == 2
+
+    def test_short_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        path.write_text("variable,horizon,total,channel,complement\na,0,1\n")
+        assert main(["verify", str(path)]) == 2
+        assert f"{path}:2: expected 5 fields, got 3" in capsys.readouterr().err
 
 
 class TestReadDataCsv:

@@ -20,6 +20,7 @@ from oracles import (
 )
 from tca import (
     TransmissionOrdering,
+    VarmaModel,
     cholesky_irfs,
     effect_from_irfs,
     irf_total,
@@ -103,6 +104,34 @@ class TestParser:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_condition("pi_0 )", LABELS3, 3, 0)
+
+    def test_long_chain_parses_into_a_balanced_tree(self):
+        text = any_horizon("y", range(1000))
+        cond = parse_condition(text, ("y",), 1, 999)
+
+        def depth(node):
+            if isinstance(node, (And, Or)):
+                return 1 + max(depth(node.left), depth(node.right))
+            return 0
+
+        assert depth(cond.root) == 10
+        assert cond.canonical_text() == " | ".join(
+            f"x{m}" for m in range(1, 1001)
+        )
+        again = parse_condition(cond.canonical_text(), ("y",), 1, 999)
+        assert again.root == cond.root
+
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("!", "")])
+    def test_nesting_cap(self, opening, closing):
+        from tca.condition import NESTING_CAP
+
+        def nested(levels):
+            return opening * levels + "pi_0" + closing * levels
+
+        parse_condition(nested(NESTING_CAP), LABELS3, 3, 0)
+        with pytest.raises(ParseError) as err:
+            parse_condition(nested(600), LABELS3, 3, 0)
+        assert err.value.position == NESTING_CAP
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -279,6 +308,47 @@ class TestTransmissionEffect:
         gap = np.abs(through.channel + never.channel - through.total) / scale
         assert np.max(gap) <= 1e-10
         assert np.max(np.abs(through.total - never.total)) <= 1e-12
+
+    def test_disjunction_of_every_index_and_its_negation(self):
+        # 1,000 literals on a K=1, h=999 grid; the parse tree, the BDD
+        # build and the negation must not recurse once per operand
+        m = VarmaModel(var_names=("y",), A0=[[1.0]], A=([[0.6]],))
+        sf = make_systems_form(m, TransmissionOrdering.identity(("y",)), 999)
+        text = any_horizon("y", range(1000))
+        through = transmission_effect(sf, text, shock=1)
+        never = transmission_effect(sf, f"!({text})", shock=1)
+        assert np.max(np.abs(through.channel - through.total)) <= 1e-12
+        assert np.max(np.abs(never.channel)) == 0.0
+        gap = np.abs(through.channel + never.channel - through.total)
+        assert np.max(gap) <= 1e-12
+        backwards = " | ".join(f"x{m}" for m in range(1000, 0, -1))
+        assert np.array_equal(
+            transmission_effect(sf, backwards, shock=1).channel,
+            through.channel,
+        )
+
+    def test_too_deep_plan_raises_term_explosion(self):
+        # two interleaved 500-literal chains build a 1,000-level BDD, and
+        # a left-deep tree built by hand is 1,000 levels deep to hash
+        m = VarmaModel(var_names=("y",), A0=[[1.0]])
+        sf = make_systems_form(m, TransmissionOrdering.identity(("y",)), 999)
+        odd = " | ".join(f"x{i}" for i in range(1, 1000, 2))
+        even = " | ".join(f"x{i}" for i in range(2, 1001, 2))
+        with pytest.raises(TermExplosionError):
+            transmission_effect(sf, f"({odd}) & ({even})", shock=1)
+        root = Var(1)
+        for m in range(2, 1001):
+            root = Or(root, Var(m))
+        with pytest.raises(TermExplosionError):
+            transmission_effect(sf, wrap_condition(root, sf), shock=1)
+
+    def test_cell_rejects_out_of_range_indices(self):
+        table = transmission_effect(three_var_sf(0.2, 0.5, 0.8, 1.5, h=1),
+                                    "pi_0", shock=1)
+        assert table.cell("total", 3, 1) == table.total[1, 2]
+        for position, horizon in ((0, 0), (4, 0), (1, -1), (1, 2)):
+            with pytest.raises(IndexError):
+                table.cell("total", position, horizon)
 
     def test_state_cap(self, monkeypatch):
         import tca.condition

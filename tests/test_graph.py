@@ -2,24 +2,23 @@ import numpy as np
 import pytest
 
 from conftest import random_ordering, random_varma, three_var_model
-from tca import (
+from oracles import (
     AssignmentVector,
-    TransmissionOrdering,
-    VarmaModel,
+    TargetTooLargeError,
     assignment_effect,
     assignment_for_paths,
     assignment_index,
+)
+from tca import (
+    TransmissionOrdering,
+    VarmaModel,
     enumerate_paths,
     irf_total,
     make_systems_form,
     total_path_effect,
     variable_paths,
 )
-from tca.errors import (
-    MixedEndpointsError,
-    PathExplosionError,
-    TargetTooLargeError,
-)
+from tca.errors import MixedEndpointsError, PathExplosionError
 from tca.graph import Path
 
 

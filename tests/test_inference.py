@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from concurrent.futures import ThreadPoolExecutor
 
+from conftest import stable_var_coefs
 from tca import (
     TransmissionOrdering,
     estimate_var_ols,
@@ -15,6 +16,7 @@ from tca.inference import (
     BootstrapSpec,
     InstrumentSpec,
     VarSpec,
+    _resample_and_regenerate,
     bootstrap_effects,
     n_threads,
     point_effects,
@@ -70,6 +72,28 @@ class TestNThreads:
         monkeypatch.setenv("TCA_THREADS", value)
         with pytest.raises(ValueError, match=repr(value)):
             n_threads()
+
+
+class TestRegeneration:
+    @pytest.mark.parametrize("K,p", [(2, 1), (3, 2), (4, 4)])
+    def test_each_draw_is_simulate_var_on_its_residuals(self, K, p):
+        rng = np.random.default_rng(10 * K + p)
+        coefs = stable_var_coefs(rng, K, p)
+        data = simulate_var(coefs, rng.normal(size=K),
+                            rng.normal(size=(300, K)), np.zeros((p, K)))
+        var = estimate_var_ols(data, p)
+        spec = BootstrapSpec(replications=6, seed=11)
+        samples = _resample_and_regenerate(var, spec)
+        n = data.shape[0] - p
+        for r in range(spec.replications):
+            idx = np.random.default_rng((spec.seed, r)).integers(0, n, size=n)
+            expected = simulate_var(var.coefs, var.intercept,
+                                    var.residuals[idx], data[:p])
+            # one recursion, but a batch of draws multiplies through BLAS
+            # gemm and a single sample through gemv, whose roundings can
+            # differ in the last bit (they do here at K = 4)
+            gap = np.max(np.abs(samples[r] - expected))
+            assert gap <= 1e-15 * np.max(np.abs(expected))
 
 
 class TestBootstrapEffects:

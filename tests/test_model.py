@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import stable_var_coefs, three_var_model
+from oracles import ma_coefficients
 from tca import (
     ReducedVar,
     TransmissionOrdering,
@@ -13,7 +14,6 @@ from tca import (
     simulate_var,
 )
 from tca.errors import RankDeficientRegressorsError, ZeroImpactError
-from tca.model import ma_coefficients
 
 
 def simulate(rng, coefs, T, intercept=None, chol=None):
