@@ -39,7 +39,6 @@ from .model import (
     simulate_var,
 )
 from .system import (
-    SingleShockSystem,
     SystemsForm,
     TransmissionOrdering,
     cholesky_irfs,

@@ -267,10 +267,12 @@ def _structural_tables(model, ordering, shock, conditions, horizon, xi,
     sf = make_systems_form(model, ordering, horizon)
     if normalize is not None:
         name, value = normalize
-        phi = solve_unit_lower(sf.B, sf.shock_column(shock))
+        # B is strictly lower-triangular, so the horizon-0 block solves alone
+        K = sf.K
+        phi = solve_unit_lower(sf.B[:K, :K], sf.omega[:K, shock - 1])
         denom = phi[ordering.position(name) - 1]
         # the scale-aware rule of identify_internal_instrument
-        if abs(denom) < 1e-12 * max(1.0, np.abs(phi[: sf.K]).max()):
+        if abs(denom) < 1e-12 * max(1.0, np.abs(phi).max()):
             raise ZeroImpactError(
                 f"impact of shock {shock} on {name!r} is {denom:.3e}"
             )

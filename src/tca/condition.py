@@ -30,7 +30,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .linalg import as_matrix, solve_unit_lower
-from .system import SingleShockSystem, SystemsForm
+from .system import SystemsForm
 
 __all__ = [
     "Var",
@@ -98,10 +98,30 @@ TRUE = _Const(True)
 FALSE = _Const(False)
 
 
-def _chain(cls, operands):
-    """Balanced tree of ``cls`` over ``operands``, paired left to right,
-    so that depth grows as ``log2(len(operands))``; three operands give
-    ``cls(cls(a, b), c)``."""
+def _join(cls, parts):
+    """``parts`` joined by ``cls`` as a pending chain ``(cls, operands)``,
+    built into a tree only where it cannot join an enclosing chain of
+    the same operator, so that ``x1 | (x2 | x3)`` parses like
+    ``x1 | x2 | x3``, the text it prints as, and each tree is built once
+    however deep the parentheses; a lone part passes through as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    operands = []
+    for part in parts:
+        if isinstance(part, tuple) and part[0] is cls:
+            operands += part[1]
+        else:
+            operands.append(_built(part))
+    return cls, operands
+
+
+def _built(node):
+    """``node``, with a pending chain built into a balanced tree paired
+    left to right, so that depth grows as ``log2(len(operands))``; three
+    operands give ``cls(cls(a, b), c)``."""
+    if not isinstance(node, tuple):
+        return node
+    cls, operands = node
     while len(operands) > 1:
         pairs = [cls(a, b) for a, b in zip(operands[::2], operands[1::2])]
         operands = pairs + operands[2 * len(pairs) :]
@@ -186,29 +206,26 @@ class _Parser:
         return (m.group("op") or m.group("ident")), start
 
     def parse(self):
-        node = self.parse_or()
+        node = _built(self.parse_or())
         tok, start = self.peek()
         if tok is not None:
             self.error("unexpected trailing input", pos=start)
         return node
 
     def parse_or(self):
-        operands = [self.parse_and()]
-        while True:
-            m, _ = self.peek()
-            if m is None or m.group("op") != "|":
-                return _chain(Or, operands)
-            self.pos = m.end()
-            operands.append(self.parse_and())
+        return self.parse_chain(Or, "|", self.parse_and)
 
     def parse_and(self):
-        operands = [self.parse_unary()]
+        return self.parse_chain(And, "&", self.parse_unary)
+
+    def parse_chain(self, cls, op: str, parse_operand):
+        operands = [parse_operand()]
         while True:
             m, _ = self.peek()
-            if m is None or m.group("op") != "&":
-                return _chain(And, operands)
+            if m is None or m.group("op") != op:
+                return _join(cls, operands)
             self.pos = m.end()
-            operands.append(self.parse_unary())
+            operands.append(parse_operand())
 
     def nested(self, parse, start):
         """Run ``parse`` one nesting level deeper."""
@@ -225,7 +242,7 @@ class _Parser:
             self.error("expected an atom, got end of input")
         if m.group("op") == "!":
             self.pos = m.end()
-            return Not(self.nested(self.parse_unary, start))
+            return Not(_built(self.nested(self.parse_unary, start)))
         return self.parse_atom()
 
     def parse_atom(self):
@@ -540,32 +557,26 @@ def _table(cond, labels, shock_label, xi, total, channel) -> EffectTable:
     )
 
 
-def transmission_effect(system, cond, shock: int | None = None,
+def transmission_effect(system: SystemsForm, cond, shock: int | None = None,
                         xi: float = 1.0) -> EffectTable:
     """Decompose the total effect of one shock along a condition.
 
-    ``system`` is a full :class:`SystemsForm` (pass ``shock``) or a
-    :class:`SingleShockSystem`.  ``cond`` may be text, parsed against
-    the system's ordering.  The channel sums the effects of the paths
-    whose set of visited literals satisfies the condition; the
-    complement is the remainder of the total.  Raises
+    ``shock`` is the 1-based time-0 shock of ``system``; it may be
+    omitted for a one-shock system from
+    :func:`~tca.system.reconstruct_from_single_shock`.  ``cond`` may be
+    text, parsed against the system's ordering.  The channel sums the
+    effects of the paths whose set of visited literals satisfies the
+    condition; the complement is the remainder of the total.  Raises
     :class:`TermExplosionError` when the condition's evaluator plan
     exceeds ``TERM_CAP``.
     """
-    if isinstance(system, SystemsForm):
-        if shock is None:
-            raise ValueError("a SystemsForm needs an explicit shock index")
-        col, shock_label = system.shock_column(shock), f"eps[{shock}]"
-    elif isinstance(system, SingleShockSystem):
-        col, shock_label = system.omega_col, system.shock_label
-    else:
-        raise TypeError(f"unsupported system type: {type(system).__name__}")
+    col = system.shock_column(shock)
     labels = system.ordering.labels
     if isinstance(cond, str):
         cond = parse_condition(cond, labels, system.K, system.h)
-    total, channel = _effects(np.asarray(system.B, dtype=float),
-                              np.asarray(col, dtype=float), cond.root)
-    return _table(cond, labels, shock_label, xi, total, channel)
+    total, channel = _effects(np.asarray(system.B, dtype=float), col, cond.root)
+    return _table(cond, labels, system.shock_labels[(shock or 1) - 1], xi,
+                  total, channel)
 
 
 def effect_from_irfs(phi_col, phi_tilde, cond, xi: float = 1.0,

@@ -71,7 +71,6 @@ class InstrumentSpec:
 
     normalize_on: int
     impact: float
-    position: int = 1
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,6 @@ class BootstrapSpec:
     replications: int
     seed: int
     level: float = 0.90
-    scheme: str = "recursive-iid"
     freeze_normalization: bool = False
 
     def __post_init__(self):
@@ -93,10 +91,6 @@ class BootstrapSpec:
             raise ValueError("need at least one replication")
         if not 0.0 < self.level < 1.0:
             raise ValueError("confidence level must be in (0, 1)")
-        if self.scheme != "recursive-iid":
-            raise ValueError(
-                f"unsupported scheme {self.scheme!r}; only 'recursive-iid'"
-            )
 
 
 @dataclass(frozen=True)
@@ -149,10 +143,9 @@ def point_effects(var: ReducedVar, ident: InstrumentSpec,
     Returns ``(table, scale)`` where ``scale`` is the normalisation
     factor actually applied to the orthogonalised impact column.
     """
-    column = identify_internal_instrument(
-        var, ident.position, ident.normalize_on, ident.impact, h=0
-    )
-    impact = column.impact_block()
+    column = identify_internal_instrument(var, ident.normalize_on,
+                                          ident.impact, h=0)
+    impact = column.phi[: var.K]
     scale = column.scale
     if scale_override is not None:
         impact = impact * (scale_override / scale)

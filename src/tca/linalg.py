@@ -71,7 +71,7 @@ class Permutation:
         return self.dest.index(original)
 
 
-def ql_decompose(A, singular_rtol: float = QL_SINGULAR_RTOL):
+def ql_decompose(A):
     """Factor a square matrix as ``A = Q @ L``.
 
     ``Q`` is orthogonal and ``L`` is lower-triangular with strictly
@@ -84,9 +84,6 @@ def ql_decompose(A, singular_rtol: float = QL_SINGULAR_RTOL):
     ----------
     A : array_like, shape (K, K)
         Nonsingular matrix to factor.
-    singular_rtol : float
-        ``A`` counts as singular when any ``|L[i, i]|`` falls below
-        ``singular_rtol * max|A|``.
 
     Returns
     -------
@@ -95,7 +92,8 @@ def ql_decompose(A, singular_rtol: float = QL_SINGULAR_RTOL):
     Raises
     ------
     SingularMatrixError
-        If the triangular factor has a diagonal entry below tolerance.
+        If a diagonal entry of ``L`` falls below
+        ``QL_SINGULAR_RTOL * max|A|``.
     """
     A = as_matrix(A, "A", square=True)
     K = A.shape[0]
@@ -107,9 +105,9 @@ def ql_decompose(A, singular_rtol: float = QL_SINGULAR_RTOL):
     L = S @ R @ S
 
     scale = np.max(np.abs(A))
-    if scale == 0.0 or np.min(np.abs(np.diag(L))) < singular_rtol * scale:
+    if scale == 0.0 or np.min(np.abs(np.diag(L))) < QL_SINGULAR_RTOL * scale:
         raise SingularMatrixError(
-            f"matrix is singular to tolerance {singular_rtol:g} * max|A|"
+            f"matrix is singular to tolerance {QL_SINGULAR_RTOL:g} * max|A|"
         )
 
     # Enforce diag(L) > 0 by flipping matched column/row signs; the

@@ -171,10 +171,6 @@ class StructuralShockColumn:
     def horizons(self) -> int:
         return self.phi.shape[0] // self.K - 1
 
-    def impact_block(self) -> np.ndarray:
-        """The horizon-0 responses (first K entries)."""
-        return self.phi[: self.K].copy()
-
 
 @dataclass(frozen=True)
 class LpEstimates:
@@ -273,21 +269,16 @@ def estimate_var_ols(data, p: int, include_intercept: bool = True,
     )
 
 
-def identify_internal_instrument(var: ReducedVar, instrument_position: int,
-                                 normalize_on: int, impact: float,
+def identify_internal_instrument(var: ReducedVar, normalize_on: int,
+                                 impact: float,
                                  h: int = 0) -> StructuralShockColumn:
     """Identify a structural shock column from an internal instrument.
 
-    The instrument must be ordered first in the VAR (``instrument_position``
-    is 1-based and only 1 is accepted).  The identified column is the IRF
-    to the first Cholesky-orthogonalised innovation, rescaled so that the
-    horizon-0 response of variable ``normalize_on`` equals ``impact``.
+    The instrument is the first variable of the VAR.  The identified
+    column is the IRF to the first Cholesky-orthogonalised innovation,
+    rescaled so that the horizon-0 response of variable ``normalize_on``
+    (1-based) equals ``impact``.
     """
-    if instrument_position != 1:
-        raise ValueError(
-            "the instrument must be ordered first in the data "
-            f"(position 1), got position {instrument_position}"
-        )
     K = var.K
     if not 1 <= normalize_on <= K:
         raise DimensionMismatchError(f"normalize_on must be in 1..{K}")

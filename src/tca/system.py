@@ -2,8 +2,9 @@
 
 A model plus a transmission ordering and horizon ``h`` determine the
 systems form ``x = B x + Omega e`` on the ``(h+1)K`` grid, where ``B``
-is strictly lower-triangular and ``Omega`` block-lower-triangular.  The
-nonzero entries of ``(B, Omega)`` are the edges of the transmission DAG.
+is strictly lower-triangular and ``Omega`` holds the loadings of the
+time-0 shocks.  The nonzero entries of ``(B, Omega)`` are the edges of
+the transmission DAG.
 
 System indices are 1-based: index ``m = t*K + r`` refers to the variable
 at ordered position ``r`` (1..K) and horizon ``t`` (0..h).  This
@@ -23,12 +24,11 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .linalg import Permutation, ql_decompose, solve_unit_lower
-from .model import ReducedVar, StructuralShockColumn, VarmaModel
+from .model import ReducedVar, VarmaModel
 
 __all__ = [
     "TransmissionOrdering",
     "SystemsForm",
-    "SingleShockSystem",
     "make_systems_form",
     "irf_total",
     "cholesky_irfs",
@@ -95,13 +95,20 @@ def _check_ordering(ordering: TransmissionOrdering, var_names) -> None:
 
 @dataclass(frozen=True)
 class SystemsForm:
-    """The pair ``(B, Omega)`` with index bookkeeping."""
+    """The pair ``(B, Omega)`` with index bookkeeping.
+
+    ``omega`` keeps only the columns of the time-0 shocks, one per
+    entry of ``shock_labels``: K for a structural model, one for a
+    single identified shock.  Every effect of a shock at a later
+    horizon is the time-0 effect shifted, so no route needs the rest.
+    """
 
     K: int
     h: int
     B: np.ndarray
     omega: np.ndarray
     ordering: TransmissionOrdering
+    shock_labels: tuple
 
     @property
     def size(self) -> int:
@@ -125,27 +132,17 @@ class SystemsForm:
         r, t = self.var_horizon(m)
         return f"{self.ordering.labels[r - 1]}_{t}"
 
-    def shock_column(self, shock: int) -> np.ndarray:
-        """Omega column of the 1-based time-0 shock ``shock``."""
-        if not 1 <= shock <= self.K:
-            raise IndexError(f"shock must be in 1..{self.K}")
+    def shock_column(self, shock: int | None = None) -> np.ndarray:
+        """Omega column of the 1-based time-0 shock ``shock``, which may
+        be omitted when the system carries a single shock."""
+        s = self.omega.shape[1]
+        if shock is None:
+            if s != 1:
+                raise ValueError(f"the system carries {s} shocks; pass shock")
+            shock = 1
+        if not 1 <= shock <= s:
+            raise IndexError(f"shock must be in 1..{s}")
         return self.omega[:, shock - 1].copy()
-
-
-@dataclass(frozen=True)
-class SingleShockSystem:
-    """``B`` plus the single identified shock column of ``Omega``."""
-
-    K: int
-    h: int
-    B: np.ndarray
-    omega_col: np.ndarray
-    ordering: TransmissionOrdering
-    shock_label: str = "shock"
-
-    @property
-    def size(self) -> int:
-        return (self.h + 1) * self.K
 
 
 def _check_size(K: int, h: int, allow_large: bool) -> None:
@@ -226,17 +223,19 @@ def make_systems_form(model: VarmaModel, ordering: TransmissionOrdering,
     The contemporaneous matrix is column-permuted and QL-factored; with
     ``D`` the inverse of the triangular factor's diagonal, the diagonal
     blocks of ``B`` are ``I - D L`` and its lag-``i`` blocks ``D Q' A_i``
-    (in permuted coordinates).  ``Omega`` has diagonal blocks ``D Q'``
-    and MA blocks ``D Q' Psi_j``.
+    (in permuted coordinates).  The K time-0 shock columns of ``Omega``
+    stack ``D Q'`` over the MA blocks ``D Q' Psi_j``.
     """
+    K = model.K
     B, _, blocks, Q = _triangular_form(model, ordering, h, allow_large)
-    rotated = [block @ Q.T for block in blocks]
-    omega = _stack_blocks(model.K, h, rotated[0], rotated[1:])
-    return SystemsForm(K=model.K, h=h, B=B, omega=omega, ordering=ordering)
+    omega = np.zeros((B.shape[0], K))
+    omega[: len(blocks) * K] = np.vstack([block @ Q.T for block in blocks])
+    return SystemsForm(K=K, h=h, B=B, omega=omega, ordering=ordering,
+                       shock_labels=tuple(f"eps[{i}]" for i in range(1, K + 1)))
 
 
 def irf_total(sf: SystemsForm) -> np.ndarray:
-    """Total-effect IRF matrix ``(I - B)^{-1} Omega``."""
+    """Total-effect IRFs ``(I - B)^{-1} Omega`` of the time-0 shocks."""
     return solve_unit_lower(sf.B, sf.omega)
 
 
@@ -257,45 +256,26 @@ def cholesky_irfs(source, ordering: TransmissionOrdering, h: int,
 def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
                                   phi_col, h: int,
                                   allow_large: bool = False,
-                                  shock_label: str | None = None) -> SingleShockSystem:
+                                  shock_label: str = "shock") -> SystemsForm:
     """Rebuild ``B`` and one ``Omega`` column from reduced-form
     quantities plus a single identified impact column.
 
     ``phi_col`` holds the horizon-0 responses of the K variables (in the
-    model's native variable order) to the identified shock; a
-    :class:`StructuralShockColumn` or a length-K vector is accepted.
-    The result suffices to compute every transmission effect of that
-    shock, without knowing the other structural shocks: the
-    orthogonalised Omega blocks applied to ``L`` times the permuted
-    impact column.
+    model's native variable order) to the identified shock.  The result
+    is a one-shock :class:`SystemsForm` that suffices to compute every
+    transmission effect of that shock, without knowing the other
+    structural shocks: its ``Omega`` column is the orthogonalised blocks
+    applied to ``L`` times the permuted impact column.
     """
     K = reduced.K
-    if isinstance(phi_col, StructuralShockColumn):
-        if phi_col.K != K:
-            raise InconsistentNormalizationError(
-                f"shock column is for K={phi_col.K}, system has K={K}"
-            )
-        impact = phi_col.impact_block()
-        if shock_label is None:
-            shock_label = phi_col.label
-    else:
-        impact = np.asarray(phi_col, dtype=float).reshape(-1)
-        if impact.shape[0] != K:
-            raise InconsistentNormalizationError(
-                f"impact column has length {impact.shape[0]}, expected K={K}"
-            )
-    if shock_label is None:
-        shock_label = "shock"
-
+    impact = np.asarray(phi_col, dtype=float).reshape(-1)
+    if impact.shape[0] != K:
+        raise InconsistentNormalizationError(
+            f"impact column has length {impact.shape[0]}, expected K={K}"
+        )
     B, L, blocks, _ = _triangular_form(reduced, ordering, h, allow_large)
     q_col = L @ impact[list(ordering.perm.dest)]
-    omega_col = np.zeros((h + 1) * K)
-    omega_col[: len(blocks) * K] = np.concatenate([b @ q_col for b in blocks])
-    return SingleShockSystem(
-        K=K,
-        h=h,
-        B=B,
-        omega_col=omega_col,
-        ordering=ordering,
-        shock_label=shock_label,
-    )
+    omega = np.zeros((B.shape[0], 1))
+    omega[: len(blocks) * K, 0] = np.concatenate([b @ q_col for b in blocks])
+    return SystemsForm(K=K, h=h, B=B, omega=omega, ordering=ordering,
+                       shock_labels=(shock_label,))

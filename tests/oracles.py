@@ -247,7 +247,7 @@ def assignment_effect(sf, shock: int, assignment: AssignmentVector) -> float:
     """
     j = assignment.target
     B = sf.B
-    col = sf.omega[:, shock - 1] if hasattr(sf, "omega") else sf.omega_col
+    col = sf.omega[:, shock - 1]
     if j > B.shape[0]:
         raise DimensionMismatchError("target outside the system grid")
 

@@ -133,6 +133,19 @@ class TestParser:
             parse_condition(nested(600), LABELS3, 3, 0)
         assert err.value.position == NESTING_CAP
 
+    @pytest.mark.parametrize("text, flat", [
+        ("x1 | (x2 | x3)", "x1 | x2 | x3"),
+        ("(x1 & x2) & (x3 & (x4 & x5))", "x1 & x2 & x3 & x4 & x5"),
+        ("(x1 | (x2 | x3)) & !(x4 & (x5 & x6)) | ((x7 | x8) | x9)",
+         "(x1 | x2 | x3) & !(x4 & x5 & x6) | x7 | x8 | x9"),
+    ])
+    def test_parenthesised_same_operator_round_trips(self, text, flat):
+        cond = parse_condition(text, LABELS3, 3, 2)
+        assert cond.canonical_text() == flat
+        assert cond.root == parse_condition(flat, LABELS3, 3, 2).root
+        again = parse_condition(cond.canonical_text(), LABELS3, 3, 2)
+        assert again.root == cond.root
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_canonical_text_round_trip(self, seed):
@@ -410,6 +423,16 @@ class TestTransmissionEffect:
             b = transmission_effect(sss, cond)
             assert np.max(np.abs(a.channel - b.channel)) <= 1e-10
             assert np.max(np.abs(a.total - b.total)) <= 1e-10
+
+    def test_shock_index_is_checked_against_omega_columns(self, rng):
+        m = random_varma(rng, K=3, ell=1, q=1)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 2)
+        with pytest.raises(ValueError, match="pass shock"):
+            transmission_effect(sf, "x2")
+        for shock in (0, 4):
+            with pytest.raises(IndexError):
+                transmission_effect(sf, "x2", shock=shock)
+        assert transmission_effect(sf, "x2", shock=3).shock_label == "eps[3]"
 
     def test_three_way_literal_partition_adds_to_total(self, rng):
         # x_k, !x_k & x_l and !x_k & !x_l are mutually exclusive and

@@ -18,7 +18,11 @@ from tca import (
     total_path_effect,
     variable_paths,
 )
-from tca.errors import MixedEndpointsError, PathExplosionError
+from tca.errors import (
+    DimensionMismatchError,
+    MixedEndpointsError,
+    PathExplosionError,
+)
 from tca.graph import Path
 
 
@@ -64,6 +68,12 @@ class TestEnumeratePaths:
         sf = make_systems_form(m, random_ordering(rng, m.var_names), 2)
         with pytest.raises(PathExplosionError):
             enumerate_paths(sf, 1, sf.size, cap=2)
+
+    def test_shock_beyond_time0_columns_rejected(self, rng):
+        m = random_varma(rng, K=3, ell=1)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 2)
+        with pytest.raises(DimensionMismatchError):
+            enumerate_paths(sf, 4, sf.size)
 
     def test_zero_tol_prunes_edges(self):
         sf = three_var_sf(0.0, 0.5, 1e-9, 1.5)

@@ -56,8 +56,6 @@ class TestBootstrapSpec:
             BootstrapSpec(replications=0, seed=1)
         with pytest.raises(ValueError):
             BootstrapSpec(replications=10, seed=1, level=1.0)
-        with pytest.raises(ValueError):
-            BootstrapSpec(replications=10, seed=1, scheme="wild")
 
 
 class TestNThreads:

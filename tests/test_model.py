@@ -85,7 +85,7 @@ class TestEstimateVarOls:
 class TestIdentifyInternalInstrument:
     def test_pure_rescaling_under_unit_covariance(self):
         var = ReducedVar(var_names=("ffr", "y"), coefs=(), sigma_u=np.eye(2))
-        col = identify_internal_instrument(var, 1, normalize_on=1, impact=0.25, h=2)
+        col = identify_internal_instrument(var, normalize_on=1, impact=0.25, h=2)
         assert col.phi[0] == 0.25
         assert np.allclose(col.phi[1:], 0.0)
 
@@ -98,7 +98,7 @@ class TestIdentifyInternalInstrument:
         var = ReducedVar(
             var_names=("x", "pi", "i"), coefs=(), sigma_u=Ainv @ Ainv.T
         )
-        col = identify_internal_instrument(var, 1, normalize_on=1, impact=1.0, h=0)
+        col = identify_internal_instrument(var, normalize_on=1, impact=1.0, h=0)
         assert np.allclose(col.phi, [1.0, a2, a2 * a4 + a3], atol=1e-12)
 
     def test_equals_rescaled_cholesky_column(self, rng):
@@ -108,7 +108,7 @@ class TestIdentifyInternalInstrument:
         var = ReducedVar(var_names=("a", "b", "c"), coefs=tuple(coefs),
                          sigma_u=sigma)
         h = 3
-        col = identify_internal_instrument(var, 1, normalize_on=2, impact=0.25, h=h)
+        col = identify_internal_instrument(var, normalize_on=2, impact=0.25, h=h)
         P = np.linalg.cholesky(sigma)
         theta = ma_coefficients(var, h)
         raw = np.concatenate([theta[t] @ P[:, 0] for t in range(h + 1)])
@@ -119,20 +119,15 @@ class TestIdentifyInternalInstrument:
         coefs = stable_var_coefs(rng, 2, 1)
         var = ReducedVar(var_names=("a", "b"), coefs=tuple(coefs),
                          sigma_u=np.array([[1.0, 0.3], [0.3, 1.0]]))
-        c1 = identify_internal_instrument(var, 1, 1, impact=0.5, h=2)
-        c2 = identify_internal_instrument(var, 1, 1, impact=1.0, h=2)
+        c1 = identify_internal_instrument(var, 1, impact=0.5, h=2)
+        c2 = identify_internal_instrument(var, 1, impact=1.0, h=2)
         assert np.array_equal(2.0 * c1.phi, c2.phi)
-
-    def test_instrument_must_be_first(self):
-        var = ReducedVar(var_names=("a", "b"), coefs=(), sigma_u=np.eye(2))
-        with pytest.raises(ValueError, match="position 1"):
-            identify_internal_instrument(var, 2, 1, impact=1.0)
 
     def test_zero_impact(self):
         sigma = np.array([[1.0, 0.0], [0.0, 1.0]])
         var = ReducedVar(var_names=("a", "b"), coefs=(), sigma_u=sigma)
         with pytest.raises(ZeroImpactError):
-            identify_internal_instrument(var, 1, normalize_on=2, impact=1.0)
+            identify_internal_instrument(var, normalize_on=2, impact=1.0)
 
 
 class TestEstimateLpIrfs:

@@ -66,18 +66,15 @@ class TestMakeSystemsForm:
         m = VarmaModel(var_names=("a", "b"), A0=np.eye(2))
         sf = make_systems_form(m, identity_ordering(m), 2)
         assert np.array_equal(sf.B, np.zeros((6, 6)))
-        assert np.allclose(sf.omega, np.eye(6), atol=1e-14)
+        assert np.allclose(sf.omega, np.eye(6)[:, :2], atol=1e-14)
 
     def test_structural_zeros_are_exact(self, rng):
         m = random_varma(rng, K=3, ell=2, q=1)
         sf = make_systems_form(m, random_ordering(rng, m.var_names), 3)
         assert np.all(np.triu(sf.B) == 0.0)  # strictly lower, exact zeros
-        n, K = sf.size, sf.K
-        for bi in range(sf.h + 1):
-            for bj in range(sf.h + 1):
-                block = sf.omega[bi * K : (bi + 1) * K, bj * K : (bj + 1) * K]
-                if bj > bi:
-                    assert np.all(block == 0.0)
+        # a time-0 shock loads horizons 0..q only (here q = 1)
+        assert np.all(sf.omega[2 * sf.K :] == 0.0)
+        assert np.all(np.any(sf.omega[: 2 * sf.K] != 0.0, axis=0))
 
     def test_index_map_round_trip(self, rng):
         m = random_varma(rng, K=4)
@@ -212,7 +209,7 @@ class TestReconstructFromSingleShock:
                 impact_native = np.linalg.inv(m.A0)[:, shock - 1]
                 sss = reconstruct_from_single_shock(m, ordering, impact_native, h)
                 assert np.max(np.abs(sss.B - sf.B)) <= 1e-12
-                assert np.max(np.abs(sss.omega_col - sf.omega[:, shock - 1])) <= 1e-12
+                assert np.max(np.abs(sss.omega[:, 0] - sf.omega[:, shock - 1])) <= 1e-12
 
     def test_reduced_var_route(self, rng):
         m = random_varma(rng, K=3, ell=2, q=0)
@@ -230,7 +227,7 @@ class TestReconstructFromSingleShock:
             reduced, ordering, A0inv[:, shock - 1], h
         )
         assert np.max(np.abs(sss.B - sf.B)) <= 1e-10
-        assert np.max(np.abs(sss.omega_col - sf.omega[:, shock - 1])) <= 1e-10
+        assert np.max(np.abs(sss.omega[:, 0] - sf.omega[:, shock - 1])) <= 1e-10
 
     def test_orthonormal_contemporaneous_matrix(self):
         psi = np.array([[0.2, 0.1], [0.0, 0.3]])
@@ -238,7 +235,21 @@ class TestReconstructFromSingleShock:
         ordering = TransmissionOrdering.identity(("a", "b"))
         sss = reconstruct_from_single_shock(m, ordering, [1.0, 0.0], 1)
         expected = np.concatenate([[1.0, 0.0], psi @ [1.0, 0.0]])
-        assert np.allclose(sss.omega_col, expected, atol=1e-12)
+        assert np.allclose(sss.omega[:, 0], expected, atol=1e-12)
+
+    def test_omega_keeps_the_time0_shock_columns(self, rng):
+        m = random_varma(rng, K=3, ell=1, q=1)
+        ordering = random_ordering(rng, m.var_names)
+        h = 4
+        sf = make_systems_form(m, ordering, h)
+        assert sf.omega.shape == ((h + 1) * 3, 3)
+        assert sf.shock_labels == ("eps[1]", "eps[2]", "eps[3]")
+        sss = reconstruct_from_single_shock(
+            m, ordering, np.linalg.inv(m.A0)[:, 1], h, shock_label="demand"
+        )
+        assert sss.omega.shape == ((h + 1) * 3, 1)
+        assert sss.shock_labels == ("demand",)
+        assert np.array_equal(sss.shock_column(), sss.omega[:, 0])
 
     def test_wrong_length_rejected(self, rng):
         m = random_varma(rng, K=3)
