@@ -13,12 +13,7 @@ from .condition import (
     parse_condition,
     transmission_effect,
 )
-from .graph import (
-    Path,
-    enumerate_paths,
-    total_path_effect,
-    variable_paths,
-)
+from .graph import Path, enumerate_paths
 from .inference import (
     BootstrapSpec,
     EffectBands,

@@ -163,7 +163,7 @@ def write_effects_csv(path: str, tables, bands=None) -> None:
     channel_sum = sum(t.channel for t in tables)
     complement = first.total - channel_sum
     gap = np.abs(channel_sum + complement - first.total)
-    if np.max(gap / np.maximum(1.0, np.abs(first.total))) > IDENTITY_RTOL:
+    if not np.all(gap / np.maximum(1.0, np.abs(first.total)) <= IDENTITY_RTOL):
         raise ValueError("decomposition identity violated before write")
 
     header = ["variable", "horizon", "total"]
@@ -220,7 +220,8 @@ def verify_effects_csv(path: str) -> int:
                 )
             total = float(row[i_total])
             acc = sum(float(row[i]) for i in i_channels) + float(row[i_comp])
-            if abs(acc - total) > IDENTITY_RTOL * max(1.0, abs(total)):
+            # a NaN or infinite gap fails too
+            if not abs(acc - total) / max(1.0, abs(total)) <= IDENTITY_RTOL:
                 raise ValueError(
                     f"{path}:{lineno}: decomposition identity violated "
                     f"({acc!r} vs total {total!r})"
@@ -242,8 +243,8 @@ def _split_order(text: str):
 
 def _parse_normalize(text: str):
     name, sep, value = text.partition("=")
-    if not sep:
-        raise ValueError("--normalize must be name=value")
+    if not sep or not np.isfinite(float(value)):
+        raise ValueError("--normalize must be name=value with a finite value")
     return name.strip(), float(value)
 
 
@@ -269,7 +270,7 @@ def _structural_tables(model, ordering, shock, conditions, horizon, xi,
         name, value = normalize
         # B is strictly lower-triangular, so the horizon-0 block solves alone
         K = sf.K
-        phi = solve_unit_lower(sf.B[:K, :K], sf.omega[:K, shock - 1])
+        phi = solve_unit_lower(sf.B_blocks[:1], sf.omega[:K, shock - 1])
         denom = phi[ordering.position(name) - 1]
         # the scale-aware rule of identify_internal_instrument
         if abs(denom) < 1e-12 * max(1.0, np.abs(phi).max()):
@@ -308,7 +309,7 @@ def _assert_partition(tables) -> None:
     total = tables[0].total
     acc = sum(t.channel for t in tables)
     gap = np.abs(acc - total) / np.maximum(1.0, np.abs(total))
-    if np.max(gap) > IDENTITY_RTOL:
+    if not np.all(gap <= IDENTITY_RTOL):
         raise ParseError(
             "conditions do not partition the total effect "
             f"(max relative gap {np.max(gap):.3e})",

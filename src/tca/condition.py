@@ -7,9 +7,11 @@ with parentheses.  Paths visit system indices in increasing order, so a
 condition is decided literal by literal.  A parsed condition is compiled
 once into a plan over states (last visited literal, residual formula),
 with residuals interned as an ordered BDD; evaluating it takes one
-multi-column triangular solve on ``B`` with the literals' rows zeroed
-plus one scalar step per plan transition.  The same evaluator prices
-conditions from IRF matrices alone, after rebuilding ``B`` from them.
+multi-column triangular solve on ``B`` (the shock and a unit column per
+literal), the inverse of the small unit-triangular matrix of path sums
+between literals, and one scalar step per plan transition.  The same
+evaluator prices conditions from IRF matrices alone, after rebuilding
+``B`` from them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     DimensionMismatchError,
@@ -29,7 +32,7 @@ from .errors import (
     TermExplosionError,
     UnknownVariableError,
 )
-from .linalg import as_matrix, solve_unit_lower
+from .linalg import MEMORY_BUDGET, as_matrix, solve_unit_lower
 from .system import SystemsForm
 
 __all__ = [
@@ -505,46 +508,52 @@ def _plan(root, cap: int):
             np.array(column), np.array(cursor) == 1)
 
 
-def _effects(B, col, root):
+def _effects(B_blocks, col, root):
     """Total and channel effects of the shock column ``col`` on every
-    system index, for strictly lower-triangular ``B``."""
+    system index, for ``B`` given by its lag blocks."""
     try:  # hashing the root for the cache and building it both recurse
         lits, steps, column, accept = _plan(root, TERM_CAP)
     except RecursionError:
         raise TermExplosionError(
             "condition too deeply nested for the evaluator plan"
         ) from None
-    n = B.shape[0]
-    if lits.size and lits[-1] >= n:
+    n, m = col.shape[0], lits.size
+    if m and lits[-1] >= n:
         raise DimensionMismatchError(f"literal x{lits[-1] + 1} outside 1..{n}")
-    rhs = np.column_stack([col, B[:, lits]])
-    rhs[lits] = 0.0
-    masked = B.copy()
-    masked[lits] = 0.0
-    Y = solve_unit_lower(masked, rhs)
-    # g[k][0]: the shock into literal k; g[k][1 + a]: literal a into k
-    rows = B[lits]
-    G = rows @ Y
-    G[:, 0] += col[lits]
-    G[:, 1:] += rows[:, lits]
-    g = G.tolist()
+    if 8 * n * (m + 1) > MEMORY_BUDGET:
+        raise TermExplosionError(
+            f"{m} literals on {n} system indices need {8 * n * (m + 1)} "
+            f"bytes of solve columns, over the {MEMORY_BUDGET}-byte budget"
+        )
+    # every path from the shock and from each literal
+    rhs = np.zeros((n, m + 1))
+    rhs[:, 0] = col
+    rhs[lits, np.arange(1, m + 1)] = 1.0
+    Z = solve_unit_lower(B_blocks, rhs)
+    total, between = Z[:, 0], Z[lits, 1:]
+    # between is unit lower-triangular, and a path that visits literals
+    # splits at its first one; so its inverse gives g[k][0] (the shock
+    # into literal k) and g[k][1 + a] (literal a into k), each path
+    # visiting no other literal
+    inv = dtrtri(between, lower=1, unitdiag=1)[0] if m else between
+    g = np.column_stack([inv @ total[lits], np.eye(m) - inv]).tolist()
 
     amp = [1.0] + [0.0] * (len(column) - 1)
     for s, target, k, c in steps:
         amp[target] += amp[s] * g[k][c]
     w = np.bincount(column, weights=np.where(accept, amp, 0.0),
-                    minlength=lits.size + 1)
-    channel = Y @ w
+                    minlength=m + 1)
+    # w[0] weighs the paths that visit no literal, w[1 + k] those whose
+    # last literal is k; the paths from k that visit no further literal
+    # are the columns Z[:, 1:] @ inv
+    channel = w[0] * total + Z[:, 1:] @ (inv @ (w[1:] - w[0] * total[lits]))
     channel[lits] = w[1:]
-    into = []  # every path into each literal, by forward substitution
-    for k in range(lits.size):
-        into.append(g[k][0] + sum(a * b for a, b in zip(into, g[k][1:])))
-    total = Y @ np.array([1.0] + into)
-    total[lits] = into
     return total, channel
 
 
 def _table(cond, labels, shock_label, xi, total, channel) -> EffectTable:
+    if not np.isfinite(xi):
+        raise ValueError(f"shock size xi must be finite, got {xi!r}")
     shape = (cond.h + 1, cond.K)
     return EffectTable(
         shock_label=shock_label,
@@ -574,7 +583,7 @@ def transmission_effect(system: SystemsForm, cond, shock: int | None = None,
     labels = system.ordering.labels
     if isinstance(cond, str):
         cond = parse_condition(cond, labels, system.K, system.h)
-    total, channel = _effects(np.asarray(system.B, dtype=float), col, cond.root)
+    total, channel = _effects(system.B_blocks, col, cond.root)
     return _table(cond, labels, system.shock_labels[(shock or 1) - 1], xi,
                   total, channel)
 
@@ -584,10 +593,14 @@ def effect_from_irfs(phi_col, phi_tilde, cond, xi: float = 1.0,
     """Transmission effects computed from IRFs alone.
 
     ``phi_col`` is the identified shock's structural IRF column on the
-    full grid and ``phi_tilde`` the orthogonalised IRF matrix under the
-    same ordering (a unit-diagonal ratio matrix works equally, since
-    only ratios enter).  This is the route available when IRFs come from
-    local projections and no coefficient matrices exist.
+    full grid and ``phi_tilde`` the ``(h+1)K x K`` orthogonalised IRFs
+    under the same ordering, as :func:`~tca.system.cholesky_irfs`
+    returns them: the responses on every horizon to the K orthogonalised
+    shocks at time 0.  The full orthogonalised grid is block-Toeplitz,
+    so every later column is this block column shifted.  A matrix scaled
+    to a unit impact diagonal works equally, since only ratios enter.
+    This is the route available when IRFs come from local projections
+    and no coefficient matrices exist.
 
     The ratio ``phi_tilde[s, r] / phi_tilde[r, r]`` prices the unit
     effect of variable r on variable s only when orthogonalised
@@ -596,28 +609,36 @@ def effect_from_irfs(phi_col, phi_tilde, cond, xi: float = 1.0,
     skip periods and break that reading, so use
     :func:`transmission_effect` for models with MA components.
 
-    The IRFs determine ``B = I - diag(phi_tilde) phi_tilde^{-1}`` (one
-    unit-triangular inverse of the ratio matrix) and the shock column
-    ``(I - B) phi_col``, which the evaluator of
-    :func:`transmission_effect` then prices.  ``phi_tilde`` must be
-    lower-triangular with a nonzero diagonal.
+    With ``R`` the grid divided by its impact diagonal, the IRFs
+    determine ``I - B = R^{-1}``: one block-Toeplitz solve on ``R``
+    gives the first block column of ``R^{-1}``, hence the ``h+1`` blocks
+    of ``B``, together with the shock column ``(I - B) phi_col``, which
+    the evaluator of :func:`transmission_effect` then prices.  The
+    impact block of ``phi_tilde`` must be lower-triangular with a
+    nonzero diagonal.
     """
     if not isinstance(cond, TransmissionCondition):
         raise TypeError("cond must be a parsed TransmissionCondition")
     phi_col = np.asarray(phi_col, dtype=float).reshape(-1)
-    phi_tilde = as_matrix(phi_tilde, "phi_tilde", square=True)
-    n = cond.size
-    if phi_col.shape[0] != n or phi_tilde.shape != (n, n):
+    phi_tilde = as_matrix(phi_tilde, "phi_tilde")
+    n, K = cond.size, cond.K
+    if phi_col.shape[0] != n or phi_tilde.shape != (n, K):
         raise DimensionMismatchError(
-            f"IRF inputs do not match the condition grid of size {n}"
+            f"IRF inputs do not match the condition grid of size {n} x {K}"
         )
-    if np.any(np.triu(phi_tilde, 1) != 0.0):
-        raise DimensionMismatchError("phi_tilde must be lower-triangular")
-    diag = np.diag(phi_tilde)
+    impact = phi_tilde[:K]
+    if np.any(np.triu(impact, 1) != 0.0):
+        raise DimensionMismatchError(
+            "the impact block of phi_tilde must be lower-triangular"
+        )
+    diag = np.diag(impact)
     if np.any(diag == 0.0):
-        raise SingularMatrixError("phi_tilde has a zero on its diagonal")
-    ratios = phi_tilde / diag[None, :]
-    B = -np.tril(solve_unit_lower(-np.tril(ratios, -1), np.eye(n)), -1)
-    _, channel = _effects(B, phi_col - B @ phi_col, cond.root)
+        raise SingularMatrixError("phi_tilde has a zero on its impact diagonal")
+    eye_minus_r = -(phi_tilde / diag).reshape(cond.h + 1, K, K)
+    eye_minus_r[0] += np.eye(K)
+    Z = solve_unit_lower(eye_minus_r, np.column_stack([np.eye(n, K), phi_col]))
+    B_blocks = -Z[:, :K].reshape(cond.h + 1, K, K)
+    B_blocks[0] = np.tril(B_blocks[0], -1)
+    _, channel = _effects(B_blocks, Z[:, K], cond.root)
     labels = cond.labels or tuple(f"x{i + 1}" for i in range(cond.K))
     return _table(cond, labels, shock_label, xi, phi_col, channel)

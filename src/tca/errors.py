@@ -33,10 +33,6 @@ class PathExplosionError(TcaError):
     """Path enumeration exceeded the configured cap."""
 
 
-class MixedEndpointsError(TcaError):
-    """Paths passed to an aggregate do not share origin and target."""
-
-
 class ParseError(TcaError):
     """Condition text could not be parsed.
 

@@ -2,7 +2,8 @@
 
 The systems form induces a DAG whose edges run only from lower to
 higher system index: an edge ``x_m -> x_n`` exists when ``B[n, m]`` is
-nonzero, and ``e_i -> x_m`` when ``Omega[m, i]`` is nonzero.  A channel
+nonzero, and ``e_i -> x_m`` when ``Omega[m, i]`` is nonzero.  The edges
+out of ``x_m`` are read from the lag blocks of ``B``.  A channel
 is a set of paths; its effect is the shock size times the sum over
 paths of the product of edge coefficients.  Enumeration is brute-force
 by design: ``tca paths`` lists the paths behind an effect, and the
@@ -16,19 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    MixedEndpointsError,
-    PathExplosionError,
-)
+from .errors import DimensionMismatchError, PathExplosionError
 from .system import SystemsForm
 
-__all__ = [
-    "Path",
-    "enumerate_paths",
-    "variable_paths",
-    "total_path_effect",
-]
+__all__ = ["Path", "enumerate_paths"]
 
 PATH_CAP = 10_000_000
 
@@ -72,47 +64,18 @@ class Path:
         return f"{chain} (coef = {self.coefficient:.17g})"
 
 
-def _reaches_target(succ, target: int, n: int) -> np.ndarray:
-    """Boolean mask (1-based indexing on position m-1) of nodes with a
-    path to ``target``, including the target itself."""
-    ok = np.zeros(n + 1, dtype=bool)
-    ok[target] = True
-    # edges only point upward, so a backward sweep settles in one pass
-    for m in range(target - 1, 0, -1):
-        ok[m] = any(ok[s] for s in succ[m - 1] if s <= target)
-    return ok
-
-
-def _dfs_paths(starts, succ, ok, target, origin_kind, origin, cap):
-    """Depth-first enumeration of all increasing paths into ``target``."""
-    out = []
-    for first, w0 in starts:
-        if not ok[first]:
-            continue
-        stack = [(first, w0, (first,))]
-        while stack:
-            node, w, trail = stack.pop()
-            if node == target:
-                out.append(Path(origin_kind, origin, trail, w))
-                if len(out) > cap:
-                    raise PathExplosionError(
-                        f"more than {cap} paths; shrink the instance"
-                    )
-                continue
-            for nxt, edge in succ[node - 1]:
-                if nxt <= target and ok[nxt]:
-                    stack.append((nxt, w * edge, trail + (nxt,)))
-    # stack order is implementation detail; present paths deterministically
-    out.sort(key=lambda p: p.nodes)
-    return out
-
-
-def _weighted_successors(B: np.ndarray, zero_tol: float):
-    n = B.shape[0]
-    succ = []
-    for c in range(n):
-        rows = np.nonzero(np.abs(B[:, c]) > zero_tol)[0]
-        succ.append([(int(r) + 1, B[r, c]) for r in rows])
+def _successors(sf: SystemsForm, target: int, zero_tol: float):
+    """``succ[m]`` for nodes ``1..target``: the edges ``x_m -> x_s`` with
+    ``s <= target`` and ``|B[s, m]| > zero_tol`` as ``(s, B[s, m])``."""
+    K = sf.K
+    out_of = [[] for _ in range(K)]  # per position: (offset, coefficient)
+    for l, i, j in zip(*np.nonzero(np.abs(sf.B_blocks) > zero_tol)):
+        out_of[j].append((l * K + i + 1, sf.B_blocks[l, i, j]))
+    succ = [[]]
+    for m in range(1, target + 1):
+        base = (m - 1) // K * K
+        succ.append([(base + off, w) for off, w in out_of[(m - 1) % K]
+                     if base + off <= target])
     return succ
 
 
@@ -129,49 +92,34 @@ def enumerate_paths(sf: SystemsForm, shock: int, target: int,
         raise DimensionMismatchError(f"target must be in 1..{n}")
     if not 1 <= shock <= sf.omega.shape[1]:
         raise DimensionMismatchError("shock must index a column of Omega")
+    if not 0.0 <= zero_tol < np.inf:
+        raise ValueError(f"zero_tol must be finite and >= 0, got {zero_tol!r}")
     if cap is None:
         cap = PATH_CAP
-    succ = _weighted_successors(sf.B, zero_tol)
-    ok = _reaches_target([[s for s, _ in row] for row in succ], target, n)
+    succ = _successors(sf, target, zero_tol)
+    # edges only point upward, so a backward sweep settles reachability
+    ok = np.zeros(target + 1, dtype=bool)
+    ok[target] = True
+    for m in range(target - 1, 0, -1):
+        ok[m] = any(ok[s] for s, _ in succ[m])
     col = sf.omega[:, shock - 1]
-    starts = [
-        (int(m) + 1, col[m])
-        for m in np.nonzero(np.abs(col) > zero_tol)[0]
-        if m + 1 <= target
-    ]
-    return _dfs_paths(starts, succ, ok, target, "shock", shock, cap)
-
-
-def variable_paths(sf: SystemsForm, source: int, target: int,
-                   zero_tol: float = 0.0, cap: int | None = None):
-    """All paths from variable ``source`` to variable ``target`` (both
-    1-based system indices, ``source < target``), using only ``B`` edges."""
-    n = sf.size
-    if not (1 <= source < target <= n):
-        raise DimensionMismatchError(
-            f"need 1 <= source < target <= {n}, got {source}, {target}"
-        )
-    if cap is None:
-        cap = PATH_CAP
-    succ = _weighted_successors(sf.B, zero_tol)
-    ok = _reaches_target([[s for s, _ in row] for row in succ], target, n)
-    starts = [(nxt, w) for nxt, w in succ[source - 1] if nxt <= target]
-    return _dfs_paths(starts, succ, ok, target, "variable", source, cap)
-
-
-def total_path_effect(paths, xi: float = 1.0) -> float:
-    """Shock size times the summed path coefficients.
-
-    All paths must share the same origin and target; an empty collection
-    has effect 0.
-    """
-    paths = list(paths)
-    if not paths:
-        return 0.0
-    key = (paths[0].origin_kind, paths[0].origin, paths[0].target)
-    for p in paths[1:]:
-        if (p.origin_kind, p.origin, p.target) != key:
-            raise MixedEndpointsError(
-                "paths mix origins or targets; effects are per endpoint pair"
-            )
-    return xi * float(sum(p.coefficient for p in paths))
+    out = []
+    for first in np.flatnonzero(np.abs(col[:target]) > zero_tol) + 1:
+        if not ok[first]:
+            continue
+        stack = [(int(first), col[first - 1], (int(first),))]
+        while stack:
+            node, w, trail = stack.pop()
+            if node == target:
+                out.append(Path("shock", shock, trail, w))
+                if len(out) > cap:
+                    raise PathExplosionError(
+                        f"more than {cap} paths; shrink the instance"
+                    )
+                continue
+            for nxt, edge in succ[node]:
+                if ok[nxt]:
+                    stack.append((nxt, w * edge, trail + (nxt,)))
+    # stack order is implementation detail; present paths deterministically
+    out.sort(key=lambda p: p.nodes)
+    return out

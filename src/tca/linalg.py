@@ -1,7 +1,7 @@
-"""Dense linear-algebra kernels used throughout the package.
+"""Linear-algebra kernels used throughout the package.
 
-All matrices are plain 2-D ``numpy`` arrays of floats.  Construction
-helpers validate shape and finiteness; the kernels themselves are pure
+Matrices are plain ``numpy`` arrays of floats.  Construction helpers
+validate shape and finiteness; the kernels themselves are pure
 functions on immutable inputs and are safe to call concurrently.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
@@ -18,6 +18,12 @@ __all__ = ["Permutation", "as_matrix", "ql_decompose", "solve_unit_lower"]
 
 #: Relative diagonal tolerance below which a QL factor counts as singular.
 QL_SINGULAR_RTOL = 1e-12
+
+#: Bytes the working arrays of one systems-form build (its ``(h+1)K x K``
+#: shock columns) or of one evaluation (its ``n x (m+1)`` solve columns
+#: for m literals) may take; beyond it the build raises ``ValueError``
+#: and the evaluation :class:`~tca.errors.TermExplosionError`.
+MEMORY_BUDGET = 2 ** 30
 
 
 def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -118,22 +124,39 @@ def ql_decompose(A):
     return Q, L
 
 
-def solve_unit_lower(M, rhs) -> np.ndarray:
-    """Solve ``(I - M) x = rhs`` for strictly lower-triangular ``M``.
+def solve_unit_lower(B_blocks, rhs) -> np.ndarray:
+    """Solve ``(I - B) X = rhs`` for a block-Toeplitz, strictly lower ``B``.
 
-    Uses forward substitution on the unit lower-triangular system; the
-    strictly-lower structure of ``M`` guarantees the system is always
-    solvable.  ``rhs`` may be a vector or a matrix of stacked columns.
+    ``B_blocks`` is the ``(L+1, K, K)`` stack of lag blocks: block row t
+    of ``B`` holds the strictly lower ``B_blocks[0]`` on its diagonal and
+    ``B_blocks[l]`` in block column ``t - l``.  ``rhs`` is a vector or a
+    matrix of ``r`` columns with ``(h+1)K`` rows, one block per horizon;
+    lag blocks beyond h are unused.  Horizon by horizon, ``x_t`` is
+    ``(I - B_0)^{-1}`` applied to ``rhs_t + sum_l B_l x_{t-l}``, one
+    product with ``(I - B_0)^{-1} [B_L .. B_1]`` per horizon, so memory
+    is O(n r + (L+1) K^2).
     """
-    M = as_matrix(M, "M", square=True)
-    n = M.shape[0]
+    blocks = np.asarray(B_blocks, dtype=float)
     b = np.asarray(rhs, dtype=float)
-    if b.shape[0] != n:
+    K = blocks.shape[-1]
+    if blocks.ndim != 3 or blocks.shape[1] != K or K == 0:
         raise DimensionMismatchError(
-            f"rhs has {b.shape[0]} rows, expected {n}"
+            f"B_blocks must have shape (L+1, K, K), got {blocks.shape}"
         )
-    if np.any(np.diag(M) != 0.0) or np.any(np.triu(M, 1) != 0.0):
-        raise DimensionMismatchError("M must be strictly lower-triangular")
-    if n == 0:
-        return b.copy()
-    return solve_triangular(np.eye(n) - M, b, lower=True, unit_diagonal=True)
+    if b.shape[0] % K:
+        raise DimensionMismatchError(
+            f"rhs has {b.shape[0]} rows, not a multiple of K={K}"
+        )
+    if np.any(np.triu(blocks[0]) != 0.0):
+        raise DimensionMismatchError("B_0 must be strictly lower-triangular")
+    H = b.shape[0] // K
+    inv = dtrtri(np.eye(K) - blocks[0], lower=1, unitdiag=1)[0]
+    X = inv @ b.reshape(H, K, -1)
+    L = min(blocks.shape[0], H) - 1
+    if L > 0:
+        lags = inv @ np.concatenate(blocks[L:0:-1], axis=1)  # [B_L .. B_1]
+        flat = X.reshape(H * K, -1)
+        for t in range(1, H):
+            lo = max(0, t - L) * K
+            X[t] += lags[:, lo - t * K :] @ flat[lo : t * K]
+    return X.reshape(np.shape(rhs))

@@ -4,7 +4,8 @@ A model plus a transmission ordering and horizon ``h`` determine the
 systems form ``x = B x + Omega e`` on the ``(h+1)K`` grid, where ``B``
 is strictly lower-triangular and ``Omega`` holds the loadings of the
 time-0 shocks.  The nonzero entries of ``(B, Omega)`` are the edges of
-the transmission DAG.
+the transmission DAG.  ``B`` is block-Toeplitz, so it is kept as its
+lag blocks and never formed as an ``(h+1)K`` square matrix.
 
 System indices are 1-based: index ``m = t*K + r`` refers to the variable
 at ordered position ``r`` (1..K) and horizon ``t`` (0..h).  This
@@ -23,7 +24,7 @@ from .errors import (
     InconsistentNormalizationError,
     NotPositiveDefiniteError,
 )
-from .linalg import Permutation, ql_decompose, solve_unit_lower
+from .linalg import MEMORY_BUDGET, Permutation, ql_decompose, solve_unit_lower
 from .model import ReducedVar, VarmaModel
 
 __all__ = [
@@ -34,11 +35,6 @@ __all__ = [
     "cholesky_irfs",
     "reconstruct_from_single_shock",
 ]
-
-#: Soft cap on the stacked system size (h <= 200 at K <= 20); pass
-#: ``allow_large=True`` to override.
-SYSTEM_SIZE_CAP = 201 * 20
-
 
 @dataclass(frozen=True)
 class TransmissionOrdering:
@@ -97,15 +93,19 @@ def _check_ordering(ordering: TransmissionOrdering, var_names) -> None:
 class SystemsForm:
     """The pair ``(B, Omega)`` with index bookkeeping.
 
-    ``omega`` keeps only the columns of the time-0 shocks, one per
-    entry of ``shock_labels``: K for a structural model, one for a
-    single identified shock.  Every effect of a shock at a later
-    horizon is the time-0 effect shifted, so no route needs the rest.
+    ``B_blocks`` is the ``(L+1, K, K)`` stack of the blocks of ``B``,
+    with ``L = min(lags, h)``: every block row t holds the strictly
+    lower ``B_blocks[0]`` on its diagonal and ``B_blocks[l]`` in block
+    column ``t - l``.  ``omega`` keeps only the columns of the time-0
+    shocks, one per entry of ``shock_labels``: K for a structural model,
+    one for a single identified shock.  Every effect of a shock at a
+    later horizon is the time-0 effect shifted, so no route needs the
+    rest.
     """
 
     K: int
     h: int
-    B: np.ndarray
+    B_blocks: np.ndarray
     omega: np.ndarray
     ordering: TransmissionOrdering
     shock_labels: tuple
@@ -145,51 +145,41 @@ class SystemsForm:
         return self.omega[:, shock - 1].copy()
 
 
-def _check_size(K: int, h: int, allow_large: bool) -> None:
-    if h < 0:
-        raise ValueError("horizon must be >= 0")
-    if not allow_large and (h + 1) * K > SYSTEM_SIZE_CAP:
-        raise ValueError(
-            f"system size (h+1)*K = {(h + 1) * K} exceeds the soft cap "
-            f"{SYSTEM_SIZE_CAP}; pass allow_large=True to override"
-        )
-
-
-def _stack_blocks(K: int, h: int, diag: np.ndarray, sub) -> np.ndarray:
-    """Block lower-triangular matrix with ``diag`` on the block diagonal
-    and ``sub[l-1]`` on the l-th sub-block-diagonal."""
-    n = (h + 1) * K
-    out = np.zeros((n, n))
-    for t in range(h + 1):
-        out[t * K : (t + 1) * K, t * K : (t + 1) * K] = diag
-        for l, block in enumerate(sub, start=1):
-            if l > t:
-                break
-            out[t * K : (t + 1) * K, (t - l) * K : (t - l + 1) * K] = block
+def _stacked(blocks, h: int) -> np.ndarray:
+    """``blocks`` stacked over horizons ``0..len(blocks)-1``, zero up to h."""
+    rows = blocks[0].shape[0]
+    out = np.zeros(((h + 1) * rows,) + blocks[0].shape[1:])
+    out[: len(blocks) * rows] = np.concatenate(blocks)
     return out
 
 
-def _triangular_form(source, ordering: TransmissionOrdering, h: int,
-                     allow_large: bool):
-    """``(B, L, blocks, Q)``: the triangular form of ``source`` under
-    ``ordering`` on horizons ``0..h``.
+def _triangular_form(source, ordering: TransmissionOrdering, h: int):
+    """``(B_blocks, L, blocks, Q)``: the triangular form of ``source``
+    under ``ordering`` on horizons ``0..h``.
 
     A structural :class:`VarmaModel` has its column-permuted
     contemporaneous matrix QL-factored, ``A0 T' = Q L``; a
     :class:`ReducedVar` has ``Q = I`` and ``L`` the inverse Cholesky
     factor of its permuted residual covariance, which turns its
     coefficients into the lag matrices ``L A_i``.  With ``D`` the
-    inverse of ``diag(L)``, ``B`` has diagonal blocks ``I - D L`` and
-    lag-``i`` blocks ``D Q' A_i`` (in permuted coordinates), and
-    ``blocks`` are the orthogonalised Omega blocks ``[D, D Psibar_1,
-    ...]`` with ``Psibar_j = Q' Psi_j Q``; the structural ``Omega``
-    blocks are these times ``Q'``.  Pre-sample terms are dropped: only a
-    time-0 shock propagates.
+    inverse of ``diag(L)``, ``B_blocks`` stacks the diagonal block
+    ``I - D L`` and the lag-``i`` blocks ``D Q' A_i`` for ``i <= h`` (in
+    permuted coordinates), and ``blocks`` are the orthogonalised Omega
+    blocks ``[D, D Psibar_1, ...]`` with ``Psibar_j = Q' Psi_j Q``; the
+    structural ``Omega`` blocks are these times ``Q'``.  Pre-sample
+    terms are dropped: only a time-0 shock propagates.  The ``(h+1)K x
+    K`` shock columns must fit ``MEMORY_BUDGET`` (``ValueError``).
     """
     if not isinstance(source, (VarmaModel, ReducedVar)):
         raise TypeError(f"unsupported source type: {type(source).__name__}")
     K = source.K
-    _check_size(K, h, allow_large)
+    if h < 0:
+        raise ValueError("horizon must be >= 0")
+    if 8 * (h + 1) * K * K > MEMORY_BUDGET:
+        raise ValueError(
+            f"horizon {h} at K={K} needs {8 * (h + 1) * K * K} bytes of "
+            f"shock columns, over the {MEMORY_BUDGET}-byte budget"
+        )
     _check_ordering(ordering, source.var_names)
     dest = list(ordering.perm.dest)
     if isinstance(source, VarmaModel):
@@ -211,13 +201,13 @@ def _triangular_form(source, ordering: TransmissionOrdering, h: int,
     b_diag = -(d[:, None] * L)
     np.fill_diagonal(b_diag, 0.0)
     DQt = d[:, None] * Q.T
-    B = _stack_blocks(K, h, b_diag, [DQt @ Ai for Ai in lags[:h]])
+    B_blocks = np.stack([b_diag] + [DQt @ Ai for Ai in lags[:h]])
     blocks = [np.diag(d)] + [d[:, None] * (Q.T @ Pj @ Q) for Pj in psi[:h]]
-    return B, L, blocks, Q
+    return B_blocks, L, blocks, Q
 
 
 def make_systems_form(model: VarmaModel, ordering: TransmissionOrdering,
-                      h: int, allow_large: bool = False) -> SystemsForm:
+                      h: int) -> SystemsForm:
     """Build ``(B, Omega)`` from a structural model under an ordering.
 
     The contemporaneous matrix is column-permuted and QL-factored; with
@@ -227,35 +217,36 @@ def make_systems_form(model: VarmaModel, ordering: TransmissionOrdering,
     stack ``D Q'`` over the MA blocks ``D Q' Psi_j``.
     """
     K = model.K
-    B, _, blocks, Q = _triangular_form(model, ordering, h, allow_large)
-    omega = np.zeros((B.shape[0], K))
-    omega[: len(blocks) * K] = np.vstack([block @ Q.T for block in blocks])
-    return SystemsForm(K=K, h=h, B=B, omega=omega, ordering=ordering,
+    B_blocks, _, blocks, Q = _triangular_form(model, ordering, h)
+    return SystemsForm(K=K, h=h, B_blocks=B_blocks,
+                       omega=_stacked([block @ Q.T for block in blocks], h),
+                       ordering=ordering,
                        shock_labels=tuple(f"eps[{i}]" for i in range(1, K + 1)))
 
 
 def irf_total(sf: SystemsForm) -> np.ndarray:
     """Total-effect IRFs ``(I - B)^{-1} Omega`` of the time-0 shocks."""
-    return solve_unit_lower(sf.B, sf.omega)
+    return solve_unit_lower(sf.B_blocks, sf.omega)
 
 
-def cholesky_irfs(source, ordering: TransmissionOrdering, h: int,
-                  allow_large: bool = False) -> np.ndarray:
+def cholesky_irfs(source, ordering: TransmissionOrdering, h: int) -> np.ndarray:
     """IRFs to orthogonalised shocks under the given ordering.
 
-    ``source`` may be a structural :class:`VarmaModel` or an estimated
-    :class:`ReducedVar`; both yield the same matrix when the reduced
-    form derives from the structural model.  The orthogonalisation is a
-    computational device tied to the ordering, not an identification
-    claim.
+    Returns the ``(h+1)K x K`` responses on horizons ``0..h`` to the K
+    orthogonalised shocks at time 0, the first block column of the
+    orthogonalised IRF grid; every later column of that block-Toeplitz
+    grid is this one shifted down.  ``source`` may be a structural
+    :class:`VarmaModel` or an estimated :class:`ReducedVar`; both yield
+    the same matrix when the reduced form derives from the structural
+    model.  The orthogonalisation is a computational device tied to the
+    ordering, not an identification claim.
     """
-    B, _, blocks, _ = _triangular_form(source, ordering, h, allow_large)
-    return solve_unit_lower(B, _stack_blocks(source.K, h, blocks[0], blocks[1:]))
+    B_blocks, _, blocks, _ = _triangular_form(source, ordering, h)
+    return solve_unit_lower(B_blocks, _stacked(blocks, h))
 
 
 def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
                                   phi_col, h: int,
-                                  allow_large: bool = False,
                                   shock_label: str = "shock") -> SystemsForm:
     """Rebuild ``B`` and one ``Omega`` column from reduced-form
     quantities plus a single identified impact column.
@@ -273,9 +264,8 @@ def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
         raise InconsistentNormalizationError(
             f"impact column has length {impact.shape[0]}, expected K={K}"
         )
-    B, L, blocks, _ = _triangular_form(reduced, ordering, h, allow_large)
+    B_blocks, L, blocks, _ = _triangular_form(reduced, ordering, h)
     q_col = L @ impact[list(ordering.perm.dest)]
-    omega = np.zeros((B.shape[0], 1))
-    omega[: len(blocks) * K, 0] = np.concatenate([b @ q_col for b in blocks])
-    return SystemsForm(K=K, h=h, B=B, omega=omega, ordering=ordering,
-                       shock_labels=(shock_label,))
+    return SystemsForm(K=K, h=h, B_blocks=B_blocks,
+                       omega=_stacked([b @ q_col for b in blocks], h)[:, None],
+                       ordering=ordering, shock_labels=(shock_label,))

@@ -1,5 +1,11 @@
 """Brute-force oracles the fast routes are checked against.
 
+:func:`dense_b` forms the dense ``(h+1)K`` square ``B`` of a systems
+form from its lag blocks, and :func:`dense_solve` is a dense triangular
+solve; the library itself never forms either.  :func:`variable_paths`
+and :func:`total_path_effect` enumerate and sum paths between
+variables on the dense ``B``.
+
 Three independent routes to a channel effect:
 
 - :func:`path_filter_effect` enumerates every path and keeps those that
@@ -21,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from tca import Path, ReducedVar, enumerate_paths, solve_unit_lower
+from tca import Path, ReducedVar, enumerate_paths
 from tca.condition import (
     FALSE,
     TERM_CAP,
@@ -34,12 +41,85 @@ from tca.condition import (
     Var,
     satisfied_by,
 )
-from tca.errors import (
-    DimensionMismatchError,
-    MixedEndpointsError,
-    TcaError,
-    TermExplosionError,
-)
+from tca.errors import DimensionMismatchError, TcaError, TermExplosionError
+
+
+class MixedEndpointsError(TcaError):
+    """Paths passed to an aggregate do not share origin and target."""
+
+
+# ---------------------------------------------------------------------------
+# Dense B and paths between variables
+
+
+def dense_blocks(B_blocks, h: int) -> np.ndarray:
+    """The dense ``(h+1)K`` square block-Toeplitz matrix with
+    ``B_blocks[l]`` on the l-th block sub-diagonal."""
+    L, K = len(B_blocks) - 1, np.shape(B_blocks)[1]
+    out = np.zeros(((h + 1) * K, (h + 1) * K))
+    for t in range(h + 1):
+        for l in range(min(L, t) + 1):
+            out[t * K : (t + 1) * K, (t - l) * K : (t - l + 1) * K] = B_blocks[l]
+    return out
+
+
+def dense_b(sf) -> np.ndarray:
+    """The dense ``B`` of a systems form."""
+    return dense_blocks(sf.B_blocks, sf.h)
+
+
+def dense_toeplitz(first_block_column, K: int) -> np.ndarray:
+    """The full block-Toeplitz, block lower-triangular grid whose first
+    block column is ``first_block_column`` (``(h+1)K x K``), such as the
+    orthogonalised IRFs of ``cholesky_irfs``."""
+    col = np.asarray(first_block_column, dtype=float)
+    return dense_blocks(col.reshape(-1, K, K), col.shape[0] // K - 1)
+
+
+def dense_solve(B, rhs) -> np.ndarray:
+    """``(I - B)^{-1} rhs`` for a dense strictly lower-triangular ``B``."""
+    B = np.asarray(B, dtype=float)
+    return solve_triangular(np.eye(B.shape[0]) - B, rhs, lower=True,
+                            unit_diagonal=True)
+
+
+def variable_paths(sf, source: int, target: int):
+    """All paths from variable ``source`` to variable ``target`` (both
+    1-based system indices, ``source < target``), using only ``B`` edges."""
+    n = sf.size
+    if not (1 <= source < target <= n):
+        raise DimensionMismatchError(
+            f"need 1 <= source < target <= {n}, got {source}, {target}"
+        )
+    B = dense_b(sf)
+    out, stack = [], [(source, 1.0, ())]
+    while stack:
+        node, w, trail = stack.pop()
+        if node == target:
+            out.append(Path("variable", source, trail, w))
+            continue
+        for nxt in np.flatnonzero(B[node:target, node - 1]) + node + 1:
+            stack.append((int(nxt), w * B[nxt - 1, node - 1], trail + (int(nxt),)))
+    out.sort(key=lambda p: p.nodes)
+    return out
+
+
+def total_path_effect(paths, xi: float = 1.0) -> float:
+    """Shock size times the summed path coefficients.
+
+    All paths must share the same origin and target; an empty collection
+    has effect 0.
+    """
+    paths = list(paths)
+    if not paths:
+        return 0.0
+    key = (paths[0].origin_kind, paths[0].origin, paths[0].target)
+    for p in paths[1:]:
+        if (p.origin_kind, p.origin, p.target) != key:
+            raise MixedEndpointsError(
+                "paths mix origins or targets; effects are per endpoint pair"
+            )
+    return xi * float(sum(p.coefficient for p in paths))
 
 
 def path_filter_effect(sf, shock, target, cond, xi=1.0) -> float:
@@ -176,7 +256,7 @@ def effect_by_edge_deletion(B, omega_col, term: ConjunctionTerm,
             raise DimensionMismatchError(f"literal {k} outside 1..{n}")
         B[k - 1, : k - 1] = 0.0
         col[k - 1] = 0.0
-    v = xi * solve_unit_lower(B, col)
+    v = xi * dense_solve(B, col)
     if term.required:
         v[: max(term.required) - 1] = 0.0
     return v
@@ -246,7 +326,7 @@ def assignment_effect(sf, shock: int, assignment: AssignmentVector) -> float:
     running through intermediate node ``k``.  Desk-scale oracle only.
     """
     j = assignment.target
-    B = sf.B
+    B = dense_b(sf)
     col = sf.omega[:, shock - 1]
     if j > B.shape[0]:
         raise DimensionMismatchError("target outside the system grid")

@@ -212,6 +212,33 @@ class TestTransmission:
         ])
         assert code == 5
 
+    def test_horizon_over_memory_budget_exits_2(self, tmp_path, model3_path,
+                                                capsys):
+        code = main([
+            "transmission", "--model", str(model3_path), "--order", "x,pi,i",
+            "--shock", "1", "--condition", "pi_0", "--horizon", "1000000000",
+            "--out", str(tmp_path / "e.csv"), "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "budget" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--xi", "nan"], ["--xi", "inf"], ["--normalize", "x=nan"],
+        ["--normalize", "x=-inf"],
+    ])
+    def test_non_finite_shock_size_exits_2(self, tmp_path, model3_path,
+                                           capsys, extra):
+        out = tmp_path / "e.csv"
+        code = main([
+            "transmission", "--model", str(model3_path), "--order", "x,pi,i",
+            "--shock", "1", "--condition", "pi_0", "--horizon", "1",
+            "--out", str(out), "--quiet", *extra,
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
+
     def test_condition_parse_error_exits_3(self, tmp_path, model3_path,
                                            capsys):
         code = main([
@@ -393,6 +420,18 @@ class TestPaths:
         ])
         assert code == 5
 
+    @pytest.mark.parametrize("zero_tol", ["-1", "nan"])
+    def test_invalid_zero_tol_exits_2(self, model3_path, capsys, zero_tol):
+        code = main([
+            "paths", "--model", str(model3_path), "--order", "x,pi,i",
+            "--shock", "1", "--target", "i_0", "--horizon", "0",
+            "--zero-tol", zero_tol,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "zero_tol must be finite and >= 0" in captured.err
+        assert captured.out == ""
+
     def test_reduced_model_rejected(self, tmp_path, var_data, capsys):
         model = tmp_path / "m.json"
         main(["estimate", "--data", str(var_data), "--lags", "1",
@@ -430,6 +469,31 @@ class TestVerify:
         lines[-1] = ",".join(cells)
         out.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(out)]) == 2
+
+    @pytest.mark.parametrize("row", [
+        "a,0,nan,nan,nan", "a,0,1,nan,0", "a,0,inf,inf,0", "a,0,inf,1,0",
+    ])
+    def test_non_finite_row_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "e.csv"
+        path.write_text("variable,horizon,total,channel,complement\n"
+                        f"a,0,1,0.25,0.75\n{row}\n")
+        assert main(["verify", str(path)]) == 2
+        assert f"{path}:3: decomposition identity violated" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tables_are_not_written(self, tmp_path, bad):
+        from tca.cli import _assert_partition, write_effects_csv
+        from tca.condition import EffectTable
+        from tca.errors import ParseError
+
+        total = np.array([[1.0, bad]])
+        table = EffectTable("s", "c", ("a", "b"), 1.0, total,
+                            np.array([[0.5, 0.0]]), total - [[0.5, 0.0]])
+        with pytest.raises(ValueError, match="identity violated"):
+            write_effects_csv(tmp_path / "e.csv", [table])
+        with pytest.raises(ParseError, match="do not partition"):
+            _assert_partition([table])
 
     def test_short_row_exits_2(self, tmp_path, capsys):
         path = tmp_path / "e.csv"

@@ -13,6 +13,8 @@ from conftest import (
 )
 from oracles import (
     ConjunctionTerm,
+    dense_b,
+    dense_solve,
     effect_by_edge_deletion,
     expand_terms,
     ie_channel,
@@ -154,6 +156,9 @@ class TestParser:
         cond = parse_condition(
             wrap_condition_text(root), LABELS3, 3, 2
         )
+        # the parser may rebalance a chain but not drop or reorder its
+        # operands
+        assert _chains(cond.root) == _chains(root)
         text = cond.canonical_text()
         again = parse_condition(text, LABELS3, 3, 2)
         assert again.root == cond.root
@@ -163,6 +168,23 @@ def wrap_condition_text(root):
     from tca.condition import _to_text
 
     return _to_text(root)
+
+
+def _chains(node):
+    """``node`` with each chain of one operator flattened into its list
+    of operands, left to right."""
+    if isinstance(node, Not):
+        return "!", _chains(node.child)
+    if not isinstance(node, (And, Or)):
+        return node
+    operands, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if type(n) is type(node):
+            stack += (n.right, n.left)
+        else:
+            operands.append(_chains(n))
+    return type(node).__name__, operands
 
 
 class TestExpandTerms:
@@ -230,14 +252,15 @@ class TestEffectByEdgeDeletion:
         m = random_varma(rng, K=3, ell=1)
         sf = make_systems_form(m, random_ordering(rng, m.var_names), 1)
         col = sf.shock_column(2)
-        v = effect_by_edge_deletion(sf.B, col, ConjunctionTerm(1, frozenset()), 1.0)
+        v = effect_by_edge_deletion(dense_b(sf), col,
+                                    ConjunctionTerm(1, frozenset()), 1.0)
         assert np.max(np.abs(v - irf_total(sf)[:, 1])) <= 1e-12
 
     def test_recursive_through_inflation(self):
         a2, a3, a4 = 0.5, 0.8, 1.5
         sf = three_var_sf(0.0, a2, a3, a4)
         v = effect_by_edge_deletion(
-            sf.B, sf.shock_column(1), ConjunctionTerm(1, frozenset([2]))
+            dense_b(sf), sf.shock_column(1), ConjunctionTerm(1, frozenset([2]))
         )
         assert abs(v[2] - a2 * a4) <= 1e-12
 
@@ -246,7 +269,7 @@ class TestEffectByEdgeDeletion:
         _, _, direct = three_var_closed_forms(a1, a2, a3, a4)
         sf = three_var_sf(a1, a2, a3, a4)
         v = effect_by_edge_deletion(
-            sf.B, sf.shock_column(1),
+            dense_b(sf), sf.shock_column(1),
             ConjunctionTerm(1, frozenset(), frozenset([2])),
         )
         assert abs(v[2] - direct) <= 1e-10
@@ -260,7 +283,7 @@ class TestEffectByEdgeDeletion:
             req = set(int(i) for i in rng.choice(n, size=2, replace=False) + 1)
             forb = {int(rng.integers(1, n + 1))} - req
             term = ConjunctionTerm(1, frozenset(req), frozenset(forb))
-            v = effect_by_edge_deletion(sf.B, sf.shock_column(shock), term)
+            v = effect_by_edge_deletion(dense_b(sf), sf.shock_column(shock), term)
             cond = wrap_condition(_term_to_ast(term), sf)
             for target in range(1, n + 1):
                 oracle = path_filter_effect(sf, shock, target, cond)
@@ -304,10 +327,62 @@ class TestTransmissionEffect:
             n_literals = int(rng.integers(1, 7))
             cond = wrap_condition(random_condition(rng, sf.size, n_literals), sf)
             table = transmission_effect(sf, cond, shock=shock)
-            oracle = ie_channel(sf.B, sf.shock_column(shock), cond)
+            oracle = ie_channel(dense_b(sf), sf.shock_column(shock), cond)
             scale = max(1.0, np.max(np.abs(table.total)))
             gap = np.max(np.abs(table.channel.reshape(-1) - oracle)) / scale
             assert gap <= 1e-12
+
+    def test_literals_at_several_horizons_match_dense_masked_solve(self, rng):
+        # "visits none of them": the paths that avoid every literal, i.e.
+        # a dense solve with the literals' rows of B and Omega zeroed
+        m = random_varma(rng, K=4, ell=3, q=1)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 7)
+        literals = [2, 3, 10, 15, 16, 31]  # horizons 0, 2, 3 and 7
+        cond = parse_condition("!(" + " | ".join(f"x{i}" for i in literals) + ")",
+                               sf.ordering.labels, 4, 7)
+        B, col = dense_b(sf), sf.shock_column(2)
+        rows = [i - 1 for i in literals]
+        B[rows], col[rows] = 0.0, 0.0
+        expected = dense_solve(B, col)
+        table = transmission_effect(sf, cond, shock=2)
+        assert np.max(np.abs(table.channel.reshape(-1) - expected)) <= 1e-12 * max(
+            1.0, np.max(np.abs(expected)))
+        assert np.all(table.channel.reshape(-1)[rows] == 0.0)
+
+    def test_large_grid_in_bounded_memory(self, rng):
+        # K=50, h=400: n = 20,050, where a dense B alone would take 3.2 GB
+        import tracemalloc
+
+        from conftest import companion_irfs, stable_var_coefs
+
+        K, h = 50, 400
+        A0 = random_varma(rng, K=K, ell=0).A0
+        coefs = stable_var_coefs(rng, K, 4, radius=0.8)
+        m = VarmaModel(var_names=tuple(f"v{i + 1}" for i in range(K)), A0=A0,
+                       A=tuple(A0 @ c for c in coefs))
+        ordering = TransmissionOrdering.identity(m.var_names)
+        tracemalloc.start()
+        try:
+            sf = make_systems_form(m, ordering, h)
+            table = transmission_effect(sf, "v2_0", shock=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
+        expected = companion_irfs(m, h)[:, :, 0]
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(table.total - expected)) <= 1e-10 * scale
+        assert table.max_identity_gap() <= 1e-12
+
+    def test_evaluator_over_memory_budget(self, rng, monkeypatch):
+        import tca.condition
+
+        m = random_varma(rng, K=3, ell=1)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 9)
+        monkeypatch.setattr(tca.condition, "MEMORY_BUDGET", 8 * sf.size * 2)
+        transmission_effect(sf, "x2", shock=1)  # two solve columns fit
+        with pytest.raises(TermExplosionError, match="budget"):
+            transmission_effect(sf, "x2 | x5", shock=1)
 
     def test_any_horizon_beyond_inclusion_exclusion(self, rng):
         # 21 literals: inclusion-exclusion needs 2**21 - 1 terms here and
@@ -529,13 +604,15 @@ class TestEffectFromIrfs:
         pt = cholesky_irfs(m, ordering, 1)
         cond = parse_condition("x2", ordering.labels, 3, 1)
         upper = pt.copy()
-        upper[0, 4] = 0.1
+        upper[0, 1] = 0.1
         with pytest.raises(DimensionMismatchError):
             effect_from_irfs(phi, upper, cond)
         singular = pt.copy()
-        singular[3, 3] = 0.0
+        singular[1, 1] = 0.0
         with pytest.raises(SingularMatrixError):
             effect_from_irfs(phi, singular, cond)
+        with pytest.raises(DimensionMismatchError):  # the dense n x n grid
+            effect_from_irfs(phi, np.eye(6), cond)
 
     def test_ratio_matrix_works_like_full_matrix(self, rng):
         # only ratios of the orthogonalised IRFs enter, so a matrix

@@ -4,10 +4,15 @@ import pytest
 from conftest import random_ordering, random_varma, three_var_model
 from oracles import (
     AssignmentVector,
+    MixedEndpointsError,
     TargetTooLargeError,
     assignment_effect,
     assignment_for_paths,
     assignment_index,
+    dense_b,
+    dense_solve,
+    total_path_effect,
+    variable_paths,
 )
 from tca import (
     TransmissionOrdering,
@@ -15,14 +20,8 @@ from tca import (
     enumerate_paths,
     irf_total,
     make_systems_form,
-    total_path_effect,
-    variable_paths,
 )
-from tca.errors import (
-    DimensionMismatchError,
-    MixedEndpointsError,
-    PathExplosionError,
-)
+from tca.errors import DimensionMismatchError, PathExplosionError
 from tca.graph import Path
 
 
@@ -81,6 +80,28 @@ class TestEnumeratePaths:
         pruned = enumerate_paths(sf, 1, 3, zero_tol=1e-6)
         assert len(pruned) == 1
         assert pruned[0].nodes == (1, 2, 3)
+
+    @pytest.mark.parametrize("zero_tol", [-1.0, float("nan"), float("inf")])
+    def test_zero_tol_must_be_finite_and_nonnegative(self, zero_tol):
+        with pytest.raises(ValueError, match="zero_tol"):
+            enumerate_paths(three_var_sf(0.2, 0.5, 0.8, 1.5), 1, 3,
+                            zero_tol=zero_tol)
+
+    def test_successors_read_from_lag_blocks(self, rng):
+        # every edge of the dense B appears on some path, with its
+        # coefficient, exactly when it can reach the target
+        m = random_varma(rng, K=3, ell=2, q=1)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 3)
+        B = dense_b(sf)
+        for shock in (1, 2, 3):
+            paths = enumerate_paths(sf, shock, sf.size)
+            for p in paths:
+                w = sf.omega[p.nodes[0] - 1, shock - 1]
+                for a, b in zip(p.nodes, p.nodes[1:]):
+                    w *= B[b - 1, a - 1]
+                assert w == p.coefficient
+            phi = dense_solve(B, sf.omega[:, shock - 1])
+            assert abs(sum(p.coefficient for p in paths) - phi[-1]) <= 1e-10
 
     def test_describe_format(self):
         p = Path("shock", 1, (2, 5), 0.75)

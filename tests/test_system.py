@@ -8,6 +8,7 @@ from conftest import (
     random_varma,
     three_var_model,
 )
+from oracles import dense_b, dense_solve, dense_toeplitz
 from tca import (
     ReducedVar,
     TransmissionOrdering,
@@ -33,7 +34,7 @@ class TestMakeSystemsForm:
             0,
         )
         assert np.allclose(
-            sf.B, [[0, 0, 0], [a2, 0, 0], [a3, a4, 0]], atol=1e-12
+            dense_b(sf), [[0, 0, 0], [a2, 0, 0], [a3, a4, 0]], atol=1e-12
         )
         assert np.allclose(sf.omega, np.eye(3), atol=1e-12)
 
@@ -59,19 +60,19 @@ class TestMakeSystemsForm:
                 [-a1 * a4 / den2, (a1 ** 2 + 1) / den2, -(a1 ** 2) * a4 / den2],
                 [-a1 / (a1 ** 2 + 1), 0.0, 1 / (a1 ** 2 + 1)],
             ]
-            assert np.max(np.abs(sf.B - B_expect)) <= 1e-12
+            assert np.max(np.abs(dense_b(sf) - B_expect)) <= 1e-12
             assert np.max(np.abs(sf.omega - omega_expect)) <= 1e-12
 
     def test_static_orthonormal_system(self):
         m = VarmaModel(var_names=("a", "b"), A0=np.eye(2))
         sf = make_systems_form(m, identity_ordering(m), 2)
-        assert np.array_equal(sf.B, np.zeros((6, 6)))
+        assert np.array_equal(dense_b(sf), np.zeros((6, 6)))
         assert np.allclose(sf.omega, np.eye(6)[:, :2], atol=1e-14)
 
     def test_structural_zeros_are_exact(self, rng):
         m = random_varma(rng, K=3, ell=2, q=1)
         sf = make_systems_form(m, random_ordering(rng, m.var_names), 3)
-        assert np.all(np.triu(sf.B) == 0.0)  # strictly lower, exact zeros
+        assert np.all(np.triu(dense_b(sf)) == 0.0)  # strictly lower, exact zeros
         # a time-0 shock loads horizons 0..q only (here q = 1)
         assert np.all(sf.omega[2 * sf.K :] == 0.0)
         assert np.all(np.any(sf.omega[: 2 * sf.K] != 0.0, axis=0))
@@ -83,12 +84,19 @@ class TestMakeSystemsForm:
             r, t = sf.var_horizon(mth)
             assert sf.sys_index(r, t) == mth
 
-    def test_size_cap_enforced_and_overridable(self, rng):
-        m = random_varma(rng, K=21, ell=0)
-        with pytest.raises(ValueError, match="soft cap"):
-            make_systems_form(m, identity_ordering(m), 200)
-        sf = make_systems_form(m, identity_ordering(m), 200, allow_large=True)
+    def test_large_system_builds_without_a_flag(self, rng):
+        m = random_varma(rng, K=21, ell=1)
+        sf = make_systems_form(m, identity_ordering(m), 200)
         assert sf.size == 201 * 21
+        assert sf.B_blocks.shape == (2, 21, 21)
+        assert sf.omega.shape == (201 * 21, 21)
+
+    def test_horizon_over_memory_budget_raises_value_error(self, rng):
+        m = random_varma(rng, K=3, ell=1)
+        with pytest.raises(ValueError, match="budget"):
+            make_systems_form(m, identity_ordering(m), 10 ** 9)
+        with pytest.raises(ValueError, match="horizon"):
+            make_systems_form(m, identity_ordering(m), -1)
 
 
 class TestIrfTotal:
@@ -135,7 +143,7 @@ class TestIrfTotal:
         m = random_varma(rng, K=3, ell=1, q=1)
         sf = make_systems_form(m, random_ordering(rng, m.var_names), 2)
         phi = irf_total(sf)
-        gap = (np.eye(sf.size) - sf.B) @ phi - sf.omega
+        gap = (np.eye(sf.size) - dense_b(sf)) @ phi - sf.omega
         assert np.max(np.abs(gap)) <= 1e-10
 
 
@@ -155,12 +163,12 @@ class TestCholeskyIrfs:
         assert abs(pt[2, 1] / pt[1, 1] - a4 / (1 + a1 ** 2)) <= 1e-12
 
     def test_lower_block_triangular(self, rng):
+        # the first block column of the grid: the impact block is lower
+        # triangular, and the full grid repeats the column shifted down
         m = random_varma(rng, K=3, ell=1, q=1)
         pt = cholesky_irfs(m, identity_ordering(m), 2)
-        K = 3
-        for bi in range(3):
-            for bj in range(bi + 1, 3):
-                assert np.all(pt[bi * K : (bi + 1) * K, bj * K : (bj + 1) * K] == 0.0)
+        assert pt.shape == (9, 3)
+        assert np.all(np.triu(pt[:3], 1) == 0.0)
 
     def test_reduced_var_route_matches_structural_route(self, rng):
         # a pure VAR: the reduced form carries the same information
@@ -208,7 +216,7 @@ class TestReconstructFromSingleShock:
             for shock in range(1, 4):
                 impact_native = np.linalg.inv(m.A0)[:, shock - 1]
                 sss = reconstruct_from_single_shock(m, ordering, impact_native, h)
-                assert np.max(np.abs(sss.B - sf.B)) <= 1e-12
+                assert np.max(np.abs(sss.B_blocks - sf.B_blocks)) <= 1e-12
                 assert np.max(np.abs(sss.omega[:, 0] - sf.omega[:, shock - 1])) <= 1e-12
 
     def test_reduced_var_route(self, rng):
@@ -226,7 +234,7 @@ class TestReconstructFromSingleShock:
         sss = reconstruct_from_single_shock(
             reduced, ordering, A0inv[:, shock - 1], h
         )
-        assert np.max(np.abs(sss.B - sf.B)) <= 1e-10
+        assert np.max(np.abs(sss.B_blocks - sf.B_blocks)) <= 1e-10
         assert np.max(np.abs(sss.omega[:, 0] - sf.omega[:, shock - 1])) <= 1e-10
 
     def test_orthonormal_contemporaneous_matrix(self):
@@ -304,8 +312,8 @@ class TestInvarianceUnderReordering:
             o1 = TransmissionOrdering.from_names(m.var_names, base)
             o2 = TransmissionOrdering.from_names(m.var_names, other)
             h = 2
-            B1 = make_systems_form(m, o1, h).B
-            B2 = make_systems_form(m, o2, h).B
+            B1 = dense_b(make_systems_form(m, o1, h))
+            B2 = dense_b(make_systems_form(m, o2, h))
             K = 5
             for ti in range(h + 1):
                 for tj in range(h + 1):
@@ -321,9 +329,9 @@ class TestInvarianceUnderReordering:
             o1 = TransmissionOrdering.from_names(m.var_names, base)
             o2 = TransmissionOrdering.from_names(m.var_names, other)
             h = 2
-            p1 = cholesky_irfs(m, o1, h)
-            p2 = cholesky_irfs(m, o2, h)
             K = 4
+            p1 = dense_toeplitz(cholesky_irfs(m, o1, h), K)
+            p2 = dense_toeplitz(cholesky_irfs(m, o2, h), K)
             remap = [o2.labels.index(name) for name in o1.labels]
             for tcol in range(h + 1):
                 col = tcol * K + c - 1
@@ -332,3 +340,53 @@ class TestInvarianceUnderReordering:
                         i1 = trow * K + pos
                         i2 = trow * K + remap[pos]
                         assert abs(p1[i1, col] - p2[i2, col]) <= 1e-10
+
+
+class TestDenseOracle:
+    """Every route through the block-Toeplitz kernel matches a dense
+    triangular solve on the dense B, to 1e-12 relative, on random VARMA
+    models with MA terms under random orderings."""
+
+    def test_routes_match_dense_solve(self, rng):
+        from oracles import ie_channel
+        from tca import effect_from_irfs, transmission_effect
+        from tca.cli import _structural_tables
+        from tca.linalg import ql_decompose
+        from conftest import random_condition, wrap_condition
+
+        def gap(a, b):
+            return np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b)))
+
+        for trial in range(60):
+            K = int(rng.integers(1, 5))
+            q = int(rng.integers(0, 3)) if trial % 2 else 0
+            m = random_varma(rng, K=K, ell=int(rng.integers(0, 4)), q=q)
+            ordering = random_ordering(rng, m.var_names)
+            h = int(rng.integers(0, 7))
+            sf = make_systems_form(m, ordering, h)
+            B = dense_b(sf)
+            phi = dense_solve(B, sf.omega)
+            assert gap(irf_total(sf), phi) <= 1e-12
+            # orthogonalised IRFs: Omega is the orthogonalised column times Q'
+            Q, _ = ql_decompose(m.A0[:, list(ordering.perm.dest)])
+            pt = cholesky_irfs(m, ordering, h)
+            assert gap(pt, phi @ Q) <= 1e-12
+            shock = int(rng.integers(1, K + 1))
+            cond = wrap_condition(random_condition(rng, sf.size, 4), sf)
+            oracle = ie_channel(B, sf.shock_column(shock), cond)
+            table = transmission_effect(sf, cond, shock=shock)
+            assert gap(table.channel.reshape(-1), oracle) <= 1e-12
+            sss = reconstruct_from_single_shock(
+                m, ordering, np.linalg.inv(m.A0)[:, shock - 1], h
+            )
+            assert gap(transmission_effect(sss, cond).channel.reshape(-1),
+                       ie_channel(dense_b(sss), sss.omega[:, 0], cond)) <= 1e-12
+            if q == 0:  # the IRF route holds on AR-only grids
+                from_irfs = effect_from_irfs(phi[:, shock - 1], pt, cond)
+                assert gap(from_irfs.channel.reshape(-1), oracle) <= 1e-12
+            name = ordering.labels[int(rng.integers(0, K))]
+            (normalized,) = _structural_tables(m, ordering, shock, [cond], h,
+                                               1.0, (name, 0.7))
+            impact = dense_solve(B[:K, :K], sf.omega[:K, shock - 1])
+            xi = 0.7 / impact[ordering.position(name) - 1]
+            assert abs(normalized.xi - xi) <= 1e-12 * max(1.0, abs(xi))
