@@ -22,7 +22,7 @@ from .inference import (
     bootstrap_effects,
     point_effects,
 )
-from .linalg import Permutation, ql_decompose, solve_unit_lower
+from .linalg import ql_decompose, solve_unit_lower
 from .model import (
     LpEstimates,
     ReducedVar,

@@ -3,7 +3,9 @@
 Conditions are Boolean formulas over system variables, written as
 ``name_horizon`` atoms (``ffr_0``), raw indices (``x12``), the
 constants ``true``/``false``, and the operators ``!`` > ``&`` > ``|``
-with parentheses.  Paths visit system indices in increasing order, so a
+with parentheses.  A chain of one operator parses into one n-ary
+``And`` or ``Or`` node, so every tree prints to text that reparses to
+an equal tree.  Paths visit system indices in increasing order, so a
 condition is decided literal by literal.  A parsed condition is compiled
 once into a plan over states (last visited literal, residual formula),
 with residuals interned as an ordered BDD; evaluating it takes one
@@ -56,8 +58,8 @@ __all__ = [
 TERM_CAP = 1_000_000
 
 #: Deepest nesting of ``(`` and ``!`` the parser accepts; beyond it
-#: :class:`ParseError`.  Chains of ``&`` or ``|`` parse into balanced
-#: trees and add only their logarithm to the depth.
+#: :class:`ParseError`.  A chain of ``&`` or ``|`` parses into one
+#: n-ary node and adds nothing to the depth.
 NESTING_CAP = 100
 
 
@@ -78,15 +80,31 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
-    left: object
-    right: object
+class _Chain:
+    """Two or more operands joined by one operator.  An operand of the
+    same operator is spliced in when the node is built, so chains stay
+    flat and every tree prints to text that reparses to an equal tree."""
+
+    operands: tuple
+
+    def __post_init__(self):
+        operands = []
+        for part in self.operands:
+            if type(part) is type(self):
+                operands += part.operands
+            else:
+                operands.append(part)
+        if len(operands) < 2:
+            raise ValueError(f"{type(self).__name__} needs two or more operands")
+        object.__setattr__(self, "operands", tuple(operands))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
+class And(_Chain):
+    symbol = "&"
+
+
+class Or(_Chain):
+    symbol = "|"
 
 
 class _Const:
@@ -101,36 +119,6 @@ TRUE = _Const(True)
 FALSE = _Const(False)
 
 
-def _join(cls, parts):
-    """``parts`` joined by ``cls`` as a pending chain ``(cls, operands)``,
-    built into a tree only where it cannot join an enclosing chain of
-    the same operator, so that ``x1 | (x2 | x3)`` parses like
-    ``x1 | x2 | x3``, the text it prints as, and each tree is built once
-    however deep the parentheses; a lone part passes through as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    operands = []
-    for part in parts:
-        if isinstance(part, tuple) and part[0] is cls:
-            operands += part[1]
-        else:
-            operands.append(_built(part))
-    return cls, operands
-
-
-def _built(node):
-    """``node``, with a pending chain built into a balanced tree paired
-    left to right, so that depth grows as ``log2(len(operands))``; three
-    operands give ``cls(cls(a, b), c)``."""
-    if not isinstance(node, tuple):
-        return node
-    cls, operands = node
-    while len(operands) > 1:
-        pairs = [cls(a, b) for a, b in zip(operands[::2], operands[1::2])]
-        operands = pairs + operands[2 * len(pairs) :]
-    return operands[0]
-
-
 def _to_text(node, parent_prec: int = 0) -> str:
     # precedence: atoms 3, ! 2, & 1, | 0
     if isinstance(node, Var):
@@ -141,12 +129,10 @@ def _to_text(node, parent_prec: int = 0) -> str:
         return "false"
     if isinstance(node, Not):
         return f"!{_to_text(node.child, 2)}"
-    if isinstance(node, And):
-        s = f"{_to_text(node.left, 1)} & {_to_text(node.right, 1)}"
-        return f"({s})" if parent_prec > 1 else s
-    if isinstance(node, Or):
-        s = f"{_to_text(node.left, 0)} | {_to_text(node.right, 0)}"
-        return f"({s})" if parent_prec > 0 else s
+    if isinstance(node, _Chain):
+        prec = int(isinstance(node, And))
+        s = f" {node.symbol} ".join(_to_text(part, prec) for part in node.operands)
+        return f"({s})" if parent_prec > prec else s
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -175,44 +161,44 @@ class TransmissionCondition:
 # ---------------------------------------------------------------------------
 # Parser
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<op>[!&|()])|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))")
+_TOKEN_RE = re.compile(r"\s*([!&|()]|[A-Za-z_][A-Za-z0-9_]*)")
 _RAW_RE = re.compile(r"^x([0-9]+)$")
 
 
 class _Parser:
     def __init__(self, text: str, labels, K: int, h: int):
-        self.text = text
         self.labels = list(labels)
         self.K = K
         self.h = h
-        self.pos = 0
         self.depth = 0
+        # one scan into (token, start) pairs, closed by the token None at
+        # the end of the last token or at an unexpected character, which
+        # is reported only when the parser reaches it
+        self.tokens, end = [], 0
+        while m := _TOKEN_RE.match(text, end):
+            self.tokens.append((m.group(1), m.start(1)))
+            end = m.end()
+        rest = text[end:].lstrip()
+        self.unexpected = rest[:1]
+        self.tokens.append((None, len(text) - len(rest) if rest else end))
+        self.i = 0
 
-    def error(self, message: str, pos: int | None = None, cls=ParseError):
-        raise cls(message, self.pos if pos is None else pos)
-
-    def peek(self):
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos :].lstrip()
-            if rest:
-                self.error(f"unexpected character {rest[0]!r}",
-                           pos=len(self.text) - len(rest))
-            return None, self.pos
-        return m, m.start("op") if m.group("op") else m.start("ident")
-
-    def take(self):
-        m, start = self.peek()
-        if m is None:
-            return None, start
-        self.pos = m.end()
-        return (m.group("op") or m.group("ident")), start
+    def take(self, wanted: str | None = None):
+        """The next ``(token, start)``, consumed; ``None`` instead if a
+        token is ``wanted`` and the next one is another."""
+        tok, start = self.tokens[self.i]
+        if tok is None and self.unexpected:
+            raise ParseError(f"unexpected character {self.unexpected!r}", start)
+        if wanted is not None and tok != wanted:
+            return None
+        self.i += 1
+        return tok, start
 
     def parse(self):
-        node = _built(self.parse_or())
-        tok, start = self.peek()
+        node = self.parse_or()
+        tok, start = self.take()
         if tok is not None:
-            self.error("unexpected trailing input", pos=start)
+            raise ParseError("unexpected trailing input", start)
         return node
 
     def parse_or(self):
@@ -223,43 +209,37 @@ class _Parser:
 
     def parse_chain(self, cls, op: str, parse_operand):
         operands = [parse_operand()]
-        while True:
-            m, _ = self.peek()
-            if m is None or m.group("op") != op:
-                return _join(cls, operands)
-            self.pos = m.end()
+        while self.take(op):
             operands.append(parse_operand())
+        return cls(operands) if len(operands) > 1 else operands[0]
 
     def nested(self, parse, start):
         """Run ``parse`` one nesting level deeper."""
         if self.depth == NESTING_CAP:
-            self.error(f"nesting deeper than {NESTING_CAP} levels", pos=start)
+            raise ParseError(f"nesting deeper than {NESTING_CAP} levels", start)
         self.depth += 1
         node = parse()
         self.depth -= 1
         return node
 
     def parse_unary(self):
-        m, start = self.peek()
-        if m is None:
-            self.error("expected an atom, got end of input")
-        if m.group("op") == "!":
-            self.pos = m.end()
-            return Not(_built(self.nested(self.parse_unary, start)))
+        bang = self.take("!")
+        if bang:
+            return Not(self.nested(self.parse_unary, bang[1]))
         return self.parse_atom()
 
     def parse_atom(self):
         tok, start = self.take()
         if tok is None:
-            self.error("expected an atom, got end of input")
+            raise ParseError("expected an atom, got end of input", start)
         if tok == "(":
             node = self.nested(self.parse_or, start)
             close, cstart = self.take()
             if close != ")":
-                self.error("expected ')'", pos=cstart)
+                raise ParseError("expected ')'", cstart)
             return node
         if tok in ("!", "&", "|", ")"):
-            self.error(f"expected an atom, got {tok!r}", pos=start)
+            raise ParseError(f"expected an atom, got {tok!r}", start)
         return self.resolve_ident(tok, start)
 
     def resolve_ident(self, ident: str, start: int):
@@ -271,31 +251,22 @@ class _Parser:
         if raw:
             m = int(raw.group(1))
             if not 1 <= m <= (self.h + 1) * self.K:
-                self.error(
-                    f"system index {m} outside 1..{(self.h + 1) * self.K}",
-                    pos=start,
-                    cls=HorizonOutOfRangeError,
+                raise HorizonOutOfRangeError(
+                    f"system index {m} outside 1..{(self.h + 1) * self.K}", start
                 )
             return Var(m)
         name, sep, suffix = ident.rpartition("_")
         if not sep or not suffix.isdigit():
-            self.error(
-                f"atom {ident!r} is neither name_horizon nor x<index>",
-                pos=start,
+            raise ParseError(
+                f"atom {ident!r} is neither name_horizon nor x<index>", start
             )
         if name not in self.labels:
-            self.error(
-                f"unknown variable {name!r}; ordering has {self.labels}",
-                pos=start,
-                cls=UnknownVariableError,
+            raise UnknownVariableError(
+                f"unknown variable {name!r}; ordering has {self.labels}", start
             )
         t = int(suffix)
         if t > self.h:
-            self.error(
-                f"horizon {t} outside 0..{self.h}",
-                pos=start,
-                cls=HorizonOutOfRangeError,
-            )
+            raise HorizonOutOfRangeError(f"horizon {t} outside 0..{self.h}", start)
         return Var(t * self.K + self.labels.index(name) + 1)
 
 
@@ -337,9 +308,9 @@ def satisfied_by(cond, nodes) -> bool:
         if isinstance(n, Not):
             return not ev(n.child)
         if isinstance(n, And):
-            return ev(n.left) and ev(n.right)
+            return all(map(ev, n.operands))
         if isinstance(n, Or):
-            return ev(n.left) or ev(n.right)
+            return any(map(ev, n.operands))
         raise TypeError(f"not an AST node: {n!r}")
 
     return ev(root)
@@ -427,25 +398,33 @@ class _Bdd:
         return self.ids[key]
 
     def apply(self, op: str, u: int, v: int) -> int:
-        """``u & v`` or ``u | v``."""
+        """``u & v`` or ``u | v``, low branch first; the pending pairs
+        are an explicit stack, so only the cap bounds the BDD's depth."""
         absorbing = int(op == "|")
-        if absorbing in (u, v):
-            return absorbing
-        if u == v or v == 1 - absorbing:
-            return u
-        if u == 1 - absorbing:
-            return v
-        key = (op, u, v)
-        if key not in self.memo:
-            (x, u0, u1), (y, v0, v1) = self.nodes[u], self.nodes[v]
-            top = min(x, y)
-            if x > top:
-                u0 = u1 = u
-            if y > top:
-                v0 = v1 = v
-            self.memo[key] = self.node(top, self.apply(op, u0, v0),
-                                       self.apply(op, u1, v1))
-        return self.memo[key]
+        done, todo = [], [(u, v, None)]
+        while todo:
+            u, v, top = todo.pop()
+            if top is not None:  # both branches of (u, v) are done
+                high, low = done.pop(), done.pop()
+                self.memo[op, u, v] = r = self.node(top, low, high)
+                done.append(r)
+            elif absorbing in (u, v):
+                done.append(absorbing)
+            elif u == v or v == 1 - absorbing:
+                done.append(u)
+            elif u == 1 - absorbing:
+                done.append(v)
+            elif (op, u, v) in self.memo:
+                done.append(self.memo[op, u, v])
+            else:
+                (x, u0, u1), (y, v0, v1) = self.nodes[u], self.nodes[v]
+                top = min(x, y)
+                if x > top:
+                    u0 = u1 = u
+                if y > top:
+                    v0 = v1 = v
+                todo += ((u, v, top), (u1, v1, None), (u0, v0, None))
+        return done[0]
 
     def build(self, node, negated: bool = False) -> int:
         """BDD of ``node``, or of ``!node``; negations are pushed down to
@@ -456,15 +435,9 @@ class _Bdd:
             return self.node(node.index, int(negated), int(not negated))
         if isinstance(node, _Const):
             return int(node.value != negated)
-        if not isinstance(node, (And, Or)):
+        if not isinstance(node, _Chain):
             raise TypeError(f"not an AST node: {node!r}")
-        operands, stack = [], [node]
-        while stack:
-            n = stack.pop()
-            if type(n) is type(node):
-                stack += (n.right, n.left)
-            else:
-                operands.append(self.build(n, negated))
+        operands = [self.build(part, negated) for part in node.operands]
         op = "|" if isinstance(node, Or) != negated else "&"
         # fold from the highest top variable down, so that a chain of
         # literals (any_horizon) costs O(1) per operand in any order

@@ -192,9 +192,7 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
             f"data has {K} columns, ordering covers {ordering.K}"
         )
     # data-order names recovered from the ordering's permutation
-    names = tuple(
-        ordering.labels[ordering.perm.position_of(i)] for i in range(K)
-    )
+    names = tuple(ordering.labels[ordering.dest.index(i)] for i in range(K))
     var = estimate_var_ols(data, var_spec.lags, var_spec.intercept, names)
     if isinstance(cond, str):
         cond = parse_condition(cond, ordering.labels, var.K, h)

@@ -7,14 +7,12 @@ functions on immutable inputs and are safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import dtrtri
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
-__all__ = ["Permutation", "as_matrix", "ql_decompose", "solve_unit_lower"]
+__all__ = ["as_matrix", "ql_decompose", "solve_unit_lower"]
 
 #: Relative diagonal tolerance below which a QL factor counts as singular.
 QL_SINGULAR_RTOL = 1e-12
@@ -36,45 +34,6 @@ def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection on ``{1..size}`` stored as a 0-based index array.
-
-    ``dest[r]`` is the 0-based original index placed at (0-based)
-    position ``r``.  The associated permutation matrix ``T`` satisfies
-    ``(T @ y)[r] = y[dest[r]]``.
-    """
-
-    dest: tuple
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.dest)
-        object.__setattr__(self, "dest", idx)
-        if sorted(idx) != list(range(len(idx))):
-            raise ValueError(f"not a bijection on 0..{len(idx) - 1}: {idx}")
-
-    @property
-    def size(self) -> int:
-        return len(self.dest)
-
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(size)))
-
-    def matrix(self) -> np.ndarray:
-        T = np.zeros((self.size, self.size))
-        T[np.arange(self.size), list(self.dest)] = 1.0
-        return T
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Return ``T @ v`` for a vector or the row-permuted matrix."""
-        return np.asarray(v)[list(self.dest)]
-
-    def position_of(self, original: int) -> int:
-        """0-based position that 0-based original index ends up at."""
-        return self.dest.index(original)
 
 
 def ql_decompose(A):

@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     DimensionMismatchError,
     InconsistentNormalizationError,
     NotPositiveDefiniteError,
 )
-from .linalg import MEMORY_BUDGET, Permutation, ql_decompose, solve_unit_lower
+from .linalg import MEMORY_BUDGET, ql_decompose, solve_unit_lower
 from .model import ReducedVar, VarmaModel
 
 __all__ = [
@@ -40,21 +40,26 @@ __all__ = [
 class TransmissionOrdering:
     """Researcher-chosen ordering of the variables.
 
-    ``labels[r]`` is the variable placed at ordered position ``r + 1``;
-    ``perm`` maps ordered positions to original indices.
+    ``labels[r]`` is the variable placed at ordered position ``r + 1``
+    and ``dest[r]`` its 0-based original index, a bijection on
+    ``0..K-1``.
     """
 
-    perm: Permutation
+    dest: tuple
     labels: tuple
 
     def __post_init__(self):
-        if len(self.labels) != self.perm.size:
+        dest = tuple(int(i) for i in self.dest)
+        if sorted(dest) != list(range(len(dest))):
+            raise ValueError(f"not a bijection on 0..{len(dest) - 1}: {dest}")
+        if len(self.labels) != len(dest):
             raise DimensionMismatchError("labels do not match permutation size")
+        object.__setattr__(self, "dest", dest)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
     @property
     def K(self) -> int:
-        return self.perm.size
+        return len(self.dest)
 
     @classmethod
     def from_names(cls, var_names, ordered_names) -> "TransmissionOrdering":
@@ -66,25 +71,27 @@ class TransmissionOrdering:
                 f"ordered names {wanted} are not a permutation of {names}"
             )
         dest = tuple(names.index(n) for n in wanted)
-        return cls(perm=Permutation(dest), labels=tuple(wanted))
+        return cls(dest=dest, labels=tuple(wanted))
 
     @classmethod
     def identity(cls, var_names) -> "TransmissionOrdering":
         names = tuple(str(n) for n in var_names)
-        return cls(perm=Permutation.identity(len(names)), labels=names)
-
-    def matrix(self) -> np.ndarray:
-        return self.perm.matrix()
+        return cls(dest=tuple(range(len(names))), labels=names)
 
     def position(self, name: str) -> int:
         """1-based ordered position of a variable name."""
-        return self.labels.index(str(name)) + 1
+        name = str(name)
+        if name not in self.labels:
+            raise ValueError(
+                f"unknown variable {name!r}; ordering has {list(self.labels)}"
+            )
+        return self.labels.index(name) + 1
 
 
 def _check_ordering(ordering: TransmissionOrdering, var_names) -> None:
     if sorted(ordering.labels) != sorted(str(n) for n in var_names):
         raise ValueError("ordering labels do not match the model's variables")
-    for r, orig in enumerate(ordering.perm.dest):
+    for r, orig in enumerate(ordering.dest):
         if str(var_names[orig]) != ordering.labels[r]:
             raise ValueError("ordering permutation disagrees with its labels")
 
@@ -181,7 +188,7 @@ def _triangular_form(source, ordering: TransmissionOrdering, h: int):
             f"shock columns, over the {MEMORY_BUDGET}-byte budget"
         )
     _check_ordering(ordering, source.var_names)
-    dest = list(ordering.perm.dest)
+    dest = list(ordering.dest)
     if isinstance(source, VarmaModel):
         Q, L = ql_decompose(source.A0[:, dest])
         lags = [Ai[:, dest] for Ai in source.A]
@@ -193,7 +200,7 @@ def _triangular_form(source, ordering: TransmissionOrdering, h: int):
             raise NotPositiveDefiniteError(
                 "permuted residual covariance has no Cholesky factor"
             ) from exc
-        L = solve_triangular(P, np.eye(K), lower=True)
+        L = dtrtri(P, lower=1)[0]
         Q = np.eye(K)
         lags = [L @ Ai[np.ix_(dest, dest)] for Ai in source.coefs]
         psi = ()
@@ -265,7 +272,7 @@ def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
             f"impact column has length {impact.shape[0]}, expected K={K}"
         )
     B_blocks, L, blocks, _ = _triangular_form(reduced, ordering, h)
-    q_col = L @ impact[list(ordering.perm.dest)]
+    q_col = L @ impact[list(ordering.dest)]
     return SystemsForm(K=K, h=h, B_blocks=B_blocks,
                        omega=_stacked([b @ q_col for b in blocks], h)[:, None],
                        ordering=ordering, shock_labels=(shock_label,))

@@ -101,11 +101,11 @@ def random_condition(rng, n_indices, n_literals=4):
         left, right = build(pool[:split]), build(pool[split:])
         u = rng.random()
         if u < 0.45:
-            node = And(left, right)
+            node = And((left, right))
         elif u < 0.9:
-            node = Or(left, right)
+            node = Or((left, right))
         else:
-            node = Not(And(left, right))
+            node = Not(And((left, right)))
         return node
 
     return build(literals)

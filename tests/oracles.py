@@ -2,7 +2,9 @@
 
 :func:`dense_b` forms the dense ``(h+1)K`` square ``B`` of a systems
 form from its lag blocks, and :func:`dense_solve` is a dense triangular
-solve; the library itself never forms either.  :func:`variable_paths`
+solve; the library itself never forms either.
+:func:`permutation_matrix` is the matrix ``T`` of an ordering and
+:func:`permuted` applies it by indexing.  :func:`variable_paths`
 and :func:`total_path_effect` enumerate and sum paths between
 variables on the dense ``B``.
 
@@ -25,6 +27,7 @@ reference for identified and local-projection IRFs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -74,6 +77,19 @@ def dense_toeplitz(first_block_column, K: int) -> np.ndarray:
     orthogonalised IRFs of ``cholesky_irfs``."""
     col = np.asarray(first_block_column, dtype=float)
     return dense_blocks(col.reshape(-1, K, K), col.shape[0] // K - 1)
+
+
+def permutation_matrix(ordering) -> np.ndarray:
+    """``T`` with ``(T @ y)[r] = y[ordering.dest[r]]``, which takes
+    original coordinates to ordered ones."""
+    T = np.zeros((ordering.K, ordering.K))
+    T[np.arange(ordering.K), list(ordering.dest)] = 1.0
+    return T
+
+
+def permuted(ordering, v) -> np.ndarray:
+    """``T @ v`` for a vector, or the row-permuted matrix."""
+    return np.asarray(v)[list(ordering.dest)]
 
 
 def dense_solve(B, rhs) -> np.ndarray:
@@ -166,12 +182,11 @@ def _nnf(node, negated: bool = False):
         return TRUE if negated else FALSE
     if isinstance(node, Not):
         return _nnf(node.child, not negated)
-    if isinstance(node, And):
-        cls = Or if negated else And
-        return cls(_nnf(node.left, negated), _nnf(node.right, negated))
-    if isinstance(node, Or):
-        cls = And if negated else Or
-        return cls(_nnf(node.left, negated), _nnf(node.right, negated))
+    if isinstance(node, (And, Or)):
+        cls = type(node)
+        if negated:  # De Morgan
+            cls = Or if cls is And else And
+        return cls([_nnf(part, negated) for part in node.operands])
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -185,6 +200,14 @@ def _combine(a, b, cap):
     return out
 
 
+def _either(a, b, cap):
+    """Inclusion-exclusion for ``A or B``: ``A + B - A B``."""
+    out = a + b + [(-s, r, f) for s, r, f in _combine(a, b, cap)]
+    if len(out) > cap:
+        raise TermExplosionError(f"more than {cap} raw terms")
+    return out
+
+
 def _expand_ie(node, cap):
     """Inclusion-exclusion directly on the formula tree."""
     if isinstance(node, Var):
@@ -195,16 +218,10 @@ def _expand_ie(node, cap):
         return [(1, frozenset(), frozenset())]
     if node is FALSE:
         return []
-    if isinstance(node, And):
-        return _combine(_expand_ie(node.left, cap), _expand_ie(node.right, cap), cap)
-    if isinstance(node, Or):
-        a = _expand_ie(node.left, cap)
-        b = _expand_ie(node.right, cap)
-        both = _combine(a, b, cap)
-        out = a + b + [(-s, r, f) for s, r, f in both]
-        if len(out) > cap:
-            raise TermExplosionError(f"more than {cap} raw terms")
-        return out
+    if isinstance(node, (And, Or)):
+        fold = _combine if isinstance(node, And) else _either
+        return reduce(lambda a, part: fold(a, _expand_ie(part, cap), cap),
+                      node.operands[1:], _expand_ie(node.operands[0], cap))
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -199,6 +199,18 @@ class TestTransmission:
         assert code == 2
         assert "impact of shock 3 on 'x'" in capsys.readouterr().err
 
+    def test_normalize_on_unknown_variable_exits_2(self, tmp_path, model3_path,
+                                                   capsys):
+        code = main([
+            "transmission", "--model", str(model3_path), "--order", "x,pi,i",
+            "--shock", "1", "--normalize", "zz=1", "--condition", "pi_0",
+            "--horizon", "1", "--out", str(tmp_path / "e.csv"), "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown variable 'zz'" in err
+        assert "tuple.index" not in err
+
     def test_evaluator_explosion_exits_5(self, tmp_path, model3_path,
                                          monkeypatch, capsys):
         import tca.condition

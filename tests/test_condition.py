@@ -62,15 +62,15 @@ class TestParser:
 
     def test_or_chain(self):
         cond = parse_condition("pi_0 | pi_1 | pi_2", LABELS3, 3, 2)
-        assert cond.root == Or(Or(Var(2), Var(5)), Var(8))
+        assert cond.root == Or((Var(2), Var(5), Var(8)))
 
     def test_raw_index_and_precedence(self):
         cond = parse_condition("!x1 & x2 | x3", LABELS3, 3, 0)
-        assert cond.root == Or(And(Not(Var(1)), Var(2)), Var(3))
+        assert cond.root == Or((And((Not(Var(1)), Var(2))), Var(3)))
 
     def test_parentheses(self):
         cond = parse_condition("!(x1 & x2)", LABELS3, 3, 0)
-        assert cond.root == Not(And(Var(1), Var(2)))
+        assert cond.root == Not(And((Var(1), Var(2))))
 
     def test_constants(self):
         assert parse_condition("true", LABELS3, 3, 0).root is TRUE
@@ -107,21 +107,63 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_condition("pi_0 )", LABELS3, 3, 0)
 
-    def test_long_chain_parses_into_a_balanced_tree(self):
+    @pytest.mark.parametrize("text, cls, message, position", [
+        ("x_0 | | pi_0", ParseError, "expected an atom, got '|'", 6),
+        ("x_0 # pi_0", ParseError, "unexpected character '#'", 4),
+        ("", ParseError, "expected an atom, got end of input", 0),
+        ("   ", ParseError, "expected an atom, got end of input", 0),
+        ("!", ParseError, "expected an atom, got end of input", 1),
+        ("pi_0 &", ParseError, "expected an atom, got end of input", 6),
+        ("x_0 |   ", ParseError, "expected an atom, got end of input", 5),
+        ("(x_0", ParseError, "expected ')'", 4),
+        # the end of input sits after the last token, not after the blanks
+        ("(x_0   ", ParseError, "expected ')'", 4),
+        ("((x_0)", ParseError, "expected ')'", 6),
+        ("x_0 & (pi_0 | i_0", ParseError, "expected ')'", 17),
+        ("pi_0 )", ParseError, "unexpected trailing input", 5),
+        ("pi_0 i_0", ParseError, "unexpected trailing input", 5),
+        ("x_0)", ParseError, "unexpected trailing input", 3),
+        ("x_0 & (pi_0 | )", ParseError, "expected an atom, got ')'", 14),
+        # an unexpected character is reported when the parser reaches it,
+        # so an earlier error wins
+        ("pi_0 & & #", ParseError, "expected an atom, got '&'", 7),
+        ("pi_0 | #", ParseError, "unexpected character '#'", 7),
+        ("(pi_0 # )", ParseError, "unexpected character '#'", 6),
+        ("!#", ParseError, "unexpected character '#'", 1),
+        ("1pi", ParseError, "unexpected character '1'", 0),
+        ("x_0\t\xa0@", ParseError, "unexpected character '@'", 5),
+        ("wages_0 #", UnknownVariableError,
+         "unknown variable 'wages'; ordering has ['x', 'pi', 'i']", 0),
+        ("pi", ParseError, "atom 'pi' is neither name_horizon nor x<index>", 0),
+        ("x_0 | pi_9", HorizonOutOfRangeError, "horizon 9 outside 0..2", 6),
+        ("x0", HorizonOutOfRangeError, "system index 0 outside 1..9", 0),
+        ("x1 & x99", HorizonOutOfRangeError, "system index 99 outside 1..9", 5),
+    ])
+    def test_diagnostics(self, text, cls, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_condition(text, LABELS3, 3, 2)
+        assert type(err.value) is cls
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_long_chain_parses_into_one_flat_node(self):
         text = any_horizon("y", range(1000))
         cond = parse_condition(text, ("y",), 1, 999)
-
-        def depth(node):
-            if isinstance(node, (And, Or)):
-                return 1 + max(depth(node.left), depth(node.right))
-            return 0
-
-        assert depth(cond.root) == 10
+        assert cond.root == Or(tuple(Var(m) for m in range(1, 1001)))
         assert cond.canonical_text() == " | ".join(
             f"x{m}" for m in range(1, 1001)
         )
         again = parse_condition(cond.canonical_text(), ("y",), 1, 999)
         assert again.root == cond.root
+
+    def test_chain_nodes_stay_flat(self):
+        a, b, c, d = (Var(m) for m in range(1, 5))
+        assert Or((Or((a, b)), Or((c, d)))) == Or((a, b, c, d))
+        assert And((a, Or((b, c)))).operands == (a, Or((b, c)))
+        assert Or((a, b)) != And((a, b))
+        for operands in ((), (a,)):
+            with pytest.raises(ValueError):
+                Or(operands)
 
     @pytest.mark.parametrize("opening, closing", [("(", ")"), ("!", "")])
     def test_nesting_cap(self, opening, closing):
@@ -151,40 +193,16 @@ class TestParser:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_canonical_text_round_trip(self, seed):
+        from tca.condition import _to_text
+
         r = np.random.default_rng(seed)
         root = random_condition(r, n_indices=9, n_literals=4)
-        cond = parse_condition(
-            wrap_condition_text(root), LABELS3, 3, 2
-        )
-        # the parser may rebalance a chain but not drop or reorder its
-        # operands
-        assert _chains(cond.root) == _chains(root)
-        text = cond.canonical_text()
-        again = parse_condition(text, LABELS3, 3, 2)
-        assert again.root == cond.root
-
-
-def wrap_condition_text(root):
-    from tca.condition import _to_text
-
-    return _to_text(root)
-
-
-def _chains(node):
-    """``node`` with each chain of one operator flattened into its list
-    of operands, left to right."""
-    if isinstance(node, Not):
-        return "!", _chains(node.child)
-    if not isinstance(node, (And, Or)):
-        return node
-    operands, stack = [], [node]
-    while stack:
-        n = stack.pop()
-        if type(n) is type(node):
-            stack += (n.right, n.left)
-        else:
-            operands.append(_chains(n))
-    return type(node).__name__, operands
+        # chains are flat however the tree was built, so the text of a
+        # hand-built tree parses back to that very tree
+        cond = parse_condition(_to_text(root), LABELS3, 3, 2)
+        assert cond.root == root
+        again = parse_condition(cond.canonical_text(), LABELS3, 3, 2)
+        assert again.root == root
 
 
 class TestExpandTerms:
@@ -291,13 +309,11 @@ class TestEffectByEdgeDeletion:
 
 
 def _term_to_ast(term):
-    node = None
-    for k in term.required_sorted:
-        node = Var(k) if node is None else And(node, Var(k))
-    for k in term.forbidden_sorted:
-        lit = Not(Var(k))
-        node = lit if node is None else And(node, lit)
-    return TRUE if node is None else node
+    literals = [Var(k) for k in term.required_sorted]
+    literals += [Not(Var(k)) for k in term.forbidden_sorted]
+    if len(literals) < 2:
+        return literals[0] if literals else TRUE
+    return And(literals)
 
 
 class TestTransmissionEffect:
@@ -415,20 +431,65 @@ class TestTransmissionEffect:
             through.channel,
         )
 
-    def test_too_deep_plan_raises_term_explosion(self):
-        # two interleaved 500-literal chains build a 1,000-level BDD, and
-        # a left-deep tree built by hand is 1,000 levels deep to hash
-        m = VarmaModel(var_names=("y",), A0=[[1.0]])
-        sf = make_systems_form(m, TransmissionOrdering.identity(("y",)), 999)
-        odd = " | ".join(f"x{i}" for i in range(1, 1000, 2))
-        even = " | ".join(f"x{i}" for i in range(2, 1001, 2))
-        with pytest.raises(TermExplosionError):
-            transmission_effect(sf, f"({odd}) & ({even})", shock=1)
+    def test_too_deep_plan_raises_term_explosion(self, rng):
+        # two interleaved chains build a BDD two levels per horizon deep,
+        # which only the cap bounds: through horizon 499 the plan takes
+        # 998,501 transitions, through 500 it takes 1,002,502
+        m = random_varma(rng, K=4, ell=2)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 500)
+        v2, v3 = sf.ordering.labels[1:3]
+
+        def both(h):
+            return " & ".join(f"({any_horizon(v, range(h + 1))})" for v in (v2, v3))
+
+        through = transmission_effect(sf, both(499), shock=1)
+        never = transmission_effect(sf, f"!({both(499)})", shock=1)
+        scale = np.maximum(1.0, np.abs(through.total))
+        gap = np.abs(through.channel + never.channel - through.total) / scale
+        assert np.max(gap) <= 1e-10
+        with pytest.raises(TermExplosionError, match="transitions"):
+            transmission_effect(sf, both(500), shock=1)
+        # a tree built by hand, alternating & and | so that nothing
+        # splices, is 1,000 levels deep to hash and to build
+        sf = make_systems_form(VarmaModel(var_names=("y",), A0=[[1.0]]),
+                               TransmissionOrdering.identity(("y",)), 999)
         root = Var(1)
         for m in range(2, 1001):
-            root = Or(root, Var(m))
+            root = (And if m % 2 else Or)((root, Var(m)))
         with pytest.raises(TermExplosionError):
             transmission_effect(sf, wrap_condition(root, sf), shock=1)
+
+    def test_interleaved_chains_match_ie_oracle(self, rng):
+        # the small size of the two-chain condition above
+        m = random_varma(rng, K=4, ell=2, q=1)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 2)
+        v2, v3 = sf.ordering.labels[1:3]
+        cond = parse_condition(
+            f"({any_horizon(v2, range(3))}) & ({any_horizon(v3, range(3))})",
+            sf.ordering.labels, 4, 2,
+        )
+        table = transmission_effect(sf, cond, shock=1)
+        oracle = ie_channel(dense_b(sf), sf.shock_column(1), cond)
+        scale = max(1.0, np.max(np.abs(table.total)))
+        assert np.max(np.abs(table.channel.reshape(-1) - oracle)) <= 1e-12 * scale
+
+    def test_five_thousand_literal_chain(self):
+        # a flat chain adds no depth to parse, print, hash or build: the
+        # plan of its negation is one state that no literal leaves alive,
+        # while the chain itself needs a transition per earlier state and
+        # literal (12.5 million) and stops at the cap
+        from tca.condition import TERM_CAP, _plan
+
+        m = VarmaModel(var_names=("y",), A0=[[1.0]], A=([[0.6]],))
+        sf = make_systems_form(m, TransmissionOrdering.identity(("y",)), 4999)
+        cond = parse_condition(any_horizon("y", range(5000)), ("y",), 1, 4999)
+        assert len(cond.root.operands) == 5000
+        again = parse_condition(cond.canonical_text(), ("y",), 1, 4999)
+        assert again.root == cond.root
+        lits, steps, _, accept = _plan(Not(cond.root), TERM_CAP)
+        assert lits.size == 5000 and steps == () and accept.tolist() == [True]
+        with pytest.raises(TermExplosionError, match="transitions"):
+            transmission_effect(sf, cond, shock=1)
 
     def test_cell_rejects_out_of_range_indices(self):
         table = transmission_effect(three_var_sf(0.2, 0.5, 0.8, 1.5, h=1),
@@ -635,4 +696,4 @@ class TestAnyHorizonHelper:
 
     def test_parses(self):
         cond = parse_condition(any_horizon("pi", range(2)), LABELS3, 3, 1)
-        assert cond.root == Or(Var(2), Var(5))
+        assert cond.root == Or((Var(2), Var(5)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import dense_blocks, dense_solve
 from tca.errors import DimensionMismatchError, SingularMatrixError
-from tca.linalg import Permutation, ql_decompose, solve_unit_lower
+from tca.linalg import ql_decompose, solve_unit_lower
 
 
 class TestQlDecompose:
@@ -144,18 +144,3 @@ class TestSolveUnitLower:
         with pytest.raises(DimensionMismatchError):  # a dense square B
             solve_unit_lower(np.zeros((3, 3)), np.ones(3))
 
-
-class TestPermutation:
-    def test_bijection_required(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 2))
-
-    def test_matrix_and_apply_agree(self, rng):
-        p = Permutation((2, 0, 1, 3))
-        v = rng.normal(size=4)
-        assert np.allclose(p.matrix() @ v, p.apply(v))
-
-    def test_position_of(self):
-        p = Permutation((2, 0, 1))
-        assert p.position_of(2) == 0
-        assert p.position_of(0) == 1

@@ -8,7 +8,13 @@ from conftest import (
     random_varma,
     three_var_model,
 )
-from oracles import dense_b, dense_solve, dense_toeplitz
+from oracles import (
+    dense_b,
+    dense_solve,
+    dense_toeplitz,
+    permutation_matrix,
+    permuted,
+)
 from tca import (
     ReducedVar,
     TransmissionOrdering,
@@ -23,6 +29,30 @@ from tca.errors import InconsistentNormalizationError, NotPositiveDefiniteError
 
 def identity_ordering(model):
     return TransmissionOrdering.identity(model.var_names)
+
+
+class TestTransmissionOrdering:
+    def test_bijection_required(self):
+        with pytest.raises(ValueError, match="bijection"):
+            TransmissionOrdering(dest=(0, 0, 2), labels=("a", "b", "c"))
+        with pytest.raises(ValueError, match="bijection"):
+            TransmissionOrdering(dest=(1, 2), labels=("a", "b"))
+
+    def test_matrix_and_apply_agree(self, rng):
+        ordering = TransmissionOrdering.from_names("abcd", "cabd")
+        assert ordering.dest == (2, 0, 1, 3)
+        v = rng.normal(size=4)
+        assert np.allclose(permutation_matrix(ordering) @ v,
+                           permuted(ordering, v))
+
+    def test_position_of_name_and_original_index(self):
+        ordering = TransmissionOrdering.from_names(("a", "b", "c"), ("c", "a", "b"))
+        assert ordering.position("c") == 1
+        assert ordering.position("a") == 2
+        assert ordering.dest.index(2) == 0
+        assert ordering.dest.index(0) == 1
+        with pytest.raises(ValueError, match="unknown variable 'zz'"):
+            ordering.position("zz")
 
 
 class TestMakeSystemsForm:
@@ -123,7 +153,7 @@ class TestIrfTotal:
             sf = make_systems_form(m, ordering, 3)
             phi = irf_total(sf)
             theta = companion_irfs(m, 3)
-            T = ordering.matrix()
+            T = permutation_matrix(ordering)
             for t in range(4):
                 block = phi[t * 3 : (t + 1) * 3, 0:3]
                 assert np.max(np.abs(block - T @ theta[t])) <= 1e-10
@@ -134,7 +164,7 @@ class TestIrfTotal:
         sf = make_systems_form(m, ordering, 4)
         phi = irf_total(sf)
         theta = companion_irfs(m, 4)
-        T = ordering.matrix()
+        T = permutation_matrix(ordering)
         for t in range(5):
             block = phi[t * 3 : (t + 1) * 3, 0:3]
             assert np.max(np.abs(block - T @ theta[t])) <= 1e-10
@@ -368,7 +398,7 @@ class TestDenseOracle:
             phi = dense_solve(B, sf.omega)
             assert gap(irf_total(sf), phi) <= 1e-12
             # orthogonalised IRFs: Omega is the orthogonalised column times Q'
-            Q, _ = ql_decompose(m.A0[:, list(ordering.perm.dest)])
+            Q, _ = ql_decompose(m.A0[:, list(ordering.dest)])
             pt = cholesky_irfs(m, ordering, h)
             assert gap(pt, phi @ Q) <= 1e-12
             shock = int(rng.integers(1, K + 1))
