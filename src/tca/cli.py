@@ -417,8 +417,10 @@ def cmd_bootstrap(args) -> int:
     write_effects_csv(args.out, [table], bands=bands)
     if not args.quiet:
         outside = int(bands.cells_outside_band().sum())
+        reasons = "".join(f" {name}={count}"
+                          for name, count in bands.discarded_by.items())
         print(
-            f"reps={bands.replications} discarded={bands.discarded} "
+            f"reps={bands.replications} discarded={bands.discarded}{reasons} "
             f"level={_fmt(bands.level)} point_outside_band_cells={outside}"
         )
     return 0

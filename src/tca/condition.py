@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     DimensionMismatchError,
@@ -34,7 +33,8 @@ from .errors import (
     TermExplosionError,
     UnknownVariableError,
 )
-from .linalg import MEMORY_BUDGET, as_matrix, solve_unit_lower
+from .linalg import (MEMORY_BUDGET, as_matrix, solve_unit_lower,
+                     unit_lower_inverse)
 from .system import SystemsForm
 
 __all__ = [
@@ -483,44 +483,55 @@ def _plan(root, cap: int):
 
 def _effects(B_blocks, col, root):
     """Total and channel effects of the shock column ``col`` on every
-    system index, for ``B`` given by its lag blocks."""
+    system index, for ``B`` given by its lag blocks.
+
+    Leading axes batch systems: ``B_blocks`` is ``(..., L+1, K, K)`` and
+    ``col`` ``(..., n)``, and so are both results.  Every system takes
+    the same plan: the solve, the inverse and ``g`` run over the batch,
+    the forward pass once per system.
+    """
     try:  # hashing the root for the cache and building it both recurse
         lits, steps, column, accept = _plan(root, TERM_CAP)
     except RecursionError:
         raise TermExplosionError(
             "condition too deeply nested for the evaluator plan"
         ) from None
-    n, m = col.shape[0], lits.size
+    n, m = col.shape[-1], lits.size
     if m and lits[-1] >= n:
         raise DimensionMismatchError(f"literal x{lits[-1] + 1} outside 1..{n}")
-    if 8 * n * (m + 1) > MEMORY_BUDGET:
+    if 8 * col.size * (m + 1) > MEMORY_BUDGET:
         raise TermExplosionError(
-            f"{m} literals on {n} system indices need {8 * n * (m + 1)} "
+            f"{m} literals on {n} system indices need {8 * col.size * (m + 1)} "
             f"bytes of solve columns, over the {MEMORY_BUDGET}-byte budget"
         )
     # every path from the shock and from each literal
-    rhs = np.zeros((n, m + 1))
-    rhs[:, 0] = col
-    rhs[lits, np.arange(1, m + 1)] = 1.0
+    rhs = np.zeros(col.shape + (m + 1,))
+    rhs[..., 0] = col
+    rhs[..., lits, np.arange(1, m + 1)] = 1.0
     Z = solve_unit_lower(B_blocks, rhs)
-    total, between = Z[:, 0], Z[lits, 1:]
-    # between is unit lower-triangular, and a path that visits literals
-    # splits at its first one; so its inverse gives g[k][0] (the shock
-    # into literal k) and g[k][1 + a] (literal a into k), each path
-    # visiting no other literal
-    inv = dtrtri(between, lower=1, unitdiag=1)[0] if m else between
-    g = np.column_stack([inv @ total[lits], np.eye(m) - inv]).tolist()
+    total, paths = Z[..., 0], Z[..., 1:]
+    at_lits = np.take(total, lits, axis=-1)
+    # between, the paths' rows at the literals, is unit lower-triangular,
+    # and a path that visits literals splits at its first one; so its
+    # inverse gives g[k][0] (the shock into literal k) and g[k][1 + a]
+    # (literal a into k), each path visiting no other literal
+    inv = unit_lower_inverse(np.take(paths, lits, axis=-2))
+    g = np.concatenate([inv @ at_lits[..., None], np.eye(m) - inv], axis=-1)
 
-    amp = [1.0] + [0.0] * (len(column) - 1)
-    for s, target, k, c in steps:
-        amp[target] += amp[s] * g[k][c]
-    w = np.bincount(column, weights=np.where(accept, amp, 0.0),
-                    minlength=m + 1)
+    w = np.empty(col.shape[:-1] + (m + 1,))
+    flat_w = w.reshape(-1, m + 1)
+    for r, g_r in enumerate(g.reshape(len(flat_w), m, m + 1).tolist()):
+        amp = [1.0] + [0.0] * (len(column) - 1)
+        for s, target, k, c in steps:
+            amp[target] += amp[s] * g_r[k][c]
+        flat_w[r] = np.bincount(column, weights=np.where(accept, amp, 0.0),
+                                minlength=m + 1)
     # w[0] weighs the paths that visit no literal, w[1 + k] those whose
     # last literal is k; the paths from k that visit no further literal
-    # are the columns Z[:, 1:] @ inv
-    channel = w[0] * total + Z[:, 1:] @ (inv @ (w[1:] - w[0] * total[lits]))
-    channel[lits] = w[1:]
+    # are the columns paths @ inv
+    rest = w[..., 1:] - w[..., :1] * at_lits
+    channel = w[..., :1] * total + (paths @ (inv @ rest[..., None]))[..., 0]
+    channel[..., lits] = w[..., 1:]
     return total, channel
 
 

@@ -6,32 +6,38 @@ estimated coefficients (holding the first ``p`` observations fixed),
 re-estimates, re-identifies the shock, and recomputes the effect
 decomposition.  Percentile intervals are taken across draws.
 
-Draws use independent substreams derived from ``(seed, draw index)`` and
-results are stored by draw index, so serial and parallel runs produce
-bitwise identical bands.
+Draws run in chunks of at most ``CHUNK_BYTES`` of working arrays, on
+one thread: each step of a chunk is one stacked numpy or LAPACK call
+over its draws, and the point estimate runs the same kernels without
+the draw axis.  A chunk is regenerated and refitted ``QR_ROWS`` periods at a
+time, so its memory does not grow with the sample length.  Every draw
+uses its own substream derived from ``(seed, draw index)`` and the
+kernels give each draw the same bits in any stack, so the bands are
+byte-identical at any chunk size.  A degenerate draw (rank-deficient
+regressors, a covariance that is not positive definite, a zero impact
+response) is flagged per draw and discarded.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import TransmissionCondition, parse_condition, transmission_effect
+from .condition import (TERM_CAP, TransmissionCondition, _effects, _plan,
+                        _table, parse_condition)
 from .errors import (
     BootstrapUnstableError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     RankDeficientRegressorsError,
-    SingularMatrixError,
     ZeroImpactError,
 )
 from .linalg import as_matrix
-from .model import (ReducedVar, _var_recursion, estimate_var_ols,
-                    identify_internal_instrument)
-from .system import TransmissionOrdering, reconstruct_from_single_shock
+from .model import (QR_ROWS, ReducedVar, _instrument_impact, _lagged_design,
+                    _ols, _split_coefficients, _var_recursion,
+                    estimate_var_ols)
+from .system import TransmissionOrdering, _check_grid, _reduced_form
 
 __all__ = [
     "BootstrapSpec",
@@ -40,21 +46,25 @@ __all__ = [
     "EffectBands",
     "bootstrap_effects",
     "point_effects",
-    "n_threads",
 ]
 
 _KINDS = ("total", "channel", "complement")
 
-#: Errors that mark one bootstrap draw as degenerate rather than fatal.
-_DEGENERATE = (
+#: Why a draw is discarded: code ``1 + i`` stands for ``_DISCARDS[i]``.
+_DISCARDS = (
     RankDeficientRegressorsError,
     NotPositiveDefiniteError,
-    SingularMatrixError,
     ZeroImpactError,
-    np.linalg.LinAlgError,
 )
+_RANK, _NOT_PD, _ZERO_IMPACT = 1, 2, 3
 
 MAX_DISCARD_SHARE = 0.05
+
+#: Bytes of the working arrays of one chunk of bootstrap draws: its
+#: resampling indices and one ``QR_ROWS`` block of the ``[X | Y]``
+#: regression rows of its refits, or its evaluator solve columns when
+#: those are larger.
+CHUNK_BYTES = 3 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -101,7 +111,8 @@ class EffectBands:
     ``channel`` and ``complement`` to an ``(h+1, K)`` array.  The point
     estimate comes from the full sample and may fall outside its own
     band in pathological samples; :meth:`cells_outside_band` reports
-    such cells instead of clipping them.
+    such cells instead of clipping them.  ``discarded_by`` counts the
+    discarded draws by the name of the error class that describes them.
     """
 
     shock_label: str
@@ -110,6 +121,7 @@ class EffectBands:
     level: float
     replications: int
     discarded: int
+    discarded_by: dict
     point: dict
     lower: dict
     upper: dict
@@ -120,21 +132,6 @@ class EffectBands:
         )
 
 
-def n_threads() -> int:
-    """Worker count, capped by the TCA_THREADS environment variable.
-
-    Raises ``ValueError`` when TCA_THREADS is set but is not a positive
-    integer.
-    """
-    cap = os.environ.get("TCA_THREADS")
-    available = os.cpu_count() or 1
-    if not cap:
-        return available
-    if not cap.strip().isdecimal() or int(cap) < 1:
-        raise ValueError(f"TCA_THREADS must be a positive integer, got {cap!r}")
-    return min(available, int(cap))
-
-
 def point_effects(var: ReducedVar, ident: InstrumentSpec,
                   ordering: TransmissionOrdering, cond, h: int,
                   xi: float = 1.0, scale_override: float | None = None):
@@ -143,34 +140,95 @@ def point_effects(var: ReducedVar, ident: InstrumentSpec,
     Returns ``(table, scale)`` where ``scale`` is the normalisation
     factor actually applied to the orthogonalised impact column.
     """
-    column = identify_internal_instrument(var, ident.normalize_on,
-                                          ident.impact, h=0)
-    impact = column.phi[: var.K]
-    scale = column.scale
+    K = var.K
+    if not 1 <= ident.normalize_on <= K:
+        raise DimensionMismatchError(f"normalize_on must be in 1..{K}")
+    _check_grid(ordering, var.var_names, h)
+    if isinstance(cond, str):
+        cond = parse_condition(cond, ordering.labels, K, h)
+    total, channel, scale, code = _price(
+        np.reshape(var.coefs, (var.p, K, K)), var.sigma_u, ident,
+        ordering.dest, cond.root, h, scale_override,
+    )
+    if code == _NOT_PD:
+        raise NotPositiveDefiniteError(
+            "residual covariance is not positive definite"
+        )
+    if code == _ZERO_IMPACT:
+        raise ZeroImpactError(
+            f"impact response of variable {ident.normalize_on} is zero to "
+            "tolerance; normalization is undefined"
+        )
+    table = _table(cond, ordering.labels,
+                   f"{var.var_names[0]} (internal instrument)", xi,
+                   total, channel)
+    return table, float(scale)
+
+
+def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
+           scale_override):
+    """Identify the shock and price the condition ``root`` for reduced-form
+    VARs, unchecked.
+
+    ``coefs`` is ``(..., p, K, K)`` and ``sigma_u`` ``(..., K, K)``, where
+    leading axes batch VARs.  Returns ``(total, channel, scale, code)``:
+    the ``(..., (h+1)K)`` effects, the normalisation factors and the
+    discard codes (0 for a usable VAR, else ``1 +`` the index of its
+    ``_DISCARDS`` class).
+    """
+    raw, scale, pd, nonzero = _instrument_impact(sigma_u, ident.normalize_on,
+                                                 ident.impact)
     if scale_override is not None:
-        impact = impact * (scale_override / scale)
-        scale = scale_override
-    sss = reconstruct_from_single_shock(var, ordering, impact, h,
-                                        shock_label=column.label)
-    return transmission_effect(sss, cond, xi=xi), scale
+        scale = np.full_like(scale, scale_override)
+    B_blocks, DL, _, ok = _reduced_form(sigma_u, coefs, dest, h)
+    K = raw.shape[-1]
+    col = np.zeros(raw.shape[:-1] + ((h + 1) * K,))
+    col[..., :K] = (DL @ (raw[..., dest] * scale[..., None])[..., None])[..., 0]
+    total, channel = _effects(B_blocks, col, root)
+    code = np.select([~pd, ~nonzero, ~ok], [_NOT_PD, _ZERO_IMPACT, _NOT_PD], 0)
+    return total, channel, scale, code
 
 
-def _resample_and_regenerate(var: ReducedVar, spec: BootstrapSpec) -> np.ndarray:
-    """All draws' regenerated samples, shape (R, T, K)."""
+def _regenerate(var: ReducedVar, seed: int, draws):
+    """The regenerated samples of the given draws, ``QR_ROWS`` periods at
+    a time: blocks ``(len(draws), p + rows, K)`` whose first p rows end
+    the block before (the data's first p rows at the start)."""
     data = var.data
     resid = var.residuals
     if data is None or resid is None:
         raise ValueError("bootstrap needs a VAR estimated from data")
-    T, K = data.shape
     p = var.p
-    R = spec.replications
-    n = T - p
+    n = data.shape[0] - p
+    idx = np.empty((len(draws), n), dtype=np.int32)
+    for i, r in enumerate(draws):
+        idx[i] = np.random.default_rng((seed, r)).integers(0, n, size=n)
+    rows = np.broadcast_to(data[:p], (len(draws), p, var.K))
+    for start in range(0, n, QR_ROWS):
+        shocks = np.take(resid, idx[:, start : start + QR_ROWS], axis=0)
+        rows = _var_recursion(var.coefs, var.intercept, shocks,
+                              rows[:, rows.shape[1] - p :])
+        yield rows
 
-    draws = np.empty((R, n, K))
-    for r in range(R):
-        rng = np.random.default_rng((spec.seed, r))
-        draws[r] = resid[rng.integers(0, n, size=n)]
-    return _var_recursion(var.coefs, var.intercept, draws, data[:p])
+
+def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
+                  h: int, scale_override, seed: int, draws):
+    """Total and channel effects ``(C, (h+1)K)`` of the given bootstrap
+    draws, refitted and priced as one stack, and their discard codes."""
+    p, K = var.p, var.K
+    intercept = var.intercept is not None
+    k = int(intercept) + K * p
+    coef, ssr, rank = _ols((_lagged_design(rows, p, intercept)
+                            for rows in _regenerate(var, seed, draws)), k)
+    full = rank == k
+    # a rank-deficient draw goes on as a white-noise VAR, so that every
+    # later stacked call sees finite, well-posed inputs
+    dof = var.data.shape[0] - p - k
+    sigma_u = np.where(full[:, None, None], ssr / dof, np.eye(K))
+    lags = np.where(full[:, None, None, None],
+                    _split_coefficients(coef, p, intercept)[1], 0.0)
+    total, channel, _, code = _price(lags, sigma_u, ident, dest, root, h,
+                                     scale_override)
+    return total, channel, np.where(full, code, _RANK)
 
 
 def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
@@ -182,11 +240,11 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     The point estimate uses the full sample; each retained draw
     re-estimates the VAR on regenerated data and repeats the exact point
     procedure.  Draws whose VAR or identification degenerates are
-    discarded and counted; more than 5% discarded raises
+    discarded and counted by reason; more than 5% discarded raises
     :class:`BootstrapUnstableError`.
     """
     data = as_matrix(data, "data")
-    K = data.shape[1]
+    T, K = data.shape
     if K != ordering.K:
         raise DimensionMismatchError(
             f"data has {K} columns, ordering covers {ordering.K}"
@@ -203,41 +261,41 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     override = full_scale if spec.freeze_normalization else None
 
     R = spec.replications
-    samples = _resample_and_regenerate(var, spec)
-    results = {k: np.full((R,) + table.total.shape, np.nan) for k in _KINDS}
-    kept = np.zeros(R, dtype=bool)
+    n = (h + 1) * K
+    # a draw's working arrays: its resampling indices and a QR_ROWS block
+    # of [X | Y], or else its evaluator solve columns
+    T_p, width = T - var.p, int(var_spec.intercept) + K * var.p + K
+    per_draw = max(4 * T_p + 8 * min(T_p, QR_ROWS) * width,
+                   8 * n * (_plan(cond.root, TERM_CAP)[0].size + 1))
+    size = max(1, CHUNK_BYTES // per_draw)
+    total = np.empty((R, n))
+    channel = np.empty((R, n))
+    code = np.empty(R, dtype=int)
+    for start in range(0, R, size):
+        stop = min(R, start + size)
+        total[start:stop], channel[start:stop], code[start:stop] = (
+            _draw_effects(var, ident, ordering.dest, cond.root, h, override,
+                          spec.seed, range(start, stop)))
 
-    def run_draw(r: int) -> None:
-        try:
-            var_r = estimate_var_ols(samples[r], var_spec.lags,
-                                     var_spec.intercept, var.var_names)
-            table_r, _ = point_effects(var_r, ident, ordering, cond, h, xi,
-                                       scale_override=override)
-        except _DEGENERATE:
-            return
-        results["total"][r] = table_r.total
-        results["channel"][r] = table_r.channel
-        results["complement"][r] = table_r.complement
-        kept[r] = True
-
-    workers = min(n_threads(), R)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_draw, range(R)))
-    else:
-        for r in range(R):
-            run_draw(r)
-
-    discarded = R - int(kept.sum())
+    counts = np.bincount(code, minlength=len(_DISCARDS) + 1)[1:]
+    discarded_by = {cls.__name__: int(c) for cls, c in zip(_DISCARDS, counts)
+                    if c}
+    discarded = int(counts.sum())
     if discarded > MAX_DISCARD_SHARE * R:
+        reasons = ", ".join(f"{name}={c}" for name, c in discarded_by.items())
         raise BootstrapUnstableError(
-            f"{discarded} of {R} draws degenerate (> {MAX_DISCARD_SHARE:.0%})"
+            f"{discarded} of {R} draws degenerate "
+            f"(> {MAX_DISCARD_SHARE:.0%}): {reasons}"
         )
 
+    kept = code == 0
+    shape = (-1, h + 1, K)
+    draws = {"total": xi * total[kept], "channel": xi * channel[kept],
+             "complement": xi * (total[kept] - channel[kept])}
     lo_q, hi_q = (1.0 - spec.level) / 2.0, (1.0 + spec.level) / 2.0
     lower, upper, point = {}, {}, {}
     for k in _KINDS:
-        stacked = results[k][kept]
+        stacked = draws[k].reshape(shape)
         lower[k] = np.quantile(stacked, lo_q, axis=0)
         upper[k] = np.quantile(stacked, hi_q, axis=0)
         point[k] = getattr(table, k)
@@ -248,6 +306,7 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
         level=spec.level,
         replications=R,
         discarded=discarded,
+        discarded_by=discarded_by,
         point=point,
         lower=lower,
         upper=upper,

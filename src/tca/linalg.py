@@ -12,7 +12,8 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
-__all__ = ["as_matrix", "ql_decompose", "solve_unit_lower"]
+__all__ = ["as_matrix", "cholesky_lower", "ql_decompose", "solve_unit_lower",
+           "unit_lower_inverse"]
 
 #: Relative diagonal tolerance below which a QL factor counts as singular.
 QL_SINGULAR_RTOL = 1e-12
@@ -83,6 +84,51 @@ def ql_decompose(A):
     return Q, L
 
 
+def cholesky_lower(S):
+    """Lower Cholesky factors of a stack of symmetric matrices.
+
+    ``S`` is ``(..., K, K)``.  The factors are built column by column
+    across the stack, in the order of LAPACK's unblocked ``potf2``, so
+    that one matrix that is not positive definite stops nothing else.
+    Returns ``(P, ok)``: ``ok`` marks the positive-definite matrices,
+    and the factor of every other one is the identity.
+    """
+    S = np.asarray(S, dtype=float)
+    K = S.shape[-1]
+    P = np.zeros(S.shape)
+    ok = np.ones(S.shape[:-2], dtype=bool)
+    for j in range(K):
+        row = np.swapaxes(P[..., j : j + 1, :j], -1, -2)  # (..., j, 1)
+        d = S[..., j, j] - (np.swapaxes(row, -1, -2) @ row)[..., 0, 0]
+        ok &= d > 0.0
+        root = np.sqrt(np.where(ok, d, 1.0))
+        below = S[..., j + 1 :, j] - (P[..., j + 1 :, :j] @ row)[..., 0]
+        P[..., j + 1 :, j] = below / root[..., None]
+        P[..., j, j] = root
+    P[~ok] = np.eye(K)
+    return P, ok
+
+
+def unit_lower_inverse(M) -> np.ndarray:
+    """Inverses of unit lower-triangular matrices ``(..., m, m)``.
+
+    One matrix goes to LAPACK ``dtrtri``.  A stack is inverted by
+    forward substitution, one row of every matrix per step, so the
+    Python work grows with m and not with the stack, and every matrix
+    gets the same bits in any stack.  numpy's general inverse would
+    pivot and leave rounding above the diagonal.
+    """
+    M = np.asarray(M, dtype=float)
+    m = M.shape[-1]
+    if M.ndim == 2:
+        return dtrtri(M, lower=1, unitdiag=1)[0] if m else M.copy()
+    X = np.zeros(M.shape)
+    X[..., range(m), range(m)] = 1.0
+    for i in range(1, m):
+        X[..., i, :i] = -(M[..., i : i + 1, :i] @ X[..., :i, :i])[..., 0, :]
+    return X
+
+
 def solve_unit_lower(B_blocks, rhs) -> np.ndarray:
     """Solve ``(I - B) X = rhs`` for a block-Toeplitz, strictly lower ``B``.
 
@@ -94,28 +140,40 @@ def solve_unit_lower(B_blocks, rhs) -> np.ndarray:
     ``(I - B_0)^{-1}`` applied to ``rhs_t + sum_l B_l x_{t-l}``, one
     product with ``(I - B_0)^{-1} [B_L .. B_1]`` per horizon, so memory
     is O(n r + (L+1) K^2).
+
+    Leading axes of ``B_blocks`` batch independent systems: with blocks
+    ``(..., L+1, K, K)``, ``rhs`` is ``(..., n)`` or ``(..., n, r)``
+    with the same leading axes, and every system takes the same steps
+    whatever the batch.
     """
     blocks = np.asarray(B_blocks, dtype=float)
     b = np.asarray(rhs, dtype=float)
     K = blocks.shape[-1]
-    if blocks.ndim != 3 or blocks.shape[1] != K or K == 0:
+    batch = blocks.shape[:-3]
+    if blocks.ndim < 3 or blocks.shape[-2] != K or K == 0:
         raise DimensionMismatchError(
-            f"B_blocks must have shape (L+1, K, K), got {blocks.shape}"
+            f"B_blocks must have shape (..., L+1, K, K), got {blocks.shape}"
         )
-    if b.shape[0] % K:
+    nb = len(batch)
+    if b.shape[:nb] != batch or b.ndim - nb not in (1, 2):
         raise DimensionMismatchError(
-            f"rhs has {b.shape[0]} rows, not a multiple of K={K}"
+            f"rhs of shape {b.shape} does not match B_blocks {blocks.shape}"
         )
-    if np.any(np.triu(blocks[0]) != 0.0):
+    if b.shape[nb] % K:
+        raise DimensionMismatchError(
+            f"rhs has {b.shape[nb]} rows, not a multiple of K={K}"
+        )
+    if np.any(np.triu(blocks[..., 0, :, :]) != 0.0):
         raise DimensionMismatchError("B_0 must be strictly lower-triangular")
-    H = b.shape[0] // K
-    inv = dtrtri(np.eye(K) - blocks[0], lower=1, unitdiag=1)[0]
-    X = inv @ b.reshape(H, K, -1)
-    L = min(blocks.shape[0], H) - 1
+    H = b.shape[nb] // K
+    inv = unit_lower_inverse(np.eye(K) - blocks[..., 0, :, :])
+    X = inv[..., None, :, :] @ b.reshape(*batch, H, K, -1)
+    L = min(blocks.shape[-3], H) - 1
     if L > 0:
-        lags = inv @ np.concatenate(blocks[L:0:-1], axis=1)  # [B_L .. B_1]
-        flat = X.reshape(H * K, -1)
+        lag_row = np.swapaxes(blocks[..., L:0:-1, :, :], -3, -2)
+        lags = inv @ lag_row.reshape(*batch, K, L * K)  # [B_L .. B_1]
+        flat = X.reshape(*batch, H * K, -1)
         for t in range(1, H):
             lo = max(0, t - L) * K
-            X[t] += lags[:, lo - t * K :] @ flat[lo : t * K]
-    return X.reshape(np.shape(rhs))
+            X[..., t, :, :] += lags[..., lo - t * K :] @ flat[..., lo : t * K, :]
+    return X.reshape(b.shape)

@@ -21,7 +21,7 @@ from .errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, cholesky_lower
 
 __all__ = [
     "VarmaModel",
@@ -33,6 +33,11 @@ __all__ = [
     "estimate_lp_irfs",
     "simulate_var",
 ]
+
+
+#: Rows of ``[X | Y]`` that one QR of a least-squares fit takes at a
+#: time, so that a fit's working memory does not grow with the sample.
+QR_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -188,27 +193,73 @@ class LpEstimates:
     flagged: tuple = ()
 
 
-def _lagged_design(data: np.ndarray, p: int, intercept: bool) -> tuple:
-    """Regressor matrix of an intercept and p lags, plus the target rows."""
-    T, K = data.shape
-    rows = T - p
-    cols = []
+def _lagged_design(data: np.ndarray, p: int, intercept: bool) -> np.ndarray:
+    """``[X | Y]`` of samples ``data`` of shape ``(..., T, K)``: the
+    regressors (an intercept and p lags) beside the target rows, shape
+    ``(..., T - p, k + K)``; leading axes batch samples.  Each sample's
+    matrix is stored column by column, the layout LAPACK factors."""
+    *batch, T, K = data.shape
+    k = int(intercept) + K * p
+    out = np.empty((*batch, k + K, T - p))
     if intercept:
-        cols.append(np.ones((rows, 1)))
-    for lag in range(1, p + 1):
-        cols.append(data[p - lag : T - lag])
-    X = np.hstack(cols) if cols else np.empty((rows, 0))
-    return data[p:], X
+        out[..., 0, :] = 1.0
+    for lag in range(p + 1):  # lag 0 is the target, after the regressors
+        first = k if lag == 0 else int(intercept) + K * (lag - 1)
+        out[..., first : first + K, :] = np.swapaxes(
+            data[..., p - lag : T - lag, :], -1, -2)
+    return np.swapaxes(out, -1, -2)
 
 
-def _ols(Y: np.ndarray, X: np.ndarray):
-    """Least squares with an explicit rank check on the regressors."""
-    coef, _, rank, _ = np.linalg.lstsq(X, Y, rcond=None)
-    if rank < X.shape[1]:
-        raise RankDeficientRegressorsError(
-            f"regressor matrix has rank {rank} < {X.shape[1]}"
-        )
-    return coef
+def _row_blocks(XY: np.ndarray):
+    """``XY`` in blocks of ``QR_ROWS`` rows, in order."""
+    for start in range(0, XY.shape[-2], QR_ROWS):
+        yield XY[..., start : start + QR_ROWS, :]
+
+
+def _ols(blocks, k: int) -> tuple:
+    """Least squares of the last columns of ``[X | Y]`` on its first
+    ``k``, for a stack of samples whose rows arrive in ``blocks``.
+
+    Every block is ``(..., rows, k + K)``; together, in order, they are
+    ``[X | Y]``.  Each QR factors the previous R stacked on the next
+    block, so one R of ``[X | Y]`` per sample holds everything: its
+    leading k x k block is the R of ``X``, whose singular values are
+    those of ``X``; the block beside it is ``Q'Y``; and the trailing
+    block ``S`` has ``S'S`` equal to the residual cross-product.  The
+    rank follows numpy's default least-squares rule: the singular values
+    above ``eps * max(n, k)`` times the largest, for n rows.  Returns
+    ``(coef, ssr, rank)``; the coefficients of a sample whose rank is
+    below k are not meaningful.
+    """
+    R, n = None, 0
+    for block in blocks:
+        n += block.shape[-2]
+        if R is not None:  # stacked column by column, the layout LAPACK reads
+            block = np.swapaxes(np.concatenate(
+                [np.swapaxes(R, -1, -2), np.swapaxes(block, -1, -2)], axis=-1),
+                -1, -2)
+        R = np.linalg.qr(block, mode="r")
+    short = R.shape[-1] - R.shape[-2]
+    if short > 0:  # fewer rows than columns: zero rows keep R'R and the rank
+        R = np.pad(R, [(0, 0)] * (R.ndim - 2) + [(0, short), (0, 0)])
+    Rx = R[..., :k, :k]
+    s = np.linalg.svd(Rx, compute_uv=False)
+    rank = np.count_nonzero(s > np.finfo(float).eps * max(n, k) * s[..., :1],
+                            axis=-1)
+    Rx = np.where((rank == k)[..., None, None], Rx, np.eye(k))
+    coef = np.linalg.solve(Rx, R[..., :k, k:])
+    S = R[..., k:, k:]
+    return coef, np.swapaxes(S, -1, -2) @ S, rank
+
+
+def _split_coefficients(coef: np.ndarray, p: int, intercept: bool) -> tuple:
+    """``(c, lags)`` from OLS coefficients ``(..., k, K)``: the intercept
+    ``(..., K)`` (``None`` without one) and the lag matrices
+    ``(..., p, K, K)``."""
+    *batch, k, K = coef.shape
+    row = 1 if intercept else 0
+    lags = coef[..., row:, :].reshape(*batch, p, K, K)
+    return (coef[..., 0, :] if intercept else None), np.swapaxes(lags, -1, -2)
 
 
 def estimate_var_ols(data, p: int, include_intercept: bool = True,
@@ -240,31 +291,23 @@ def estimate_var_ols(data, p: int, include_intercept: bool = True,
     if len(names) != K:
         raise DimensionMismatchError("var_names length does not match data")
 
-    Y, X = _lagged_design(data, p, include_intercept)
-    if X.shape[1] > 0:
-        coef = _ols(Y, X)
-        resid = Y - X @ coef
-    else:
-        coef = np.empty((0, K))
-        resid = Y.copy()
-
+    XY = _lagged_design(data, p, include_intercept)
+    k = XY.shape[1] - K
+    coef, ssr, rank = _ols(_row_blocks(XY[None]), k)
+    if rank[0] < k:
+        raise RankDeficientRegressorsError(
+            f"regressor matrix has rank {rank[0]} < {k}"
+        )
     dof = T - p - K * p - (1 if include_intercept else 0)
     if dof <= 0:
         raise ValueError("not enough observations for the dof correction")
-    sigma = resid.T @ resid / dof
-
-    row = 0
-    intercept = None
-    if include_intercept:
-        intercept = coef[0]
-        row = 1
-    mats = tuple(coef[row + i * K : row + (i + 1) * K].T for i in range(p))
+    intercept, lags = _split_coefficients(coef[0], p, include_intercept)
     return ReducedVar(
         var_names=names,
-        coefs=mats,
-        sigma_u=sigma,
+        coefs=tuple(lags),
+        sigma_u=ssr[0] / dof,
         intercept=intercept,
-        residuals=resid,
+        residuals=XY[:, k:] - XY[:, :k] @ coef[0],
         data=data,
     )
 
@@ -282,32 +325,47 @@ def identify_internal_instrument(var: ReducedVar, normalize_on: int,
     K = var.K
     if not 1 <= normalize_on <= K:
         raise DimensionMismatchError(f"normalize_on must be in 1..{K}")
-    try:
-        P = np.linalg.cholesky(var.sigma_u)
-    except np.linalg.LinAlgError as exc:
+    impulse, scale, pd, nonzero = _instrument_impact(var.sigma_u, normalize_on,
+                                                     impact)
+    if not pd:
         raise NotPositiveDefiniteError(
             "residual covariance is not positive definite"
-        ) from exc
-
-    impulse = np.zeros((h + 1, K))
-    impulse[0] = P[:, 0]
-    raw = _var_recursion(var.coefs, None, impulse, np.zeros((var.p, K)))
-    raw = raw[var.p :].reshape(-1)
-    denom = raw[normalize_on - 1]
-    tol = 1e-12 * max(1.0, np.abs(P).max())
-    if abs(denom) < tol:
-        raise ZeroImpactError(
-            f"impact response of variable {normalize_on} is {denom:.3e}; "
-            "normalization is undefined"
         )
-    scale = impact / denom
+    if not nonzero:
+        raise ZeroImpactError(
+            f"impact response of variable {normalize_on} is "
+            f"{impulse[normalize_on - 1]:.3e}; normalization is undefined"
+        )
+    shocks = np.zeros((h + 1, K))
+    shocks[0] = impulse
+    raw = _var_recursion(var.coefs, None, shocks, np.zeros((var.p, K)))
     return StructuralShockColumn(
         label=f"{var.var_names[0]} (internal instrument)",
-        phi=raw * scale,
+        phi=raw[var.p :].reshape(-1) * scale,
         K=K,
         normalization=(normalize_on, impact),
-        scale=scale,
+        scale=float(scale),
     )
+
+
+def _instrument_impact(sigma_u, normalize_on: int, impact: float) -> tuple:
+    """Horizon-0 internal-instrument identification for a stack of
+    residual covariances ``(..., K, K)``, unchecked.
+
+    Returns ``(raw, scale, pd, nonzero)``: ``raw`` is the first column
+    of each Cholesky factor, the impact responses to the first
+    orthogonalised innovation, and ``raw * scale`` sets the response of
+    variable ``normalize_on`` (1-based) to ``impact``.  ``pd`` marks the
+    positive-definite covariances and ``nonzero`` the responses that
+    clear the scale-aware zero tolerance; elsewhere ``scale`` is not
+    meaningful.
+    """
+    P, pd = cholesky_lower(sigma_u)
+    raw = P[..., :, 0]
+    denom = raw[..., normalize_on - 1]
+    tol = 1e-12 * np.maximum(1.0, np.abs(P).max(axis=(-2, -1)))
+    nonzero = np.abs(denom) >= tol
+    return raw, impact / np.where(nonzero, denom, 1.0), pd, nonzero
 
 
 def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
@@ -357,36 +415,63 @@ def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
         n = T - lags - h
         Y = data[lags + h : lags + h + n]
         for out, X in ((beta, base), (gamma, with_controls)):
-            try:
-                coef = _ols(Y, X[:n])
-            except RankDeficientRegressorsError:
+            XY = np.hstack([X[:n], Y])[None]
+            coef, _, rank = _ols(_row_blocks(XY), X.shape[1])
+            if rank[0] < X.shape[1]:
                 if h not in flagged:
                     flagged.append(h)
                 continue
-            out[h] = coef[1]
+            out[h] = coef[0, 1]
     return LpEstimates(beta=beta, gamma=gamma, flagged=tuple(flagged))
 
 
 def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
     """``y_t = c + sum_i coefs[i] y_{t-i} + shocks_t``, unchecked.
 
-    Runs over the last two axes, so leading axes batch independent
-    samples: ``initial`` is ``(..., p, K)`` and ``shocks`` is
-    ``(..., n, K)``; the result is ``(..., p + n, K)`` and starts with
-    ``initial``.  ``intercept`` may be ``None`` (zero).
+    Leading axes batch independent samples that share the coefficients:
+    ``shocks`` is ``(..., n, K)`` and ``initial``, ``(p, K)`` or
+    ``(..., p, K)``, holds the first p rows; the result is
+    ``(..., p + n, K)``.  ``intercept`` may be ``None`` (zero).
+
+    Each row adds to ``c + shocks_t`` the products of its p K
+    predecessors with ``[A_p' .. A_1']``, summed pairwise in a fixed
+    order by elementwise operations over the samples.  A BLAS product
+    would round differently with the number of samples (gemv for one,
+    gemm for several); this way every sample gets the same bits in any
+    batch, alone or in a stack.
     """
     p = len(coefs)
     *batch, n, K = shocks.shape
-    c = 0.0 if intercept is None else intercept
-    coefs_t = [Ai.T for Ai in coefs]
-    out = np.empty((*batch, p + n, K))
-    out[..., :p, :] = initial
-    for t in range(p, p + n):
-        y = c + shocks[..., t - p, :]
-        for i, AiT in enumerate(coefs_t, start=1):
-            y = y + out[..., t - i, :] @ AiT
-        out[..., t, :] = y
-    return out
+    base = shocks if intercept is None else intercept + shocks
+    # time first and samples last, so that every step is a few long
+    # elementwise operations
+    b = np.ascontiguousarray(np.moveaxis(base.reshape(-1, n, K), 0, -1))
+    C = b.shape[-1]
+    start = np.broadcast_to(initial, (*batch, p, K)).reshape(C, p, K)
+    out = np.empty((p + n, K, C))
+    out[:p] = np.moveaxis(start, 0, -1)
+    if p == 0:
+        out[:] = b
+    else:
+        # row j of a step's terms holds the products of the j-th of the
+        # p K predecessors with row j of W = [A_p' .. A_1']
+        W = np.concatenate([np.asarray(A).T for A in reversed(coefs)])
+        W = W[:, :, None]
+        window = out.reshape((p + n) * K, 1, C)
+        width = 1 << (p * K - 1).bit_length()  # rows past p K stay zero
+        terms = np.zeros((width, K, C))
+        products, total = terms[: p * K], terms[0]
+        halves = []
+        while width > 1:
+            width //= 2
+            halves.append((terms[:width], terms[width : 2 * width]))
+        for t in range(n):
+            np.multiply(window[t * K : (t + p) * K], W, products)
+            for low, high in halves:
+                np.add(low, high, low)
+            np.add(b[t], total, out[t + p])
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(
+        *batch, p + n, K)
 
 
 def simulate_var(coefs, intercept, innovations, initial) -> np.ndarray:

@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .errors import (
     DimensionMismatchError,
     InconsistentNormalizationError,
     NotPositiveDefiniteError,
 )
-from .linalg import MEMORY_BUDGET, ql_decompose, solve_unit_lower
+from .linalg import (MEMORY_BUDGET, cholesky_lower, ql_decompose,
+                     solve_unit_lower, unit_lower_inverse)
 from .model import ReducedVar, VarmaModel
 
 __all__ = [
@@ -88,7 +88,17 @@ class TransmissionOrdering:
         return self.labels.index(name) + 1
 
 
-def _check_ordering(ordering: TransmissionOrdering, var_names) -> None:
+def _check_grid(ordering: TransmissionOrdering, var_names, h: int) -> None:
+    """Reject a negative horizon, ``(h+1)K x K`` shock columns over
+    ``MEMORY_BUDGET`` and an ordering that does not match ``var_names``."""
+    K = len(var_names)
+    if h < 0:
+        raise ValueError("horizon must be >= 0")
+    if 8 * (h + 1) * K * K > MEMORY_BUDGET:
+        raise ValueError(
+            f"horizon {h} at K={K} needs {8 * (h + 1) * K * K} bytes of "
+            f"shock columns, over the {MEMORY_BUDGET}-byte budget"
+        )
     if sorted(ordering.labels) != sorted(str(n) for n in var_names):
         raise ValueError("ordering labels do not match the model's variables")
     for r, orig in enumerate(ordering.dest):
@@ -161,8 +171,8 @@ def _stacked(blocks, h: int) -> np.ndarray:
 
 
 def _triangular_form(source, ordering: TransmissionOrdering, h: int):
-    """``(B_blocks, L, blocks, Q)``: the triangular form of ``source``
-    under ``ordering`` on horizons ``0..h``.
+    """``(B_blocks, blocks, Q, impact_maps)``: the triangular form of
+    ``source`` under ``ordering`` on horizons ``0..h``.
 
     A structural :class:`VarmaModel` has its column-permuted
     contemporaneous matrix QL-factored, ``A0 T' = Q L``; a
@@ -173,44 +183,59 @@ def _triangular_form(source, ordering: TransmissionOrdering, h: int):
     ``I - D L`` and the lag-``i`` blocks ``D Q' A_i`` for ``i <= h`` (in
     permuted coordinates), and ``blocks`` are the orthogonalised Omega
     blocks ``[D, D Psibar_1, ...]`` with ``Psibar_j = Q' Psi_j Q``; the
-    structural ``Omega`` blocks are these times ``Q'``.  Pre-sample
-    terms are dropped: only a time-0 shock propagates.  The ``(h+1)K x
-    K`` shock columns must fit ``MEMORY_BUDGET`` (``ValueError``).
+    structural ``Omega`` blocks are these times ``Q'``, and those of
+    one shock with permuted impact column ``q`` are ``impact_maps``
+    times ``q``, the blocks times ``L``.  Pre-sample terms are dropped:
+    only a time-0 shock propagates.  The ``(h+1)K x K`` shock columns
+    must fit ``MEMORY_BUDGET`` (``ValueError``).
     """
     if not isinstance(source, (VarmaModel, ReducedVar)):
         raise TypeError(f"unsupported source type: {type(source).__name__}")
     K = source.K
-    if h < 0:
-        raise ValueError("horizon must be >= 0")
-    if 8 * (h + 1) * K * K > MEMORY_BUDGET:
-        raise ValueError(
-            f"horizon {h} at K={K} needs {8 * (h + 1) * K * K} bytes of "
-            f"shock columns, over the {MEMORY_BUDGET}-byte budget"
-        )
-    _check_ordering(ordering, source.var_names)
+    _check_grid(ordering, source.var_names, h)
     dest = list(ordering.dest)
-    if isinstance(source, VarmaModel):
-        Q, L = ql_decompose(source.A0[:, dest])
-        lags = [Ai[:, dest] for Ai in source.A]
-        psi = source.Psi
-    else:
-        try:
-            P = np.linalg.cholesky(source.sigma_u[np.ix_(dest, dest)])
-        except np.linalg.LinAlgError as exc:
+    if isinstance(source, ReducedVar):
+        B_blocks, DL, d, ok = _reduced_form(
+            source.sigma_u, np.reshape(source.coefs, (source.p, K, K)), dest, h
+        )
+        if not ok:
             raise NotPositiveDefiniteError(
                 "permuted residual covariance has no Cholesky factor"
-            ) from exc
-        L = dtrtri(P, lower=1)[0]
-        Q = np.eye(K)
-        lags = [L @ Ai[np.ix_(dest, dest)] for Ai in source.coefs]
-        psi = ()
+            )
+        return B_blocks, [np.diag(d)], np.eye(K), [DL]
+    Q, L = ql_decompose(source.A0[:, dest])
     d = 1.0 / np.diag(L)
     b_diag = -(d[:, None] * L)
     np.fill_diagonal(b_diag, 0.0)
     DQt = d[:, None] * Q.T
-    B_blocks = np.stack([b_diag] + [DQt @ Ai for Ai in lags[:h]])
-    blocks = [np.diag(d)] + [d[:, None] * (Q.T @ Pj @ Q) for Pj in psi[:h]]
-    return B_blocks, L, blocks, Q
+    B_blocks = np.stack([b_diag] + [DQt @ A[:, dest] for A in source.A[:h]])
+    blocks = [np.diag(d)] + [d[:, None] * (Q.T @ Psi @ Q)
+                             for Psi in source.Psi[:h]]
+    return B_blocks, blocks, Q, [b @ L for b in blocks]
+
+
+def _reduced_form(sigma_u, coefs, dest, h: int):
+    """Triangular form of a stack of reduced-form VARs, unchecked.
+
+    ``sigma_u`` is ``(..., K, K)`` and ``coefs`` ``(..., p, K, K)``, in
+    data order; ``dest`` is the ordering's permutation.  With ``P`` the
+    Cholesky factor of a permuted covariance, ``L = P^{-1}`` and ``D =
+    diag(P)``, ``D L`` is the unit lower-triangular inverse of ``P
+    D^{-1}``; ``B_blocks`` stacks ``I - D L`` and the lag blocks ``D L
+    A_i`` for ``i <= h`` (permuted), and the time-0 ``Omega`` block of a
+    permuted impact column ``q`` is ``D L q``.  Returns ``(B_blocks, D
+    L, diag(P), ok)``, with ``ok`` marking the positive-definite
+    covariances; the others are built from the identity.
+    """
+    rows, cols = np.ix_(dest, dest)
+    P, ok = cholesky_lower(sigma_u[..., rows, cols])
+    d = np.diagonal(P, axis1=-2, axis2=-1)
+    DL = unit_lower_inverse(P / d[..., None, :])
+    b_diag = -DL
+    K = len(dest)
+    b_diag[..., range(K), range(K)] = 0.0
+    lags = DL[..., None, :, :] @ coefs[..., :h, rows, cols]
+    return np.concatenate([b_diag[..., None, :, :], lags], axis=-3), DL, d, ok
 
 
 def make_systems_form(model: VarmaModel, ordering: TransmissionOrdering,
@@ -224,7 +249,7 @@ def make_systems_form(model: VarmaModel, ordering: TransmissionOrdering,
     stack ``D Q'`` over the MA blocks ``D Q' Psi_j``.
     """
     K = model.K
-    B_blocks, _, blocks, Q = _triangular_form(model, ordering, h)
+    B_blocks, blocks, Q, _ = _triangular_form(model, ordering, h)
     return SystemsForm(K=K, h=h, B_blocks=B_blocks,
                        omega=_stacked([block @ Q.T for block in blocks], h),
                        ordering=ordering,
@@ -248,7 +273,7 @@ def cholesky_irfs(source, ordering: TransmissionOrdering, h: int) -> np.ndarray:
     model.  The orthogonalisation is a computational device tied to the
     ordering, not an identification claim.
     """
-    B_blocks, _, blocks, _ = _triangular_form(source, ordering, h)
+    B_blocks, blocks, _, _ = _triangular_form(source, ordering, h)
     return solve_unit_lower(B_blocks, _stacked(blocks, h))
 
 
@@ -271,8 +296,8 @@ def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
         raise InconsistentNormalizationError(
             f"impact column has length {impact.shape[0]}, expected K={K}"
         )
-    B_blocks, L, blocks, _ = _triangular_form(reduced, ordering, h)
-    q_col = L @ impact[list(ordering.dest)]
+    B_blocks, _, _, maps = _triangular_form(reduced, ordering, h)
+    q_col = impact[list(ordering.dest)]
     return SystemsForm(K=K, h=h, B_blocks=B_blocks,
-                       omega=_stacked([b @ q_col for b in blocks], h)[:, None],
+                       omega=_stacked([M @ q_col for M in maps], h)[:, None],
                        ordering=ordering, shock_labels=(shock_label,))

@@ -341,6 +341,22 @@ class TestBootstrap:
         code = main(self.boot_args(var_data, tmp_path / "e.csv"))
         assert code == 4
 
+    def test_summary_lists_discards_by_reason(self, tmp_path, var_data,
+                                              monkeypatch, capsys):
+        import tca.inference
+
+        original = tca.inference._ols
+
+        def first_draw_rank_deficient(XY, k):
+            coef, ssr, rank = original(XY, k)
+            return coef, ssr, np.where(np.arange(len(rank)) == 0, 0, rank)
+
+        monkeypatch.setattr(tca.inference, "_ols", first_draw_rank_deficient)
+        args = self.boot_args(var_data, tmp_path / "e.csv")[:-1]
+        assert main(args) == 0
+        assert ("reps=25 discarded=1 RankDeficientRegressorsError=1 "
+                in capsys.readouterr().out)
+
 
 class TestSpendingNewsStyleRun:
     def test_or_chain_channel_and_complement_stack(self, tmp_path):

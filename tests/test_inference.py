@@ -7,18 +7,21 @@ from tca import (
     TransmissionOrdering,
     estimate_var_ols,
     VarmaModel,
+    identify_internal_instrument,
     make_systems_form,
+    reconstruct_from_single_shock,
     simulate_var,
     transmission_effect,
 )
 from tca.errors import BootstrapUnstableError, RankDeficientRegressorsError
+import tca.inference as inf
 from tca.inference import (
     BootstrapSpec,
     InstrumentSpec,
     VarSpec,
-    _resample_and_regenerate,
+    _draw_effects,
+    _regenerate,
     bootstrap_effects,
-    n_threads,
     point_effects,
 )
 
@@ -35,6 +38,13 @@ def make_data(seed, T=800):
     rng = np.random.default_rng(seed)
     eps = rng.normal(size=(T, 2))
     return simulate_var([A0INV @ A1], None, eps @ A0INV.T, np.zeros((1, 2)))
+
+
+def regenerated(var, seed, draws):
+    """The samples ``_regenerate`` yields block by block, joined."""
+    blocks = list(_regenerate(var, seed, draws))
+    return np.concatenate([blocks[0]] + [b[:, var.p:] for b in blocks[1:]],
+                          axis=1)
 
 
 def run(data, seed=7, reps=50, level=0.9, cond="v2_0", freeze=False):
@@ -58,20 +68,6 @@ class TestBootstrapSpec:
             BootstrapSpec(replications=10, seed=1, level=1.0)
 
 
-class TestNThreads:
-    def test_cap_and_default(self, monkeypatch):
-        monkeypatch.setenv("TCA_THREADS", "1")
-        assert n_threads() == 1
-        monkeypatch.delenv("TCA_THREADS")
-        assert n_threads() >= 1
-
-    @pytest.mark.parametrize("value", ["two", "1.5", "0", "-3"])
-    def test_invalid_value_raises(self, monkeypatch, value):
-        monkeypatch.setenv("TCA_THREADS", value)
-        with pytest.raises(ValueError, match=repr(value)):
-            n_threads()
-
-
 class TestRegeneration:
     @pytest.mark.parametrize("K,p", [(2, 1), (3, 2), (4, 4)])
     def test_each_draw_is_simulate_var_on_its_residuals(self, K, p):
@@ -80,18 +76,18 @@ class TestRegeneration:
         data = simulate_var(coefs, rng.normal(size=K),
                             rng.normal(size=(300, K)), np.zeros((p, K)))
         var = estimate_var_ols(data, p)
-        spec = BootstrapSpec(replications=6, seed=11)
-        samples = _resample_and_regenerate(var, spec)
+        seed = 11
+        samples = regenerated(var, seed, range(6))  # in blocks of QR_ROWS
         n = data.shape[0] - p
-        for r in range(spec.replications):
-            idx = np.random.default_rng((spec.seed, r)).integers(0, n, size=n)
+        assert n > inf.QR_ROWS
+        for r in range(6):
+            idx = np.random.default_rng((seed, r)).integers(0, n, size=n)
             expected = simulate_var(var.coefs, var.intercept,
                                     var.residuals[idx], data[:p])
-            # one recursion, but a batch of draws multiplies through BLAS
-            # gemm and a single sample through gemv, whose roundings can
-            # differ in the last bit (they do here at K = 4)
-            gap = np.max(np.abs(samples[r] - expected))
-            assert gap <= 1e-15 * np.max(np.abs(expected))
+            # one recursion, whose rounding depends neither on the batch
+            # nor on the blocks
+            assert np.array_equal(samples[r], expected)
+        assert np.array_equal(regenerated(var, seed, [4]), samples[4:5])
 
 
 class TestBootstrapEffects:
@@ -132,6 +128,23 @@ class TestBootstrapEffects:
         )
         assert np.array_equal(bands.point["channel"], var_table.channel)
 
+    @pytest.mark.parametrize("name", ["var4", "static"])
+    def test_point_effects_is_the_single_shock_route(self, name):
+        # the batched kernels of point_effects against the public route:
+        # identification, one-shock reconstruction, transmission_effect
+        data, var_spec, ordering, cond, h, _ = _policy_case(name)
+        K = data.shape[1]
+        names = tuple(ordering.labels[ordering.dest.index(i)] for i in range(K))
+        var = estimate_var_ols(data, var_spec.lags, var_spec.intercept, names)
+        table, scale = point_effects(var, InstrumentSpec(2, 0.25), ordering,
+                                     cond, h)
+        col = identify_internal_instrument(var, 2, 0.25, h)
+        public = transmission_effect(
+            reconstruct_from_single_shock(var, ordering, col.phi[:K], h), cond)
+        assert scale == col.scale
+        for kind in ("total", "channel", "complement"):
+            assert np.array_equal(getattr(table, kind), getattr(public, kind))
+
     def test_draw_wise_decomposition_identity(self):
         # the complement bands of a condition coincide with the channel
         # bands of its negation: the identity holds draw by draw
@@ -156,38 +169,164 @@ class TestBootstrapEffects:
         assert not np.array_equal(renorm.lower["channel"], frozen.lower["channel"])
 
     def test_unstable_bootstrap_raises(self, monkeypatch):
-        import tca.inference as inf
-
         data = make_data(7)
-        original = inf.estimate_var_ols
-        full_sample = {}
+        original = inf._ols
 
-        def flaky(d, p, intercept, names=None):
-            if not full_sample:
-                full_sample["done"] = True
-                return original(d, p, intercept, names)
-            raise RankDeficientRegressorsError("forced degenerate draw")
+        def flaky(XY, k):  # every draw's refit is rank deficient
+            coef, ssr, rank = original(XY, k)
+            return coef, ssr, np.zeros_like(rank)
 
-        monkeypatch.setattr(inf, "estimate_var_ols", flaky)
-        with pytest.raises(BootstrapUnstableError):
+        monkeypatch.setattr(inf, "_ols", flaky)
+        with pytest.raises(BootstrapUnstableError,
+                           match="20 of 20 .*RankDeficientRegressorsError=20"):
             run(data, reps=20)
 
     def test_discarded_share_within_limit_is_reported(self, monkeypatch):
-        import tca.inference as inf
-
         data = make_data(8)
-        original = inf.estimate_var_ols
-        calls = {"n": 0}
+        original = inf._ols
+        seen = {"n": 0}
 
-        def sometimes(d, p, intercept, names=None):
-            calls["n"] += 1
-            if calls["n"] == 5:  # exactly one degenerate draw
-                raise RankDeficientRegressorsError("forced")
-            return original(d, p, intercept, names)
+        def sometimes(XY, k):  # exactly one degenerate draw, the fifth
+            coef, ssr, rank = original(XY, k)
+            first = seen["n"]
+            seen["n"] += len(rank)
+            if first <= 4 < seen["n"]:
+                rank = rank.copy()
+                rank[4 - first] = 0
+            return coef, ssr, rank
 
-        monkeypatch.setattr(inf, "estimate_var_ols", sometimes)
+        monkeypatch.setattr(inf, "_ols", sometimes)
         bands = run(data, reps=40)
         assert bands.discarded == 1
+        assert bands.discarded_by == {"RankDeficientRegressorsError": 1}
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 7 * (4 * 799 + 8 * 256 * 5)],
+                             ids=["default_chunks", "chunks_of_7"])
+    def test_one_bad_draw_in_a_chunk_discards_that_draw_only(
+            self, monkeypatch, chunk_bytes):
+        # draw 9 gets a covariance that is not positive definite, or
+        # regressors of deficient rank; either way it alone is dropped,
+        # so the bands agree to the bit, and only the reason differs
+        data = make_data(9)
+        if chunk_bytes is not None:  # chunks of 7: draw 9 is in the second
+            monkeypatch.setattr(inf, "CHUNK_BYTES", chunk_bytes)
+        clean = run(data, reps=40)
+        original = inf._ols
+
+        def spoil(kind):
+            seen = {"n": 0}
+
+            def ols(XY, k):
+                coef, ssr, rank = original(XY, k)
+                first = seen["n"]
+                seen["n"] += len(rank)
+                if first <= 9 < seen["n"]:
+                    ssr, rank = ssr.copy(), rank.copy()
+                    if kind == "not_pd":
+                        ssr[9 - first] *= -1.0
+                    else:
+                        rank[9 - first] = 0
+                return coef, ssr, rank
+            return ols
+
+        monkeypatch.setattr(inf, "_ols", spoil("not_pd"))
+        not_pd = run(data, reps=40)
+        monkeypatch.setattr(inf, "_ols", spoil("rank"))
+        rank = run(data, reps=40)
+        assert clean.discarded_by == {}
+        assert not_pd.discarded_by == {"NotPositiveDefiniteError": 1}
+        assert rank.discarded_by == {"RankDeficientRegressorsError": 1}
+        for kind in ("total", "channel", "complement"):
+            assert np.array_equal(not_pd.lower[kind], rank.lower[kind])
+            assert np.array_equal(not_pd.upper[kind], rank.upper[kind])
+        assert not np.array_equal(clean.lower["channel"], rank.lower["channel"])
+
+
+def _policy_case(name):
+    """Data, settings and condition of a chunk-invariance case."""
+    rng = np.random.default_rng(4040)
+    if name == "static":  # p = 0 and h = 0: the static recursive DGP
+        A0inv = np.linalg.inv(np.array([[1.0, 0.0, 0.0], [-0.5, 1.0, 0.0],
+                                        [-0.8, -1.5, 1.0]]))
+        data = rng.normal(size=(400, 3)) @ A0inv.T
+        ordering = TransmissionOrdering.from_names(("x", "pi", "i"),
+                                                   ("x", "i", "pi"))
+        return data, VarSpec(lags=0), ordering, "pi_0", 0, False
+    coefs = stable_var_coefs(rng, 4, 4, radius=0.6)
+    data = simulate_var(coefs, rng.normal(size=4) if name != "no_intercept"
+                        else None, rng.normal(size=(300, 4)), np.zeros((4, 4)))
+    names = ("ffr", "ygap", "infl", "pcom")
+    ordering = TransmissionOrdering.from_names(names,
+                                               ("ffr", "pcom", "infl", "ygap"))
+    spec = VarSpec(lags=4, intercept=name != "no_intercept")
+    cond = "!ffr_0 & (pcom_1 | infl_2)"
+    return data, spec, ordering, cond, 3, name == "frozen"
+
+
+class TestChunking:
+    @pytest.mark.parametrize("name", ["var4", "frozen", "static",
+                                      "no_intercept"])
+    def test_chunk_size_does_not_change_bands(self, monkeypatch, name):
+        data, var_spec, ordering, cond, h, freeze = _policy_case(name)
+        p, K = var_spec.lags, data.shape[1]
+        n = data.shape[0] - p
+        draw_bytes = 4 * n + 8 * min(n, inf.QR_ROWS) * (
+            int(var_spec.intercept) + K * p + K)
+        sizes = []
+        original = inf._draw_effects
+
+        def spy(*args):
+            sizes.append(len(args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(inf, "_draw_effects", spy)
+        runs = {}
+        for chunk in (None, 1, 7):  # the default first
+            if chunk is not None:
+                monkeypatch.setattr(inf, "CHUNK_BYTES", chunk * draw_bytes)
+            sizes.clear()
+            runs[chunk] = bootstrap_effects(
+                data, var_spec, InstrumentSpec(normalize_on=1, impact=0.25),
+                ordering, cond,
+                BootstrapSpec(replications=30, seed=17,
+                              freeze_normalization=freeze), h)
+            assert sizes == ([30] if chunk is None else
+                             [min(chunk, 30 - s) for s in range(0, 30, chunk)])
+        for chunk in (1, 7):
+            for part in ("lower", "upper"):
+                for kind in ("total", "channel", "complement"):
+                    a = getattr(runs[chunk], part)[kind]
+                    b = getattr(runs[None], part)[kind]
+                    assert a.tobytes() == b.tobytes()
+        assert runs[None].discarded == 0
+
+    @pytest.mark.parametrize("name", ["var4", "frozen", "no_intercept"])
+    def test_each_draw_is_its_own_point_estimate(self, name):
+        # the stacked refit of a draw against estimate_var_ols plus
+        # point_effects on the same regenerated sample
+        data, var_spec, ordering, cond, h, freeze = _policy_case(name)
+        names = tuple(ordering.labels[ordering.dest.index(i)]
+                      for i in range(data.shape[1]))
+        ident = InstrumentSpec(normalize_on=1, impact=0.25)
+        var = estimate_var_ols(data, var_spec.lags, var_spec.intercept, names)
+        _, full_scale = point_effects(var, ident, ordering, cond, h)
+        override = full_scale if freeze else None
+        parsed = inf.parse_condition(cond, ordering.labels, var.K, h)
+        draws = range(3, 15)
+        total, channel, code = _draw_effects(
+            var, ident, ordering.dest, parsed.root, h, override, 23, draws)
+        samples = regenerated(var, 23, draws)
+        assert np.all(code == 0)
+        for r in range(len(draws)):
+            refit = estimate_var_ols(samples[r], var_spec.lags,
+                                     var_spec.intercept, names)
+            table, _ = point_effects(refit, ident, ordering, parsed, h,
+                                     scale_override=override)
+            for got, want in ((total[r], table.total),
+                              (channel[r], table.channel)):
+                want = want.reshape(-1)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
 
 class TestStaticDgpClosedForms:

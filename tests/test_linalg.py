@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import dense_blocks, dense_solve
 from tca.errors import DimensionMismatchError, SingularMatrixError
-from tca.linalg import ql_decompose, solve_unit_lower
+from tca.linalg import (cholesky_lower, ql_decompose, solve_unit_lower,
+                         unit_lower_inverse)
 
 
 class TestQlDecompose:
@@ -144,3 +145,29 @@ class TestSolveUnitLower:
         with pytest.raises(DimensionMismatchError):  # a dense square B
             solve_unit_lower(np.zeros((3, 3)), np.ones(3))
 
+
+
+class TestStackedFactors:
+    def test_cholesky_flags_only_the_failing_matrix(self, rng):
+        S = rng.normal(size=(5, 4, 4))
+        S = S @ np.swapaxes(S, -1, -2) + 0.1 * np.eye(4)
+        S[2, 3, 3] = -1.0  # no longer positive definite
+        P, ok = cholesky_lower(S)
+        assert ok.tolist() == [True, True, False, True, True]
+        assert np.array_equal(P[2], np.eye(4))
+        for i in (0, 1, 3, 4):
+            assert np.allclose(P[i], np.linalg.cholesky(S[i]),
+                               rtol=1e-13, atol=1e-13)
+            assert np.all(np.triu(P[i], 1) == 0.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 6])
+    def test_unit_lower_inverse_of_a_stack(self, rng, m):
+        M = np.tril(rng.normal(size=(7, m, m)), -1) + np.eye(m)
+        X = unit_lower_inverse(M)
+        for i in range(7):
+            assert np.array_equal(X[i], np.tril(X[i]))
+            assert np.allclose(X[i], unit_lower_inverse(M[i]),
+                               rtol=1e-13, atol=1e-13)
+            # the same bits alone as in the stack
+            assert X[i].tobytes() == unit_lower_inverse(M[i : i + 1])[0].tobytes()
+        assert np.allclose(M @ X, np.eye(m), atol=1e-12)

@@ -72,6 +72,14 @@ class TestEstimateVarOls:
         with pytest.raises(ValueError):
             estimate_var_ols(np.random.default_rng(0).normal(size=(5, 2)), 2)
 
+    @pytest.mark.parametrize("K, p", [(2, 2), (3, 2)])
+    def test_fewer_rows_than_regressors_is_rank_deficient(self, K, p):
+        # T = K p + p passes the length check but leaves T - p = K p rows
+        # for K p + 1 regressors
+        data = np.random.default_rng(0).normal(size=(K * p + p, K))
+        with pytest.raises(RankDeficientRegressorsError, match="rank"):
+            estimate_var_ols(data, p)
+
     def test_dof_correction(self):
         rng = np.random.default_rng(3)
         data = simulate(rng, [np.array([[0.2]])], 100)
