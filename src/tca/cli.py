@@ -218,8 +218,13 @@ def verify_effects_csv(path: str) -> int:
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            total = float(row[i_total])
-            acc = sum(float(row[i]) for i in i_channels) + float(row[i_comp])
+            try:
+                total = float(row[i_total])
+                acc = sum(float(row[i]) for i in i_channels) + float(row[i_comp])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: non-numeric value in {row!r}"
+                ) from None
             # a NaN or infinite gap fails too
             if not abs(acc - total) / max(1.0, abs(total)) <= IDENTITY_RTOL:
                 raise ValueError(
@@ -246,6 +251,16 @@ def _parse_normalize(text: str):
     if not sep or not np.isfinite(float(value)):
         raise ValueError("--normalize must be name=value with a finite value")
     return name.strip(), float(value)
+
+
+def _shock_index(text: str, K: int) -> int:
+    try:
+        shock = int(text)
+    except ValueError:
+        raise ValueError(f"--shock must be a 1-based index, got {text!r}") from None
+    if not 1 <= shock <= K:
+        raise ValueError(f"--shock must be in 1..{K}")
+    return shock
 
 
 def _build_ordering(var_names, order_names, instrument_first: bool):
@@ -346,19 +361,11 @@ def cmd_transmission(args) -> int:
             model, ordering, normalize, args.condition, args.horizon, args.xi
         )
     else:
-        try:
-            shock = int(args.shock)
-        except ValueError:
-            raise ValueError(
-                f"--shock must be 'instrument' or a 1-based index, "
-                f"got {args.shock!r}"
-            ) from None
         if isinstance(model, ReducedVar):
             raise ValueError(
                 "reduced-form models identify shocks via --shock instrument"
             )
-        if not 1 <= shock <= model.K:
-            raise ValueError(f"--shock must be in 1..{model.K}")
+        shock = _shock_index(args.shock, model.K)
         tables = _structural_tables(
             model, ordering, shock, args.condition, args.horizon, args.xi,
             normalize,
@@ -432,9 +439,7 @@ def cmd_paths(args) -> int:
         raise ValueError("path listing needs a structural model file")
     ordering = _build_ordering(model.var_names, _split_order(args.order),
                                False)
-    shock = int(args.shock)
-    if not 1 <= shock <= model.K:
-        raise ValueError(f"--shock must be in 1..{model.K}")
+    shock = _shock_index(args.shock, model.K)
     sf = make_systems_form(model, ordering, args.horizon)
     target_cond = parse_condition(
         args.target, ordering.labels, model.K, args.horizon

@@ -603,7 +603,7 @@ def effect_from_irfs(phi_col, phi_tilde, cond, xi: float = 1.0,
     """
     if not isinstance(cond, TransmissionCondition):
         raise TypeError("cond must be a parsed TransmissionCondition")
-    phi_col = np.asarray(phi_col, dtype=float).reshape(-1)
+    phi_col = as_matrix(np.reshape(phi_col, (1, -1)), "phi_col")[0]
     phi_tilde = as_matrix(phi_tilde, "phi_tilde")
     n, K = cond.size, cond.K
     if phi_col.shape[0] != n or phi_tilde.shape != (n, K):

@@ -8,7 +8,6 @@ functions on immutable inputs and are safe to call concurrently.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
@@ -112,21 +111,16 @@ def cholesky_lower(S):
 def unit_lower_inverse(M) -> np.ndarray:
     """Inverses of unit lower-triangular matrices ``(..., m, m)``.
 
-    One matrix goes to LAPACK ``dtrtri``.  A stack is inverted by
-    forward substitution, one row of every matrix per step, so the
-    Python work grows with m and not with the stack, and every matrix
-    gets the same bits in any stack.  numpy's general inverse would
-    pivot and leave rounding above the diagonal.
+    Every matrix is inverted through its transpose, a unit
+    upper-triangular matrix, by LAPACK's LU solve.  Each column of that
+    transpose holds 1 on the diagonal and exact zeros below it, so
+    partial pivoting swaps no rows, the lower LU factor is the identity
+    and the solve is a plain back substitution: the upper triangle of
+    every inverse is exactly 0 and its diagonal exactly 1.  numpy runs
+    one solve per matrix, so a matrix gets the same bits in any stack.
     """
     M = np.asarray(M, dtype=float)
-    m = M.shape[-1]
-    if M.ndim == 2:
-        return dtrtri(M, lower=1, unitdiag=1)[0] if m else M.copy()
-    X = np.zeros(M.shape)
-    X[..., range(m), range(m)] = 1.0
-    for i in range(1, m):
-        X[..., i, :i] = -(M[..., i : i + 1, :i] @ X[..., :i, :i])[..., 0, :]
-    return X
+    return np.swapaxes(np.linalg.inv(np.swapaxes(M, -1, -2)), -1, -2)
 
 
 def solve_unit_lower(B_blocks, rhs) -> np.ndarray:

@@ -107,6 +107,8 @@ class ReducedVar:
         names = tuple(str(n) for n in self.var_names)
         object.__setattr__(self, "var_names", names)
         K = len(names)
+        if len(set(names)) != K:
+            raise ValueError("variable names must be unique")
         mats = []
         for i, m in enumerate(self.coefs):
             m = as_matrix(m, f"coefs[{i}]", square=True)
@@ -392,7 +394,11 @@ def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
             raise DimensionMismatchError(f"control index {i} out of 1..{K}")
         if i == shock_var:
             raise ValueError("shock_var cannot appear in ordered_before")
-    H = int(horizons)
+    H, lags = int(horizons), int(lags)
+    if H < 0:
+        raise ValueError(f"horizons must be >= 0, got {H}")
+    if lags < 0:
+        raise ValueError(f"lags must be >= 0, got {lags}")
     n_reg = 2 + len(before) + lags * K
     if T - H - lags <= n_reg:
         raise ValueError(

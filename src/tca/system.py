@@ -23,7 +23,7 @@ from .errors import (
     InconsistentNormalizationError,
     NotPositiveDefiniteError,
 )
-from .linalg import (MEMORY_BUDGET, cholesky_lower, ql_decompose,
+from .linalg import (MEMORY_BUDGET, as_matrix, cholesky_lower, ql_decompose,
                      solve_unit_lower, unit_lower_inverse)
 from .model import ReducedVar, VarmaModel
 
@@ -291,7 +291,7 @@ def reconstruct_from_single_shock(reduced, ordering: TransmissionOrdering,
     applied to ``L`` times the permuted impact column.
     """
     K = reduced.K
-    impact = np.asarray(phi_col, dtype=float).reshape(-1)
+    impact = as_matrix(np.reshape(phi_col, (1, -1)), "phi_col")[0]
     if impact.shape[0] != K:
         raise InconsistentNormalizationError(
             f"impact column has length {impact.shape[0]}, expected K={K}"

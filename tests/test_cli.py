@@ -112,6 +112,16 @@ class TestEstimate:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_duplicate_names_exit_2(self, tmp_path, rng, capsys):
+        path = tmp_path / "dup.csv"
+        write_csv(path, ["a", "a", "b"], rng.normal(size=(60, 3)))
+        out = tmp_path / "m.json"
+        code = main(["estimate", "--data", str(path), "--lags", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "variable names must be unique" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTransmission:
     def test_worked_example_values(self, tmp_path, model3_path):
@@ -460,6 +470,19 @@ class TestPaths:
         assert "zero_tol must be finite and >= 0" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["paths", "transmission"])
+    def test_non_integer_shock_exits_2(self, tmp_path, model3_path, capsys,
+                                       command):
+        extra = (["--target", "i_0"] if command == "paths" else
+                 ["--condition", "pi_0", "--out", str(tmp_path / "e.csv")])
+        code = main([
+            command, "--model", str(model3_path), "--order", "x,pi,i",
+            "--shock", "one", "--horizon", "0", *extra,
+        ])
+        assert code == 2
+        assert ("--shock must be a 1-based index, got 'one'"
+                in capsys.readouterr().err)
+
     def test_reduced_model_rejected(self, tmp_path, var_data, capsys):
         model = tmp_path / "m.json"
         main(["estimate", "--data", str(var_data), "--lags", "1",
@@ -522,6 +545,14 @@ class TestVerify:
             write_effects_csv(tmp_path / "e.csv", [table])
         with pytest.raises(ParseError, match="do not partition"):
             _assert_partition([table])
+
+    def test_non_numeric_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        path.write_text("variable,horizon,total,channel,complement\n"
+                        "a,0,1,0.25,0.75\na,1,abc,0,0\n")
+        assert main(["verify", str(path)]) == 2
+        assert (f"{path}:3: non-numeric value in ['a', '1', 'abc', '0', '0']"
+                in capsys.readouterr().err)
 
     def test_short_row_exits_2(self, tmp_path, capsys):
         path = tmp_path / "e.csv"

@@ -675,6 +675,18 @@ class TestEffectFromIrfs:
         with pytest.raises(DimensionMismatchError):  # the dense n x n grid
             effect_from_irfs(phi, np.eye(6), cond)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_irf_column(self, rng, bad):
+        m = random_varma(rng, K=3, ell=1)
+        ordering = random_ordering(rng, m.var_names)
+        sf = make_systems_form(m, ordering, 1)
+        phi = irf_total(sf)[:, 0]
+        phi[4] = bad
+        pt = cholesky_irfs(m, ordering, 1)
+        cond = parse_condition("x2", ordering.labels, 3, 1)
+        with pytest.raises(ValueError, match="phi_col contains non-finite"):
+            effect_from_irfs(phi, pt, cond)
+
     def test_ratio_matrix_works_like_full_matrix(self, rng):
         # only ratios of the orthogonalised IRFs enter, so a matrix
         # normalised to unit diagonal gives identical results

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from oracles import dense_blocks, dense_solve
 from tca.errors import DimensionMismatchError, SingularMatrixError
@@ -160,14 +165,28 @@ class TestStackedFactors:
                                rtol=1e-13, atol=1e-13)
             assert np.all(np.triu(P[i], 1) == 0.0)
 
-    @pytest.mark.parametrize("m", [0, 1, 6])
+    @pytest.mark.parametrize("m", [0, 1, 6, 200])
     def test_unit_lower_inverse_of_a_stack(self, rng, m):
-        M = np.tril(rng.normal(size=(7, m, m)), -1) + np.eye(m)
-        X = unit_lower_inverse(M)
-        for i in range(7):
-            assert np.array_equal(X[i], np.tril(X[i]))
-            assert np.allclose(X[i], unit_lower_inverse(M[i]),
-                               rtol=1e-13, atol=1e-13)
-            # the same bits alone as in the stack
-            assert X[i].tobytes() == unit_lower_inverse(M[i : i + 1])[0].tobytes()
-        assert np.allclose(M @ X, np.eye(m), atol=1e-12)
+        for batch in [(7,), (2, 3)]:
+            M = np.tril(rng.normal(size=(*batch, m, m)), -1) / np.sqrt(max(m, 1))
+            M += np.eye(m)
+            X = unit_lower_inverse(M)
+            assert X.shape == M.shape
+            assert np.all(np.triu(X, 1) == 0.0)
+            assert np.all(np.diagonal(X, axis1=-2, axis2=-1) == 1.0)
+            for i in np.ndindex(batch):
+                reference = solve_triangular(M[i], np.eye(m), lower=True,
+                                             unit_diagonal=True)
+                assert np.allclose(X[i], reference, rtol=1e-13, atol=1e-13)
+                # the same bits alone as in the stack
+                assert X[i].tobytes() == unit_lower_inverse(M[i]).tobytes()
+            assert np.allclose(M @ X, np.eye(m), atol=1e-12)
+
+
+def test_package_imports_without_scipy():
+    code = ("import sys, tca, tca.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

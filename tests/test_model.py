@@ -80,6 +80,13 @@ class TestEstimateVarOls:
         with pytest.raises(RankDeficientRegressorsError, match="rank"):
             estimate_var_ols(data, p)
 
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="variable names must be unique"):
+            ReducedVar(var_names=("a", "a", "b"), coefs=(), sigma_u=np.eye(3))
+        data = np.random.default_rng(5).normal(size=(60, 3))
+        with pytest.raises(ValueError, match="variable names must be unique"):
+            estimate_var_ols(data, 1, var_names=("a", "a", "b"))
+
     def test_dof_correction(self):
         rng = np.random.default_rng(3)
         data = simulate(rng, [np.array([[0.2]])], 100)
@@ -203,6 +210,15 @@ class TestEstimateLpIrfs:
         with pytest.raises(ValueError, match="too few"):
             estimate_lp_irfs(rng.normal(size=(20, 3)), 1, [], horizons=10,
                              lags=4)
+
+    def test_negative_horizons_rejected(self, rng):
+        with pytest.raises(ValueError, match="horizons must be >= 0"):
+            estimate_lp_irfs(rng.normal(size=(200, 3)), 1, [], horizons=-1)
+
+    def test_negative_lags_rejected(self, rng):
+        with pytest.raises(ValueError, match="lags must be >= 0"):
+            estimate_lp_irfs(rng.normal(size=(200, 3)), 1, [], horizons=2,
+                             lags=-1)
 
 
 class TestSimulateVar:

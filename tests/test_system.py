@@ -296,6 +296,14 @@ class TestReconstructFromSingleShock:
                 m, identity_ordering(m), np.ones(4), 1
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_impact_rejected(self, rng, bad):
+        m = random_varma(rng, K=3)
+        with pytest.raises(ValueError, match="phi_col contains non-finite"):
+            reconstruct_from_single_shock(
+                m, identity_ordering(m), [1.0, bad, 0.0], 1
+            )
+
     def test_worked_example_decomposition_from_one_column(self):
         # only the demand-shock column is supplied; the downstream
         # direct/indirect split still matches the analytic forms
