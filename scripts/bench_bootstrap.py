@@ -44,7 +44,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: stage -> ``module.function`` names that do its work, in either the
 #: chunked code (``tca.inference`` imports its kernels by name) or the
-#: per-draw code it replaced; names a checkout lacks are skipped.
+#: per-draw code it replaced; names a checkout lacks are skipped.  In
+#: the chunked code the draws run the private kernels, while
+#: ``inference.identify_internal_instrument``,
+#: ``inference.reconstruct_from_single_shock`` and
+#: ``inference.transmission_effect`` time the full-sample point estimate
+#: that ``point_effects`` chains from them.
 STAGES = {
     "regenerate": ["inference._regenerate", "inference._resample_and_regenerate"],
     "ols": ["inference._lagged_design", "inference._ols",

@@ -31,16 +31,12 @@ from .errors import (
     ZeroImpactError,
 )
 from .graph import enumerate_paths
-from .inference import (
-    BootstrapSpec,
-    InstrumentSpec,
-    VarSpec,
-    bootstrap_effects,
-    point_effects,
-)
+from .inference import BootstrapSpec, InstrumentSpec, VarSpec, bootstrap_effects
 from .linalg import solve_unit_lower
-from .model import ReducedVar, VarmaModel, estimate_var_ols
-from .system import TransmissionOrdering, make_systems_form
+from .model import (ReducedVar, VarmaModel, estimate_var_ols,
+                    identify_internal_instrument)
+from .system import (TransmissionOrdering, make_systems_form,
+                     reconstruct_from_single_shock)
 
 IDENTITY_RTOL = 1e-8
 
@@ -246,11 +242,31 @@ def _split_order(text: str):
     return names
 
 
-def _parse_normalize(text: str):
-    name, sep, value = text.partition("=")
-    if not sep or not np.isfinite(float(value)):
-        raise ValueError("--normalize must be name=value with a finite value")
-    return name.strip(), float(value)
+def _parse_normalize(text):
+    """``(name, value)`` of a ``--normalize`` argument, ``None`` without one."""
+    if text is None:
+        return None
+    name, _, value = text.partition("=")
+    try:
+        value = float(value)
+    except ValueError:  # also a missing "="
+        value = np.nan
+    if not np.isfinite(value):
+        raise ValueError(
+            f"--normalize must be name=value with a finite value, got {text!r}"
+        )
+    return name.strip(), value
+
+
+def _instrument_spec(var_names, normalize) -> InstrumentSpec:
+    """The internal-instrument normalisation: ``--normalize`` must name a
+    variable of the model."""
+    if normalize is None:
+        raise ValueError("--shock instrument requires --normalize name=value")
+    name, value = normalize
+    if name not in var_names:
+        raise ValueError(f"unknown normalization variable {name!r}")
+    return InstrumentSpec(normalize_on=var_names.index(name) + 1, impact=value)
 
 
 def _shock_index(text: str, K: int) -> int:
@@ -278,46 +294,37 @@ def _build_ordering(var_names, order_names, instrument_first: bool):
     return TransmissionOrdering.from_names(names, wanted)
 
 
-def _structural_tables(model, ordering, shock, conditions, horizon, xi,
-                       normalize):
-    sf = make_systems_form(model, ordering, horizon)
-    if normalize is not None:
-        name, value = normalize
-        # B is strictly lower-triangular, so the horizon-0 block solves alone
-        K = sf.K
-        phi = solve_unit_lower(sf.B_blocks[:1], sf.omega[:K, shock - 1])
-        denom = phi[ordering.position(name) - 1]
-        # the scale-aware rule of identify_internal_instrument
-        if abs(denom) < 1e-12 * max(1.0, np.abs(phi).max()):
-            raise ZeroImpactError(
-                f"impact of shock {shock} on {name!r} is {denom:.3e}"
-            )
-        xi = value / denom
-    return [
-        transmission_effect(sf, cond, shock=shock, xi=xi)
-        for cond in conditions
-    ]
+def _tables(model, ordering, shock, normalize, conditions, horizon, xi):
+    """One effect table per condition, all priced on one systems form.
 
-
-def _instrument_tables(model, ordering, normalize, conditions, horizon, xi):
-    if not isinstance(model, ReducedVar):
-        raise ValueError(
-            "--shock instrument needs a reduced-form model; structural "
-            "models take a shock index"
-        )
-    if normalize is None:
-        raise ValueError("--shock instrument requires --normalize name=value")
-    name, value = normalize
-    if name not in model.var_names:
-        raise ValueError(f"unknown normalization variable {name!r}")
-    ident = InstrumentSpec(
-        normalize_on=model.var_names.index(name) + 1, impact=value
-    )
-    tables = []
-    for cond in conditions:
-        table, _ = point_effects(model, ident, ordering, cond, horizon, xi)
-        tables.append(table)
-    return tables, ident
+    ``shock`` is ``"instrument"`` for a reduced-form model, whose shock is
+    identified and rebuilt alone, or the 1-based shock index of a
+    structural model; ``normalize`` is ``(name, value)`` or ``None``.
+    """
+    if shock == "instrument":
+        ident = _instrument_spec(model.var_names, normalize)
+        col = identify_internal_instrument(model, ident.normalize_on,
+                                           ident.impact)
+        sf = reconstruct_from_single_shock(model, ordering, col.phi, horizon,
+                                           col.label)
+        shock = None
+    else:
+        sf = make_systems_form(model, ordering, horizon)
+        if normalize is not None:
+            name, value = normalize
+            # B is strictly lower-triangular, so the horizon-0 block solves
+            # alone
+            K = sf.K
+            phi = solve_unit_lower(sf.B_blocks[:1], sf.omega[:K, shock - 1])
+            denom = phi[ordering.position(name) - 1]
+            # the scale-aware rule of identify_internal_instrument
+            if abs(denom) < 1e-12 * max(1.0, np.abs(phi).max()):
+                raise ZeroImpactError(
+                    f"impact of shock {shock} on {name!r} is {denom:.3e}"
+                )
+            xi = value / denom
+    return [transmission_effect(sf, cond, shock=shock, xi=xi)
+            for cond in conditions]
 
 
 def _assert_partition(tables) -> None:
@@ -351,25 +358,22 @@ def cmd_estimate(args) -> int:
 
 def cmd_transmission(args) -> int:
     model = load_model_file(args.model)
-    normalize = _parse_normalize(args.normalize) if args.normalize else None
+    normalize = _parse_normalize(args.normalize)
     instrument = args.shock == "instrument"
+    if instrument and not isinstance(model, ReducedVar):
+        raise ValueError(
+            "--shock instrument needs a reduced-form model; structural "
+            "models take a shock index"
+        )
+    if not instrument and isinstance(model, ReducedVar):
+        raise ValueError(
+            "reduced-form models identify shocks via --shock instrument"
+        )
+    shock = "instrument" if instrument else _shock_index(args.shock, model.K)
     ordering = _build_ordering(model.var_names, _split_order(args.order),
                                instrument)
-
-    if instrument:
-        tables, _ = _instrument_tables(
-            model, ordering, normalize, args.condition, args.horizon, args.xi
-        )
-    else:
-        if isinstance(model, ReducedVar):
-            raise ValueError(
-                "reduced-form models identify shocks via --shock instrument"
-            )
-        shock = _shock_index(args.shock, model.K)
-        tables = _structural_tables(
-            model, ordering, shock, args.condition, args.horizon, args.xi,
-            normalize,
-        )
+    tables = _tables(model, ordering, shock, normalize, args.condition,
+                     args.horizon, args.xi)
 
     if args.assert_partition:
         _assert_partition(tables)
@@ -387,20 +391,15 @@ def cmd_bootstrap(args) -> int:
     names, data = read_data_csv(args.data)
     if len(args.condition) != 1:
         raise ValueError("bootstrap supports exactly one --condition")
-    normalize = _parse_normalize(args.normalize) if args.normalize else None
-    if normalize is None:
-        raise ValueError("bootstrap requires --normalize name=value")
     if args.shock != "instrument":
         raise ValueError("bootstrap identifies shocks via --shock instrument")
+    ident = _instrument_spec(names, _parse_normalize(args.normalize))
 
     ordering = _build_ordering(names, _split_order(args.order), True)
-    name, value = normalize
-    if name not in names:
-        raise ValueError(f"unknown normalization variable {name!r}")
     bands = bootstrap_effects(
         data,
         VarSpec(lags=args.lags, intercept=not args.no_intercept),
-        InstrumentSpec(normalize_on=names.index(name) + 1, impact=value),
+        ident,
         ordering,
         args.condition[0],
         BootstrapSpec(

@@ -6,16 +6,18 @@ estimated coefficients (holding the first ``p`` observations fixed),
 re-estimates, re-identifies the shock, and recomputes the effect
 decomposition.  Percentile intervals are taken across draws.
 
-Draws run in chunks of at most ``CHUNK_BYTES`` of working arrays, on
-one thread: each step of a chunk is one stacked numpy or LAPACK call
-over its draws, and the point estimate runs the same kernels without
-the draw axis.  A chunk is regenerated and refitted ``QR_ROWS`` periods at a
-time, so its memory does not grow with the sample length.  Every draw
-uses its own substream derived from ``(seed, draw index)`` and the
-kernels give each draw the same bits in any stack, so the bands are
-byte-identical at any chunk size.  A degenerate draw (rank-deficient
-regressors, a covariance that is not positive definite, a zero impact
-response) is flagged per draw and discarded.
+The point estimate is :func:`point_effects`, the public single-shock
+chain: identify the shock, rebuild its one-shock systems form, price the
+condition.  Draws run in chunks of at most ``CHUNK_BYTES`` of working
+arrays, on one thread: each step of a chunk is one stacked numpy or
+LAPACK call over its draws, and on a stack of one these kernels give
+the point estimate's bits.  A chunk is regenerated and refitted
+``QR_ROWS`` periods at a time, so its memory does not grow with the
+sample length.  Every draw uses its own substream derived from ``(seed,
+draw index)`` and the kernels give each draw the same bits in any
+stack, so the bands are byte-identical at any chunk size.  A degenerate
+draw (rank-deficient regressors, a covariance that is not positive
+definite, a zero impact response) is flagged per draw and discarded.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import (TERM_CAP, TransmissionCondition, _effects, _plan,
-                        _table, parse_condition)
+                        parse_condition, transmission_effect)
 from .errors import (
     BootstrapUnstableError,
     DimensionMismatchError,
@@ -36,8 +38,9 @@ from .errors import (
 from .linalg import as_matrix
 from .model import (QR_ROWS, ReducedVar, _instrument_impact, _lagged_design,
                     _ols, _split_coefficients, _var_recursion,
-                    estimate_var_ols)
-from .system import TransmissionOrdering, _check_grid, _reduced_form
+                    estimate_var_ols, identify_internal_instrument)
+from .system import (TransmissionOrdering, _reduced_form,
+                     reconstruct_from_single_shock)
 
 __all__ = [
     "BootstrapSpec",
@@ -134,47 +137,32 @@ class EffectBands:
 
 def point_effects(var: ReducedVar, ident: InstrumentSpec,
                   ordering: TransmissionOrdering, cond, h: int,
-                  xi: float = 1.0, scale_override: float | None = None):
-    """Effect table for one estimated VAR via the single-shock route.
+                  xi: float = 1.0):
+    """Effect table for one estimated VAR via the single-shock route:
+    :func:`~tca.model.identify_internal_instrument`, then
+    :func:`~tca.system.reconstruct_from_single_shock`, then
+    :func:`~tca.condition.transmission_effect`.
 
     Returns ``(table, scale)`` where ``scale`` is the normalisation
-    factor actually applied to the orthogonalised impact column.
+    factor applied to the orthogonalised impact column.
     """
-    K = var.K
-    if not 1 <= ident.normalize_on <= K:
-        raise DimensionMismatchError(f"normalize_on must be in 1..{K}")
-    _check_grid(ordering, var.var_names, h)
-    if isinstance(cond, str):
-        cond = parse_condition(cond, ordering.labels, K, h)
-    total, channel, scale, code = _price(
-        np.reshape(var.coefs, (var.p, K, K)), var.sigma_u, ident,
-        ordering.dest, cond.root, h, scale_override,
-    )
-    if code == _NOT_PD:
-        raise NotPositiveDefiniteError(
-            "residual covariance is not positive definite"
-        )
-    if code == _ZERO_IMPACT:
-        raise ZeroImpactError(
-            f"impact response of variable {ident.normalize_on} is zero to "
-            "tolerance; normalization is undefined"
-        )
-    table = _table(cond, ordering.labels,
-                   f"{var.var_names[0]} (internal instrument)", xi,
-                   total, channel)
-    return table, float(scale)
+    col = identify_internal_instrument(var, ident.normalize_on, ident.impact)
+    sf = reconstruct_from_single_shock(var, ordering, col.phi, h, col.label)
+    return transmission_effect(sf, cond, xi=xi), col.scale
 
 
 def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
            scale_override):
     """Identify the shock and price the condition ``root`` for reduced-form
-    VARs, unchecked.
+    VARs, unchecked: the stacked form of :func:`point_effects` that the
+    bootstrap draws run.
 
     ``coefs`` is ``(..., p, K, K)`` and ``sigma_u`` ``(..., K, K)``, where
     leading axes batch VARs.  Returns ``(total, channel, scale, code)``:
     the ``(..., (h+1)K)`` effects, the normalisation factors and the
     discard codes (0 for a usable VAR, else ``1 +`` the index of its
-    ``_DISCARDS`` class).
+    ``_DISCARDS`` class).  ``scale_override``, when given, replaces every
+    normalisation factor (a frozen normalisation).
     """
     raw, scale, pd, nonzero = _instrument_impact(sigma_u, ident.normalize_on,
                                                  ident.impact)

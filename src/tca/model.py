@@ -40,6 +40,26 @@ __all__ = [
 QR_ROWS = 256
 
 
+def _lag_matrices(mats, name: str, K: int) -> tuple:
+    """``mats`` as a tuple of finite K x K arrays ``name[i]``."""
+    out = []
+    for i, m in enumerate(mats):
+        m = as_matrix(m, f"{name}[{i}]")
+        if m.shape != (K, K):
+            raise DimensionMismatchError(
+                f"{name}[{i}] must be {K}x{K}, got {m.shape}"
+            )
+        out.append(m)
+    return tuple(out)
+
+
+def _intercept(c, K: int) -> np.ndarray:
+    c = np.asarray(c, dtype=float).reshape(-1)
+    if c.shape[0] != K:
+        raise DimensionMismatchError(f"intercept must have length {K}")
+    return c
+
+
 @dataclass(frozen=True)
 class VarmaModel:
     """Structural VARMA coefficients.
@@ -69,15 +89,8 @@ class VarmaModel:
             raise ValueError("A0 must be nonsingular")
         object.__setattr__(self, "A0", A0)
         for attr in ("A", "Psi"):
-            mats = []
-            for i, m in enumerate(getattr(self, attr)):
-                m = as_matrix(m, f"{attr}[{i}]", square=True)
-                if m.shape[0] != K:
-                    raise DimensionMismatchError(
-                        f"{attr}[{i}] must be {K}x{K}, got {m.shape}"
-                    )
-                mats.append(m)
-            object.__setattr__(self, attr, tuple(mats))
+            object.__setattr__(self, attr,
+                               _lag_matrices(getattr(self, attr), attr, K))
 
     @property
     def K(self) -> int:
@@ -109,15 +122,7 @@ class ReducedVar:
         K = len(names)
         if len(set(names)) != K:
             raise ValueError("variable names must be unique")
-        mats = []
-        for i, m in enumerate(self.coefs):
-            m = as_matrix(m, f"coefs[{i}]", square=True)
-            if m.shape[0] != K:
-                raise DimensionMismatchError(
-                    f"coefs[{i}] must be {K}x{K}, got {m.shape}"
-                )
-            mats.append(m)
-        object.__setattr__(self, "coefs", tuple(mats))
+        object.__setattr__(self, "coefs", _lag_matrices(self.coefs, "coefs", K))
         S = as_matrix(self.sigma_u, "sigma_u", square=True)
         if S.shape[0] != K:
             raise DimensionMismatchError(f"sigma_u must be {K}x{K}")
@@ -129,10 +134,7 @@ class ReducedVar:
             raise ValueError("sigma_u must be positive semi-definite")
         object.__setattr__(self, "sigma_u", S)
         if self.intercept is not None:
-            c = np.asarray(self.intercept, dtype=float).reshape(-1)
-            if c.shape[0] != K:
-                raise DimensionMismatchError(f"intercept must have length {K}")
-            object.__setattr__(self, "intercept", c)
+            object.__setattr__(self, "intercept", _intercept(self.intercept, K))
         for attr in ("residuals", "data"):
             v = getattr(self, attr)
             if v is not None:
@@ -322,11 +324,13 @@ def identify_internal_instrument(var: ReducedVar, normalize_on: int,
     The instrument is the first variable of the VAR.  The identified
     column is the IRF to the first Cholesky-orthogonalised innovation,
     rescaled so that the horizon-0 response of variable ``normalize_on``
-    (1-based) equals ``impact``.
+    (1-based) equals ``impact``, on horizons ``0..h``.
     """
     K = var.K
     if not 1 <= normalize_on <= K:
         raise DimensionMismatchError(f"normalize_on must be in 1..{K}")
+    if h < 0:
+        raise ValueError(f"h must be >= 0, got {h}")
     impulse, scale, pd, nonzero = _instrument_impact(var.sigma_u, normalize_on,
                                                      impact)
     if not pd:
@@ -486,13 +490,13 @@ def simulate_var(coefs, intercept, innovations, initial) -> np.ndarray:
     ``initial`` provides the first ``p`` rows unchanged; one further row
     is produced per row of ``innovations``.
     """
-    coefs = [as_matrix(m, "coefs") for m in coefs]
-    p = len(coefs)
     innovations = as_matrix(innovations, "innovations")
     K = innovations.shape[1]
+    coefs = _lag_matrices(coefs, "coefs", K)
+    p = len(coefs)
     initial = as_matrix(initial, "initial") if p else np.empty((0, K))
     if initial.shape != (p, K):
         raise DimensionMismatchError(f"initial must be ({p}, {K})")
     if intercept is not None:
-        intercept = np.asarray(intercept, dtype=float).reshape(K)
+        intercept = _intercept(intercept, K)
     return _var_recursion(coefs, intercept, innovations, initial)

@@ -302,6 +302,90 @@ class TestTransmission:
         assert abs(float(ffr0["total"]) - 0.25) <= 1e-12
 
 
+    def test_instrument_run_builds_one_system(self, tmp_path, var_data,
+                                              monkeypatch):
+        # three conditions: one identification and one systems form, each
+        # channel column the point estimate of its condition
+        import tca.cli
+        from tca import (InstrumentSpec, TransmissionOrdering,
+                         identify_internal_instrument, point_effects,
+                         reconstruct_from_single_shock)
+
+        calls = []
+
+        def counted(fn):
+            def spy(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return spy
+
+        for fn in (identify_internal_instrument, reconstruct_from_single_shock):
+            monkeypatch.setattr(tca.cli, fn.__name__, counted(fn))
+        model = tmp_path / "m.json"
+        main(["estimate", "--data", str(var_data), "--lags", "2",
+              "--out", str(model), "--quiet"])
+        out = tmp_path / "e.csv"
+        conditions = ["ffr_0", "!ffr_0 & ygap_1", "ffr_1 | ygap_0"]
+        code = main([
+            "transmission", "--model", str(model), "--order", "ffr,ygap",
+            "--shock", "instrument", "--normalize", "ygap=0.5",
+            *[arg for c in conditions for arg in ("--condition", c)],
+            "--horizon", "3", "--out", str(out), "--quiet",
+        ])
+        assert code == 0
+        assert sorted(calls) == ["identify_internal_instrument",
+                                 "reconstruct_from_single_shock"]
+        rows = list(csv.DictReader(open(out)))
+        var = load_model_file(model)
+        ordering = TransmissionOrdering.from_names(var.var_names,
+                                                   ("ffr", "ygap"))
+        for i, cond in enumerate(conditions, start=1):
+            table, _ = point_effects(var, InstrumentSpec(2, 0.5), ordering,
+                                     cond, 3)
+            for row in rows:
+                want = table.cell("channel",
+                                  ordering.position(row["variable"]),
+                                  int(row["horizon"]))
+                assert float(row[f"channel_{i}"]) == want
+
+    @pytest.mark.parametrize("command", ["transmission", "bootstrap"])
+    @pytest.mark.parametrize("normalize, message", [
+        (None, "requires --normalize"),
+        ("zz=1", "unknown normalization variable 'zz'"),
+    ])
+    def test_instrument_normalization_checked(self, tmp_path, var_data,
+                                              capsys, command, normalize,
+                                              message):
+        if command == "transmission":
+            model = tmp_path / "m.json"
+            main(["estimate", "--data", str(var_data), "--lags", "1",
+                  "--out", str(model), "--quiet"])
+            source = ["--model", str(model)]
+        else:
+            source = ["--data", str(var_data), "--lags", "1", "--reps", "5",
+                      "--seed", "1"]
+        extra = [] if normalize is None else ["--normalize", normalize]
+        out = tmp_path / "e.csv"
+        code = main([
+            command, *source, "--order", "ffr,ygap", "--shock", "instrument",
+            "--condition", "ffr_0", "--horizon", "2", "--out", str(out),
+            "--quiet", *extra,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_normalize_exits_2(self, tmp_path, model3_path,
+                                           capsys):
+        code = main([
+            "transmission", "--model", str(model3_path), "--order", "x,pi,i",
+            "--shock", "1", "--normalize", "x=abc", "--condition", "pi_0",
+            "--horizon", "1", "--out", str(tmp_path / "e.csv"), "--quiet",
+        ])
+        assert code == 2
+        assert "--normalize" in capsys.readouterr().err
+
+
 class TestBootstrap:
     def boot_args(self, data_path, out, seed=5):
         return [

@@ -128,22 +128,26 @@ class TestBootstrapEffects:
         )
         assert np.array_equal(bands.point["channel"], var_table.channel)
 
-    @pytest.mark.parametrize("name", ["var4", "static"])
-    def test_point_effects_is_the_single_shock_route(self, name):
-        # the batched kernels of point_effects against the public route:
-        # identification, one-shock reconstruction, transmission_effect
-        data, var_spec, ordering, cond, h, _ = _policy_case(name)
+    @pytest.mark.parametrize("name", ["var4", "static", "no_intercept",
+                                      "frozen"])
+    def test_draw_kernel_is_the_point_estimate(self, name):
+        # the stacked kernel of the draws, on a stack of one, against the
+        # public single-shock route; a frozen normalisation reuses the
+        # point estimate's own scale
+        data, var_spec, ordering, cond, h, freeze = _policy_case(name)
         K = data.shape[1]
         names = tuple(ordering.labels[ordering.dest.index(i)] for i in range(K))
         var = estimate_var_ols(data, var_spec.lags, var_spec.intercept, names)
-        table, scale = point_effects(var, InstrumentSpec(2, 0.25), ordering,
-                                     cond, h)
-        col = identify_internal_instrument(var, 2, 0.25, h)
-        public = transmission_effect(
-            reconstruct_from_single_shock(var, ordering, col.phi[:K], h), cond)
-        assert scale == col.scale
-        for kind in ("total", "channel", "complement"):
-            assert np.array_equal(getattr(table, kind), getattr(public, kind))
+        ident = InstrumentSpec(2, 0.25)
+        table, scale = point_effects(var, ident, ordering, cond, h)
+        parsed = inf.parse_condition(cond, ordering.labels, K, h)
+        total, channel, got_scale, code = inf._price(
+            np.reshape(var.coefs, (1, var.p, K, K)), var.sigma_u[None], ident,
+            ordering.dest, parsed.root, h, scale if freeze else None)
+        assert code.tolist() == [0]
+        assert got_scale[0] == scale
+        assert np.array_equal(total[0], table.total.reshape(-1))
+        assert np.array_equal(channel[0], table.channel.reshape(-1))
 
     def test_draw_wise_decomposition_identity(self):
         # the complement bands of a condition coincide with the channel
@@ -320,8 +324,12 @@ class TestChunking:
         for r in range(len(draws)):
             refit = estimate_var_ols(samples[r], var_spec.lags,
                                      var_spec.intercept, names)
-            table, _ = point_effects(refit, ident, ordering, parsed, h,
-                                     scale_override=override)
+            if override is None:
+                table, _ = point_effects(refit, ident, ordering, parsed, h)
+            else:  # the draw's own column under the full-sample scale
+                col = identify_internal_instrument(refit, 1, 0.25)
+                table = transmission_effect(reconstruct_from_single_shock(
+                    refit, ordering, col.phi / col.scale * override, h), parsed)
             for got, want in ((total[r], table.total),
                               (channel[r], table.channel)):
                 want = want.reshape(-1)

@@ -13,7 +13,11 @@ from tca import (
     identify_internal_instrument,
     simulate_var,
 )
-from tca.errors import RankDeficientRegressorsError, ZeroImpactError
+from tca.errors import (
+    DimensionMismatchError,
+    RankDeficientRegressorsError,
+    ZeroImpactError,
+)
 
 
 def simulate(rng, coefs, T, intercept=None, chol=None):
@@ -144,6 +148,11 @@ class TestIdentifyInternalInstrument:
         with pytest.raises(ZeroImpactError):
             identify_internal_instrument(var, normalize_on=2, impact=1.0)
 
+    def test_negative_horizon_rejected(self):
+        var = ReducedVar(var_names=("a", "b"), coefs=(), sigma_u=np.eye(2))
+        with pytest.raises(ValueError, match="h must be >= 0"):
+            identify_internal_instrument(var, 1, impact=1.0, h=-1)
+
 
 class TestEstimateLpIrfs:
     def _dgp(self, rng, T):
@@ -230,3 +239,18 @@ class TestSimulateVar:
         for t in range(5):
             y = np.array([0.2, -0.1]) + A1 @ y + innov[t]
             assert np.allclose(data[t + 1], y)
+
+    @pytest.mark.parametrize("coefs", [
+        [np.zeros((2, 2)), np.zeros((3, 3))],  # K is 2, from the innovations
+        [np.zeros((2, 2)), np.zeros((2, 3))],
+    ])
+    def test_coefficient_not_k_by_k_rejected(self, rng, coefs):
+        with pytest.raises(DimensionMismatchError,
+                           match=r"coefs\[1\] must be 2x2"):
+            simulate_var(coefs, None, rng.normal(size=(5, 2)), np.zeros((2, 2)))
+
+    def test_intercept_of_wrong_length_rejected(self, rng):
+        with pytest.raises(DimensionMismatchError,
+                           match="intercept must have length 2"):
+            simulate_var([np.zeros((2, 2))], [0.1, 0.2, 0.3],
+                         rng.normal(size=(5, 2)), np.zeros((1, 2)))

@@ -388,7 +388,7 @@ class TestDenseOracle:
     def test_routes_match_dense_solve(self, rng):
         from oracles import ie_channel
         from tca import effect_from_irfs, transmission_effect
-        from tca.cli import _structural_tables
+        from tca.cli import _tables
         from tca.linalg import ql_decompose
         from conftest import random_condition, wrap_condition
 
@@ -423,8 +423,8 @@ class TestDenseOracle:
                 from_irfs = effect_from_irfs(phi[:, shock - 1], pt, cond)
                 assert gap(from_irfs.channel.reshape(-1), oracle) <= 1e-12
             name = ordering.labels[int(rng.integers(0, K))]
-            (normalized,) = _structural_tables(m, ordering, shock, [cond], h,
-                                               1.0, (name, 0.7))
+            (normalized,) = _tables(m, ordering, shock, (name, 0.7), [cond],
+                                    h, 1.0)
             impact = dense_solve(B[:K, :K], sf.omega[:K, shock - 1])
             xi = 0.7 / impact[ordering.position(name) - 1]
             assert abs(normalized.xi - xi) <= 1e-12 * max(1.0, abs(xi))
