@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
+import operator
 import sys
 
 import numpy as np
@@ -39,6 +42,9 @@ from .system import (TransmissionOrdering, make_systems_form,
                      reconstruct_from_single_shock)
 
 IDENTITY_RTOL = 1e-8
+#: records parsed per batch when reading a CSV file: a batch's cells are a
+#: few hundred KB, so memory stays flat and the columns parse from cache
+CSV_BATCH = 256
 
 
 def _fmt(x: float) -> str:
@@ -50,6 +56,65 @@ def _fmt(x: float) -> str:
 # Data and model files
 
 
+def _numeric_records(path, reader, width, columns, skip):
+    """The body of a CSV file in batches of at most ``CSV_BATCH`` records.
+
+    Yields ``(lines, values)``: the physical line on which each record
+    starts, and an ``(n, len(columns))`` array of the numeric ``columns``
+    read with ``float``.  Records for which ``skip(record)`` is true are
+    passed over.  A record with other than ``width`` fields, or a numeric
+    cell ``float`` rejects, raises ``ValueError`` naming its line once the
+    records before it have been yielded, so that a caller's own check on
+    those reports first.
+    """
+    lines, records = [], []
+    prev = reader.line_num
+    for row in reader:
+        # line_num is the last physical line read: a quoted cell may span
+        # several, so a record starts one after the previous record ends
+        start, prev = prev + 1, reader.line_num
+        if skip(row):
+            continue
+        if len(row) != width:
+            yield from _parsed(path, lines, records, columns)
+            raise ValueError(
+                f"{path}:{start}: expected {width} fields, got {len(row)}"
+            )
+        lines.append(start)
+        records.append(row)
+        if len(records) == CSV_BATCH:
+            yield from _parsed(path, lines, records, columns)
+            lines, records = [], []
+    yield from _parsed(path, lines, records, columns)
+
+
+def _parsed(path, lines, records, columns):
+    """One batch of :func:`_numeric_records`, parsed column by column."""
+    values = np.empty((len(records), len(columns)))
+    try:
+        for j, c in enumerate(columns):
+            cells = map(operator.itemgetter(c), records)
+            values[:, j] = np.fromiter(map(float, cells), float, len(records))
+    except ValueError:
+        bad = next(i for i, row in enumerate(records)
+                   if not _is_numeric(row, columns))
+        yield from _parsed(path, lines[:bad], records[:bad], columns)
+        raise ValueError(
+            f"{path}:{lines[bad]}: non-numeric value in {records[bad]!r}"
+        ) from None
+    if records:
+        yield lines, values
+
+
+def _is_numeric(row, columns) -> bool:
+    try:
+        for c in columns:
+            float(row[c])
+    except ValueError:
+        return False
+    return True
+
+
 def read_data_csv(path: str):
     """Numeric CSV with a header row of names; returns (names, T x K array)."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -59,23 +124,12 @@ def read_data_csv(path: str):
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         names = [h.strip() for h in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(names):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
-                )
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric value in {row!r}"
-                ) from None
-    if not rows:
+        blocks = [values for _, values in _numeric_records(
+            path, reader, len(names), range(len(names)),
+            skip=lambda row: not any(map(str.strip, row)))]
+    if not blocks:
         raise ValueError(f"{path}: no data rows")
-    return names, np.asarray(rows, dtype=float)
+    return names, np.concatenate(blocks)
 
 
 def model_to_dict(model) -> dict:
@@ -147,6 +201,16 @@ def _channel_headers(n: int):
     return ["channel"] if n == 1 else [f"channel_{i + 1}" for i in range(n)]
 
 
+def _row_template(label: str, width: int) -> str:
+    """``%``-format template of one effects row: the label cell as
+    ``csv.writer`` writes it inside a row, the horizon, ``width`` numbers
+    with 17 significant digits, and the writer's line end."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([label, ""])
+    cell = buf.getvalue()[:-3]  # less the empty field's ",\r\n"
+    return cell.replace("%", "%%") + ",%d" + ",%.17g" * width + "\r\n"
+
+
 def write_effects_csv(path: str, tables, bands=None) -> None:
     """One row per (variable, horizon); bands refer to the channel."""
     tables = list(tables)
@@ -165,26 +229,24 @@ def write_effects_csv(path: str, tables, bands=None) -> None:
     header = ["variable", "horizon", "total"]
     header += _channel_headers(len(tables))
     header += ["complement"]
+    columns = [first.total, *(t.channel for t in tables), complement]
     if bands is not None:
         if len(tables) != 1:
             raise ValueError("bands are written for a single condition only")
         header += ["lower", "upper"]
+        columns += [bands.lower["channel"], bands.upper["channel"]]
 
+    h1, K = first.total.shape
+    # rows[r, t] = (t, total, channels..., complement[, lower, upper]) at
+    # variable r and horizon t
+    rows = np.empty((K, h1, 1 + len(columns)))
+    rows[:, :, 0] = np.arange(h1)
+    rows[:, :, 1:] = np.stack(columns, axis=-1).transpose(1, 0, 2)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        h1, K = first.total.shape
-        for r in range(K):
-            for t in range(h1):
-                row = [first.labels[r], str(t), _fmt(first.total[t, r])]
-                row += [_fmt(tab.channel[t, r]) for tab in tables]
-                row += [_fmt(complement[t, r])]
-                if bands is not None:
-                    row += [
-                        _fmt(bands.lower["channel"][t, r]),
-                        _fmt(bands.upper["channel"][t, r]),
-                    ]
-                writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        for label, block in zip(first.labels, rows):
+            fh.write(_row_template(label, len(columns)) * h1
+                     % tuple(block.ravel().tolist()))
 
 
 def verify_effects_csv(path: str) -> int:
@@ -207,27 +269,23 @@ def verify_effects_csv(path: str) -> int:
         if not i_channels:
             raise ValueError(f"{path}: no channel columns")
         count = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
+        for lines, values in _numeric_records(
+                path, reader, len(header), [i_total, *i_channels, i_comp],
+                skip=operator.not_):
+            total, *parts = values.T
+            # ((0.0 + channel_1) + ...) + complement, as Python's sum; a NaN
+            # or infinite gap fails too
+            with np.errstate(invalid="ignore", over="ignore"):
+                acc = sum(parts, np.zeros(len(total)))
+                gap = np.abs(acc - total) / np.maximum(1.0, np.abs(total))
+            bad = np.flatnonzero(~(gap <= IDENTITY_RTOL))
+            if bad.size:
+                i = bad[0]
                 raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}:{lines[i]}: decomposition identity violated "
+                    f"({float(acc[i])!r} vs total {float(total[i])!r})"
                 )
-            try:
-                total = float(row[i_total])
-                acc = sum(float(row[i]) for i in i_channels) + float(row[i_comp])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: non-numeric value in {row!r}"
-                ) from None
-            # a NaN or infinite gap fails too
-            if not abs(acc - total) / max(1.0, abs(total)) <= IDENTITY_RTOL:
-                raise ValueError(
-                    f"{path}:{lineno}: decomposition identity violated "
-                    f"({acc!r} vs total {total!r})"
-                )
-            count += 1
+            count += len(lines)
     return count
 
 
@@ -487,6 +545,7 @@ def _add_common_transmission(sub, with_model: bool):
     sub.add_argument("--quiet", action="store_true")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tca",

@@ -22,10 +22,17 @@ Three independent routes to a channel effect:
 
 :func:`ma_coefficients` is the textbook reduced-form MA recursion, the
 reference for identified and local-projection IRFs.
+
+:func:`write_effects_csv`, :func:`verify_effects_csv` and
+:func:`read_data_csv` are the CLI's CSV layer as it was before the bulk
+rewrite, one cell at a time: the new layer must write the same bytes and
+raise the same errors.  They number records by count, so their line
+numbers are physical lines only where no record spans lines.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from functools import reduce
 
@@ -33,6 +40,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from tca import Path, ReducedVar, enumerate_paths
+from tca.cli import IDENTITY_RTOL
 from tca.condition import (
     FALSE,
     TERM_CAP,
@@ -409,3 +417,124 @@ def ma_coefficients(var: ReducedVar, h: int) -> np.ndarray:
             acc += Ai @ theta[t - i]
         theta[t] = acc
     return theta
+
+
+# ---------------------------------------------------------------------------
+# The per-cell CSV layer
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def read_data_csv(path: str):
+    """Numeric CSV with a header row of names; returns (names, T x K array)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        names = [h.strip() for h in header]
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(names):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(names)} fields, got {len(row)}"
+                )
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: non-numeric value in {row!r}"
+                ) from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return names, np.asarray(rows, dtype=float)
+
+
+def write_effects_csv(path: str, tables, bands=None) -> None:
+    """One row per (variable, horizon); bands refer to the channel."""
+    tables = list(tables)
+    first = tables[0]
+    for t in tables[1:]:
+        if t.labels != first.labels or t.total.shape != first.total.shape:
+            raise ValueError("effect tables disagree on grid or labels")
+        if not np.allclose(t.total, first.total, rtol=1e-12, atol=1e-12):
+            raise ValueError("effect tables disagree on the total effect")
+    channel_sum = sum(t.channel for t in tables)
+    complement = first.total - channel_sum
+    gap = np.abs(channel_sum + complement - first.total)
+    if not np.all(gap / np.maximum(1.0, np.abs(first.total)) <= IDENTITY_RTOL):
+        raise ValueError("decomposition identity violated before write")
+
+    header = ["variable", "horizon", "total"]
+    header += (["channel"] if len(tables) == 1 else
+               [f"channel_{i + 1}" for i in range(len(tables))])
+    header += ["complement"]
+    if bands is not None:
+        if len(tables) != 1:
+            raise ValueError("bands are written for a single condition only")
+        header += ["lower", "upper"]
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        h1, K = first.total.shape
+        for r in range(K):
+            for t in range(h1):
+                row = [first.labels[r], str(t), _fmt(first.total[t, r])]
+                row += [_fmt(tab.channel[t, r]) for tab in tables]
+                row += [_fmt(complement[t, r])]
+                if bands is not None:
+                    row += [
+                        _fmt(bands.lower["channel"][t, r]),
+                        _fmt(bands.upper["channel"][t, r]),
+                    ]
+                writer.writerow(row)
+
+
+def verify_effects_csv(path: str) -> int:
+    """Re-check channel(s) + complement = total per row; returns row count."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        try:
+            i_total = header.index("total")
+            i_comp = header.index("complement")
+        except ValueError:
+            raise ValueError(f"{path}: not an effects file") from None
+        i_channels = [
+            i
+            for i, name in enumerate(header)
+            if name == "channel" or name.startswith("channel_")
+        ]
+        if not i_channels:
+            raise ValueError(f"{path}: no channel columns")
+        count = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                total = float(row[i_total])
+                acc = sum(float(row[i]) for i in i_channels) + float(row[i_comp])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: non-numeric value in {row!r}"
+                ) from None
+            # a NaN or infinite gap fails too
+            if not abs(acc - total) / max(1.0, abs(total)) <= IDENTITY_RTOL:
+                raise ValueError(
+                    f"{path}:{lineno}: decomposition identity violated "
+                    f"({acc!r} vs total {total!r})"
+                )
+            count += 1
+    return count

@@ -43,6 +43,7 @@ from tca import (
     simulate_var,
     transmission_effect,
 )
+import tca.inference
 from tca.cli import main
 from tca.condition import Not, satisfied_by
 from tca.inference import (
@@ -375,7 +376,6 @@ def test_criterion_09_empirical_shape_and_runtime(monkeypatch):
     """Four-variable VAR(4) policy-rate exercise: the through-impact and
     not-through-impact channels stack to the total at 20 horizons; the
     full run with a 500-rep bootstrap finishes inside five seconds."""
-    monkeypatch.setenv("TCA_THREADS", "8")
     rng = np.random.default_rng(9)
     names = ("ffr", "ygap", "infl", "pcom")
     coefs = stable_var_coefs(rng, 4, 4, radius=0.6)
@@ -404,22 +404,38 @@ def test_criterion_09_empirical_shape_and_runtime(monkeypatch):
     )
     elapsed = time.perf_counter() - t0
 
+    # the same bootstrap in chunks of 7 draws gives the same bands; a
+    # draw's working bytes are its 396 resampling indices and a 256-row
+    # block of the 21 regressor and response columns
+    draw_bytes = 4 * 396 + 8 * 256 * (1 + 4 * 4 + 4)
+    monkeypatch.setattr(tca.inference, "CHUNK_BYTES", 7 * draw_bytes)
+    chunked = bootstrap_effects(data, VarSpec(lags=4), ident, ordering,
+                                "!ffr_0",
+                                BootstrapSpec(replications=500, seed=909), h)
+    same_bands = all(
+        np.array_equal(getattr(bands, side)[kind], getattr(chunked, side)[kind])
+        for side in ("lower", "upper")
+        for kind in ("total", "channel", "complement")
+    )
+
     scale = np.maximum(1.0, np.abs(through.total))
     stack_gap = float(
         np.max(np.abs(through.channel + not_through.channel - through.total) / scale)
     )
-    ok = stack_gap <= 1e-9 and elapsed < 5.0 and bands.discarded == 0
+    ok = (stack_gap <= 1e-9 and elapsed < 5.0 and bands.discarded == 0
+          and same_bands)
     report(
         9,
         ok,
         f"stack gap {stack_gap:.2e} (tol 1e-9), run {elapsed:.2f}s (< 5s), "
-        f"discarded {bands.discarded}",
+        f"discarded {bands.discarded}, bands equal in chunks of 7 draws "
+        f"{same_bands}",
     )
 
 
 def test_criterion_10_determinism(tmp_path, monkeypatch):
     """Fixed seeds give byte-identical outputs across repeated runs and
-    across thread counts, for every command."""
+    across bootstrap chunk sizes, for every command."""
     rng = np.random.default_rng(10)
     A0 = np.array([[1.0, 0.0], [-0.6, 1.0]])
     A1 = np.array([[0.5, 0.1], [0.2, 0.4]])
@@ -434,8 +450,8 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         for row in data:
             w.writerow([repr(float(v)) for v in row])
 
-    def run_all(tag, threads):
-        monkeypatch.setenv("TCA_THREADS", threads)
+    def run_all(tag, chunk_bytes):
+        monkeypatch.setattr(tca.inference, "CHUNK_BYTES", chunk_bytes)
         model = tmp_path / f"m{tag}.json"
         eff = tmp_path / f"e{tag}.csv"
         boot = tmp_path / f"b{tag}.csv"
@@ -452,9 +468,10 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
                      "--out", str(boot), "--quiet"]) == 0
         return (model.read_bytes(), eff.read_bytes(), boot.read_bytes())
 
-    first = run_all("a", "1")
-    again = run_all("b", "1")
-    threaded = run_all("c", "2")
-    ok = first == again == threaded
+    default = tca.inference.CHUNK_BYTES
+    first = run_all("a", default)
+    again = run_all("b", default)
+    one_draw_chunks = run_all("c", 1)
+    ok = first == again == one_draw_chunks
     report(10, ok, "estimate/transmission/bootstrap byte-identical across "
-                   "runs and thread counts")
+                   "runs and bootstrap chunk sizes")

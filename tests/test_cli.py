@@ -1,18 +1,29 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
+import tca.cli
 from conftest import three_var_closed_forms, three_var_model
 from tca import VarmaModel, simulate_var
 from tca.cli import (
+    build_parser,
     load_model_file,
     main,
     read_data_csv,
     save_model_file,
     verify_effects_csv,
+    write_effects_csv,
 )
+from tca.condition import EffectTable
 
 
 def write_csv(path, names, data):
@@ -402,12 +413,23 @@ class TestBootstrap:
         assert main(self.boot_args(var_data, out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_thread_count_invariance(self, tmp_path, var_data, monkeypatch):
+    def test_chunk_size_invariance(self, tmp_path, var_data, monkeypatch):
+        # all 25 draws in one chunk, then one draw per chunk
+        import tca.inference as inf
+
+        chunks = []
+        original = inf._draw_effects
+
+        def spy(*args):
+            chunks.append(len(args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(inf, "_draw_effects", spy)
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
-        monkeypatch.setenv("TCA_THREADS", "1")
-        main(self.boot_args(var_data, out1))
-        monkeypatch.setenv("TCA_THREADS", "2")
-        main(self.boot_args(var_data, out2))
+        assert main(self.boot_args(var_data, out1)) == 0
+        monkeypatch.setattr(inf, "CHUNK_BYTES", 1)
+        assert main(self.boot_args(var_data, out2)) == 0
+        assert chunks == [25] + [1] * 25
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_single_rep_collapses_bands(self, tmp_path, var_data):
@@ -659,3 +681,321 @@ class TestReadDataCsv:
         path.write_text("a,b\n1.0\n")
         with pytest.raises(ValueError, match="expected 2 fields"):
             read_data_csv(path)
+
+
+class TestCsvLineNumbers:
+    """Diagnostics name the physical line on which the bad record starts,
+    also after a quoted cell that holds a newline."""
+
+    def test_verify_after_multi_line_label(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        save_model_file(model, VarmaModel(var_names=("a\nb", "c"),
+                                          A0=[[1.0, 0.0], [-0.5, 1.0]],
+                                          A=([[0.5, 0.1], [0.2, 0.4]],)))
+        out = tmp_path / "e.csv"
+        assert main(["transmission", "--model", str(model),
+                     "--order", "a\nb,c", "--shock", "1",
+                     "--condition", "c_0", "--horizon", "3",
+                     "--out", str(out), "--quiet"]) == 0
+        text = out.read_text()
+        # header, then four records of "a\nb" over two lines each, then c
+        assert text.count("\n") == 13
+        head, _, last = text.rstrip("\r\n").rpartition("\n")
+        cells = last.split(",")
+        cells[-1] = "abc"
+        out.write_text(head + "\n" + ",".join(cells) + "\n")
+        assert main(["verify", str(out)]) == 2
+        assert (f"{out}:13: non-numeric value in {cells!r}"
+                in capsys.readouterr().err)
+
+    def test_estimate_data_after_multi_line_cell(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text('a,b\n"1.0\n",2.0\n3,4\n5,x\n')
+        code = main(["estimate", "--data", str(path), "--lags", "1",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert (f"{path}:5: non-numeric value in ['5', 'x']"
+                in capsys.readouterr().err)
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path,
+                                                        model3_path, capsys):
+        def argvs(tag):
+            out = str(tmp_path / f"{tag}.csv")
+            common = ["--model", str(model3_path), "--order", "x,pi,i",
+                      "--shock", "1", "--out", out, "--quiet"]
+            return [
+                ["transmission", *common, "--xi", "2", "--normalize",
+                 "pi=0.5", "--condition", "pi_0", "--condition", "!pi_0",
+                 "--assert-partition", "--horizon", "2"],
+                ["verify", out],
+                ["transmission", *common, "--condition", "pi_0 &",
+                 "--horizon", "1"],
+                ["transmission", *common, "--condition", "i_1 | x_0",
+                 "--horizon", "3"],
+                ["verify", out],
+            ]
+
+        in_process = [main(argv) for argv in argvs("same")]
+        capsys.readouterr()
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(tca.cli.__file__).resolve().parents[1])}
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from tca.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, capture_output=True, timeout=120,
+            ).returncode
+            for argv in argvs("fresh")
+        ]
+        assert in_process == fresh == [0, 0, 3, 0, 0]
+        assert ((tmp_path / "same.csv").read_bytes()
+                == (tmp_path / "fresh.csv").read_bytes())
+        assert build_parser() is build_parser()
+
+
+# ---------------------------------------------------------------------------
+# The bulk CSV layer against the per-cell one it replaced
+
+
+LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "100%", "%d%s%%",
+          "π ü", "", " padded ", "plain"]
+FINITE = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0 / 3.0, -2.0,
+          123456789.125, 1e-5, 7e22, 0.1]
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _outcome(fn, *args):
+    """``("ok", result)`` or ``(class, message)`` of a call."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # compared class and message alike
+        return type(exc), str(exc)
+
+
+def _random_tables(rng, n_channels, labels):
+    labels = tuple(map(str, labels))
+    h1 = int(rng.integers(1, 5))
+    shape = (h1, len(labels))
+    total = rng.choice(FINITE, size=shape) * rng.choice([1.0, 0.5], size=shape)
+    mixed = rng.random(shape) < 0.5
+    total[mixed] = rng.normal(size=int(mixed.sum()))
+    tables = []
+    for _ in range(n_channels):
+        # shares in [0, 0.3] keep every sum and complement finite
+        channel = total * rng.uniform(0.0, 0.3, size=shape)
+        channel[rng.random(shape) < 0.2] = -0.0
+        tables.append(EffectTable("s", "c", labels, 1.0, total,
+                                  channel, total - channel))
+    return tables
+
+
+def _random_bands(rng, shape):
+    pool = FINITE + NON_FINITE
+    return SimpleNamespace(lower={"channel": rng.choice(pool, size=shape)},
+                           upper={"channel": rng.choice(pool, size=shape)})
+
+
+class TestWriterAgainstReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_byte_identical(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n_channels = 1 + seed % 3
+        labels = rng.choice(LABELS, size=int(rng.integers(1, 5)),
+                            replace=False)
+        tables = _random_tables(rng, n_channels, labels)
+        bands = (None if seed % 2 else
+                 _random_bands(rng, tables[0].total.shape))
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        assert (_outcome(write_effects_csv, new, tables, bands)
+                == _outcome(oracles.write_effects_csv, old, tables, bands))
+        if n_channels == 1 or bands is None:
+            assert new.read_bytes() == old.read_bytes()
+        else:
+            assert not new.exists() and not old.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
+    def test_checks_before_write(self, tmp_path, bad):
+        total = np.array([[1.0, bad]])
+        # 1e308: channel and complement overflow to -inf and inf
+        channel = np.array([[0.5, -bad]])
+        tables = [EffectTable("s", "c", ("a", "b"), 1.0, total, channel,
+                              total - channel)]
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        got = _outcome(write_effects_csv, new, tables)
+        assert got == _outcome(oracles.write_effects_csv, old, tables)
+        assert got[0] is ValueError
+        assert not new.exists()
+
+
+def _write_reference_file(rng, path, rows):
+    """A valid effects file of about ``rows`` rows, written by the
+    reference writer from random tables whose labels hold no newline;
+    returns its lines without line ends."""
+    single_line = [label for label in LABELS
+                   if "\n" not in label and "\r" not in label]
+    K = int(rng.integers(1, min(len(single_line), rows) + 1))
+    h1 = max(1, rows // K)
+    tables = [EffectTable("s", "c", t.labels, 1.0,
+                          *(np.resize(a, (h1, K))
+                            for a in (t.total, t.channel, t.complement)))
+              for t in _random_tables(rng, int(rng.integers(1, 4)),
+                                      rng.choice(single_line, size=K,
+                                                 replace=False))]
+    bands = (_random_bands(rng, (h1, K))
+             if len(tables) == 1 and rng.random() < 0.5 else None)
+    oracles.write_effects_csv(path, tables, bands)
+    with open(path, newline="") as fh:
+        return fh.read().split("\r\n")[:-1]
+
+
+def _join(cells):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
+
+
+def _mutate(rng, lines, numeric, kinds):
+    """Apply each of ``kinds`` to a random body line of ``lines``."""
+    lines = list(lines)
+    for kind in kinds:
+        i = int(rng.integers(1, len(lines)))
+        if kind == "blank":
+            lines.insert(i, "")
+            continue
+        if not lines[i]:
+            continue
+        cells = next(csv.reader([lines[i]]))
+        j = int(rng.choice(numeric))
+        if kind == "short":
+            cells.pop()
+        elif kind == "long":
+            cells.append("1")
+        elif kind == "text":
+            cells[j] = "abc"
+        elif kind == "underscore":
+            cells[j] = "1_0"
+        elif kind == "padded":
+            cells[j] = f" {cells[j]} "
+        elif kind == "spelled":
+            cells[j] = str(rng.choice(["Infinity", "-inf", "NaN", "1E3"]))
+        elif kind == "nan_total":
+            cells[numeric[0]] = "nan"
+        elif kind == "identity":
+            cells[numeric[0]] = repr(float(cells[numeric[0]]) + 1.0)
+        lines[i] = _join(cells)
+    return lines
+
+
+EFFECTS_MUTATIONS = ["blank", "short", "long", "text", "underscore", "padded",
+                     "spelled", "nan_total", "identity"]
+
+
+class TestVerifierAgainstReference:
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_count_or_error(self, tmp_path, monkeypatch, seed, batch):
+        if batch is not None:
+            monkeypatch.setattr(tca.cli, "CSV_BATCH", batch)
+        rng = np.random.default_rng(1000 + seed)
+        path = tmp_path / "e.csv"
+        lines = _write_reference_file(rng, path, int(rng.integers(2, 24)))
+        header = lines[0].split(",")
+        numeric = [j for j, name in enumerate(header)
+                   if name in ("total", "complement")
+                   or name.startswith("channel")]
+        kinds = rng.choice(EFFECTS_MUTATIONS, size=int(rng.integers(0, 4)))
+        eol = str(rng.choice(["\r\n", "\n"]))
+        path.write_text(eol.join(_mutate(rng, lines, numeric, kinds)) + eol,
+                        newline="")
+        assert (_outcome(verify_effects_csv, path)
+                == _outcome(oracles.verify_effects_csv, path))
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n",
+        "variable,horizon,total,channel,complement\n",
+        "variable,horizon,total,channel,complement\n\n\n",
+        "variable,horizon,total,complement\na,0,1,1\n",
+        "a,b\n1,2\n",
+        "variable,horizon,total,channel,complement\n,,,,\n",
+        # the channels are summed before the complement: acc is 0.0, not 1.0
+        "variable,horizon,total,channel_1,channel_2,complement\n"
+        "a,0,5,1e16,1,-1e16\n",
+    ])
+    def test_special_files(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        assert (_outcome(verify_effects_csv, path)
+                == _outcome(oracles.verify_effects_csv, path))
+
+    @pytest.mark.parametrize("kinds", [[], ["text"], ["identity", "short"],
+                                       ["nan_total", "blank", "long"]])
+    def test_more_than_one_batch(self, tmp_path, kinds):
+        rng = np.random.default_rng(len(kinds))
+        path = tmp_path / "e.csv"
+        batch = tca.cli.CSV_BATCH
+        lines = _write_reference_file(rng, path, 2 * batch + 100)
+        header = lines[0].split(",")
+        numeric = [header.index("total"), header.index("complement")]
+        # every mutation in the second batch
+        tail = _mutate(rng, lines[batch + 1:], numeric, kinds)
+        path.write_text("\n".join(lines[:batch + 1] + tail) + "\n")
+        got = _outcome(verify_effects_csv, path)
+        assert got == _outcome(oracles.verify_effects_csv, path)
+        assert got[0] == ("ok" if not kinds else ValueError)
+
+
+class TestDataReaderAgainstReference:
+    @staticmethod
+    def same(path):
+        got = _outcome(read_data_csv, path)
+        want = _outcome(oracles.read_data_csv, path)
+        if got[0] == want[0] == "ok":
+            assert got[1][0] == want[1][0]
+            assert got[1][1].shape == want[1][1].shape
+            assert np.array_equal(got[1][1], want[1][1], equal_nan=True)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_same_data_or_error(self, tmp_path, monkeypatch, seed, batch):
+        if batch is not None:
+            monkeypatch.setattr(tca.cli, "CSV_BATCH", batch)
+        rng = np.random.default_rng(2000 + seed)
+        K = int(rng.integers(1, 4))
+        lines = [",".join(f" n{k} " if k % 2 else f"n{k}" for k in range(K))]
+        lines += [",".join(repr(float(v)) for v in row)
+                  for row in rng.normal(size=(int(rng.integers(1, 12)), K))]
+        for _ in range(int(rng.integers(0, 4))):
+            i = int(rng.integers(1, len(lines) + 1))
+            kind = rng.choice(["blank", "blank_cells", "short", "long", "cell"])
+            if kind == "blank":
+                lines.insert(i, "")
+            elif kind == "blank_cells":
+                lines.insert(i, ",".join([" "] * int(rng.integers(1, K + 2))))
+            elif i < len(lines) and lines[i].strip(", "):
+                cells = lines[i].split(",")
+                if kind == "short":
+                    cells.pop()
+                elif kind == "long":
+                    cells.append("0")
+                else:
+                    cells[int(rng.integers(K))] = str(rng.choice(
+                        ["x", "1_0", " 1.5 ", "nan", "Infinity", "-inf", ""]))
+                lines[i] = ",".join(cells)
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        self.same(path)
+
+    @pytest.mark.parametrize("text", ["", "a,b\n", "a,b\n\n , \n,\n",
+                                      " a , b \n1,2\n", "\n1\n",
+                                      "a\n1\n\n2\n"])
+    def test_special_files(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        self.same(path)

@@ -100,15 +100,15 @@ class TestBootstrapEffects:
             assert np.array_equal(a.upper[kind], b.upper[kind])
             assert np.array_equal(a.point[kind], b.point[kind])
 
-    def test_thread_count_does_not_change_bands(self, monkeypatch):
+    def test_chunk_size_does_not_change_bands(self, monkeypatch):
+        # all 50 draws in one chunk, then one draw per chunk
         data = make_data(1)
-        monkeypatch.setenv("TCA_THREADS", "1")
-        serial = run(data, seed=5)
-        monkeypatch.setenv("TCA_THREADS", "2")
-        threaded = run(data, seed=5)
+        whole = run(data, seed=5)
+        monkeypatch.setattr(inf, "CHUNK_BYTES", 1)
+        single = run(data, seed=5)
         for kind in ("total", "channel", "complement"):
-            assert np.array_equal(serial.lower[kind], threaded.lower[kind])
-            assert np.array_equal(serial.upper[kind], threaded.upper[kind])
+            assert np.array_equal(whole.lower[kind], single.lower[kind])
+            assert np.array_equal(whole.upper[kind], single.upper[kind])
 
     def test_single_replication_collapses(self):
         data = make_data(2)
@@ -365,10 +365,9 @@ class TestStaticDgpClosedForms:
 
 @pytest.mark.slow
 class TestCoverage:
-    def test_percentile_interval_coverage(self, monkeypatch):
+    def test_percentile_interval_coverage(self):
         """Monte Carlo check: 90% intervals for the through-v2 channel
         cover the data-generating value in 82..96% of worlds."""
-        monkeypatch.setenv("TCA_THREADS", "1")  # worlds parallelise instead
         h = 2
         sf = make_systems_form(MODEL, ORDERING, h)
         truth = transmission_effect(sf, "v2_0", shock=1).cell("channel", 2, 2)
