@@ -24,7 +24,8 @@ import sys
 
 import numpy as np
 
-from .condition import EffectTable, Var, parse_condition, transmission_effect
+from .condition import (EffectTable, Var, identity_gap, parse_condition,
+                        transmission_effect)
 from .errors import (
     BootstrapUnstableError,
     ParseError,
@@ -56,13 +57,13 @@ def _fmt(x: float) -> str:
 # Data and model files
 
 
-def _numeric_records(path, reader, width, columns, skip):
+def _numeric_records(path, reader, width, columns):
     """The body of a CSV file in batches of at most ``CSV_BATCH`` records.
 
     Yields ``(lines, values)``: the physical line on which each record
     starts, and an ``(n, len(columns))`` array of the numeric ``columns``
-    read with ``float``.  Records for which ``skip(record)`` is true are
-    passed over.  A record with other than ``width`` fields, or a numeric
+    read with ``float``.  Records whose cells are all blank are passed
+    over.  A record with other than ``width`` fields, or a numeric
     cell ``float`` rejects, raises ``ValueError`` naming its line once the
     records before it have been yielded, so that a caller's own check on
     those reports first.
@@ -73,7 +74,7 @@ def _numeric_records(path, reader, width, columns, skip):
         # line_num is the last physical line read: a quoted cell may span
         # several, so a record starts one after the previous record ends
         start, prev = prev + 1, reader.line_num
-        if skip(row):
+        if not "".join(row).strip():  # every cell blank
             continue
         if len(row) != width:
             yield from _parsed(path, lines, records, columns)
@@ -125,8 +126,7 @@ def read_data_csv(path: str):
             raise ValueError(f"{path}: empty file") from None
         names = [h.strip() for h in header]
         blocks = [values for _, values in _numeric_records(
-            path, reader, len(names), range(len(names)),
-            skip=lambda row: not any(map(str.strip, row)))]
+            path, reader, len(names), range(len(names)))]
     if not blocks:
         raise ValueError(f"{path}: no data rows")
     return names, np.concatenate(blocks)
@@ -220,16 +220,16 @@ def write_effects_csv(path: str, tables, bands=None) -> None:
             raise ValueError("effect tables disagree on grid or labels")
         if not np.allclose(t.total, first.total, rtol=1e-12, atol=1e-12):
             raise ValueError("effect tables disagree on the total effect")
-    channel_sum = sum(t.channel for t in tables)
-    complement = first.total - channel_sum
-    gap = np.abs(channel_sum + complement - first.total)
-    if not np.all(gap / np.maximum(1.0, np.abs(first.total)) <= IDENTITY_RTOL):
+    channels = [t.channel for t in tables]
+    complement = first.total - sum(channels)
+    _, gap = identity_gap([*channels, complement], first.total)
+    if not np.all(gap <= IDENTITY_RTOL):
         raise ValueError("decomposition identity violated before write")
 
     header = ["variable", "horizon", "total"]
     header += _channel_headers(len(tables))
     header += ["complement"]
-    columns = [first.total, *(t.channel for t in tables), complement]
+    columns = [first.total, *channels, complement]
     if bands is not None:
         if len(tables) != 1:
             raise ValueError("bands are written for a single condition only")
@@ -270,14 +270,9 @@ def verify_effects_csv(path: str) -> int:
             raise ValueError(f"{path}: no channel columns")
         count = 0
         for lines, values in _numeric_records(
-                path, reader, len(header), [i_total, *i_channels, i_comp],
-                skip=operator.not_):
+                path, reader, len(header), [i_total, *i_channels, i_comp]):
             total, *parts = values.T
-            # ((0.0 + channel_1) + ...) + complement, as Python's sum; a NaN
-            # or infinite gap fails too
-            with np.errstate(invalid="ignore", over="ignore"):
-                acc = sum(parts, np.zeros(len(total)))
-                gap = np.abs(acc - total) / np.maximum(1.0, np.abs(total))
+            acc, gap = identity_gap(parts, total)
             bad = np.flatnonzero(~(gap <= IDENTITY_RTOL))
             if bad.size:
                 i = bad[0]
@@ -386,9 +381,7 @@ def _tables(model, ordering, shock, normalize, conditions, horizon, xi):
 
 
 def _assert_partition(tables) -> None:
-    total = tables[0].total
-    acc = sum(t.channel for t in tables)
-    gap = np.abs(acc - total) / np.maximum(1.0, np.abs(total))
+    _, gap = identity_gap([t.channel for t in tables], tables[0].total)
     if not np.all(gap <= IDENTITY_RTOL):
         raise ParseError(
             "conditions do not partition the total effect "

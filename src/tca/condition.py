@@ -324,6 +324,16 @@ def any_horizon(name: str, horizons) -> str:
     return " | ".join(f"{name}_{t}" for t in hs)
 
 
+def identity_gap(parts, total):
+    """``(acc, gap)`` of the decomposition identity: ``acc`` is the
+    left-to-right sum ``((0.0 + parts[0]) + parts[1]) + ...`` and ``gap``
+    is ``|acc - total| / max(1, |total|)``, elementwise.  Test it as
+    ``gap <= tol``, so that a NaN gap fails."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        acc = sum(parts, np.zeros(np.shape(total)))
+        return acc, np.abs(acc - total) / np.maximum(1.0, np.abs(total))
+
+
 @dataclass(frozen=True)
 class EffectTable:
     """Total / channel / complement effects per (variable, horizon).
@@ -352,9 +362,8 @@ class EffectTable:
 
     def max_identity_gap(self) -> float:
         """Largest relative gap of channel + complement against total."""
-        gap = np.abs(self.channel + self.complement - self.total)
-        scale = np.maximum(1.0, np.abs(self.total))
-        return float(np.max(gap / scale)) if gap.size else 0.0
+        _, gap = identity_gap([self.channel, self.complement], self.total)
+        return float(np.max(gap)) if gap.size else 0.0
 
     def cell(self, kind: str, position: int, horizon: int) -> float:
         """1-based ordered position, horizon in 0..h."""

@@ -375,7 +375,7 @@ def _instrument_impact(sigma_u, normalize_on: int, impact: float) -> tuple:
 
 
 def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
-                     lags: int = 4, var_names=None) -> LpEstimates:
+                     lags: int = 4) -> LpEstimates:
     """Local-projection IRFs with and without contemporaneous controls.
 
     For each horizon ``h`` and each target variable, two regressions of

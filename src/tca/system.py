@@ -145,10 +145,6 @@ class SystemsForm:
             raise IndexError(f"system index must be in 1..{self.size}")
         return (m - 1) % self.K + 1, (m - 1) // self.K
 
-    def label(self, m: int) -> str:
-        r, t = self.var_horizon(m)
-        return f"{self.ordering.labels[r - 1]}_{t}"
-
     def shock_column(self, shock: int | None = None) -> np.ndarray:
         """Omega column of the 1-based time-0 shock ``shock``, which may
         be omitted when the system carries a single shock."""

@@ -517,7 +517,7 @@ def verify_effects_csv(path: str) -> int:
             raise ValueError(f"{path}: no channel columns")
         count = 0
         for lineno, row in enumerate(reader, start=2):
-            if not row:
+            if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
                 raise ValueError(

@@ -660,6 +660,17 @@ class TestVerify:
         assert (f"{path}:3: non-numeric value in ['a', '1', 'abc', '0', '0']"
                 in capsys.readouterr().err)
 
+    def test_blank_rows_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "e.csv"
+        head = "variable,horizon,total,channel,complement\na,0,1,0.25,0.75\n"
+        path.write_text(head + ",,,,\n , ,\na,1,1,0.5,0.5\n")
+        assert main(["verify", str(path)]) == 0
+        assert "OK: 2 rows" in capsys.readouterr().out
+        path.write_text(head + ",,,,\n,,1,,\n")
+        assert main(["verify", str(path)]) == 2
+        assert (f"{path}:4: non-numeric value in ['', '', '1', '', '']"
+                in capsys.readouterr().err)
+
     def test_short_row_exits_2(self, tmp_path, capsys):
         path = tmp_path / "e.csv"
         path.write_text("variable,horizon,total,channel,complement\na,0,1\n")
