@@ -6,9 +6,12 @@ Workloads (``WORKLOADS``):
     Acceptance criterion 09: a K=4 VAR(4) on T=400 simulated
     observations, the instrument shock normalised to 0.25 on the first
     variable, the condition ``!ffr_0`` on horizons 0..20 and 500 draws
-    (seed 909).  Stages: regenerate, ols, identify_and_triangular,
-    evaluate, quantiles.  The draws run the private kernels that
-    ``tca.inference`` imports by name; ``identify_internal_instrument``,
+    (seed 909).  Stages: regenerate, recursion, ols,
+    identify_and_triangular, evaluate, quantiles.  The draws run the
+    private kernels that ``tca.inference`` imports by name, so
+    ``recursion`` is the VAR recursion of the draws and ``regenerate``
+    what is left of regeneration (generator set-up, resampling indices,
+    ``np.take``); ``identify_internal_instrument``,
     ``reconstruct_from_single_shock`` and ``transmission_effect`` time the
     full-sample point estimate.
 ``cli_io``
@@ -24,15 +27,26 @@ Usage::
 
     python scripts/bench_stages.py --label parent --src ../parent/src
     python scripts/bench_stages.py --label change
+    python scripts/bench_stages.py --against ../parent/src --pairs 5
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
-one).  Each workload is run once to warm up, then ``--runs`` times whole
-and ``--runs`` times with a timer around each stage function.  A stage's
-time is the self time of its calls summed over a run (its calls less the
-calls of other stages made inside them); the timers add a little to each
-call.  The median and quartiles go under ``--label`` in ``--out``, laid
-out as ``{workload: {label: {whole_s, stages_s}}, machine}`` and keeping
-the entries of other labels.
+one) and ``--workload`` picks one workload (default: all).  Each workload
+is run once to warm up, then ``--runs`` times whole and ``--runs`` times
+with a timer around each stage function.  A stage's time is the self
+time of its calls summed over a run (its calls less the calls of other
+stages made inside them); the timers add a little to each call.  The
+median and quartiles go under ``--label`` in ``--out``, laid out as
+``{workload: {label: {whole_s, stages_s}}, machine}`` and keeping the
+entries of other labels.
+
+``--against SRC`` compares ``--src`` (label ``change``) with ``SRC``
+(label ``parent``) in ``--pairs`` pairs of fresh processes, one of each,
+the first of a pair alternating between the two.  Timings of one code
+move between processes on a shared machine, so one pair cannot resolve
+a small change; ``--out`` then gets, per workload, each pair's medians
+under ``pairs`` and, under ``parent`` and ``change``, the median,
+quartiles and range of the pair medians, beside ``comparison`` (the
+pair and run counts) and ``machine``.
 """
 
 from __future__ import annotations
@@ -51,6 +65,7 @@ import inspect  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -98,6 +113,7 @@ def cli_io(workdir):
 WORKLOADS = {
     "bootstrap": (bootstrap, {
         "regenerate": ["tca.inference._regenerate"],
+        "recursion": ["tca.inference._var_recursion"],
         "ols": ["tca.inference._lagged_design", "tca.inference._ols",
                 "tca.inference.estimate_var_ols"],
         "identify_and_triangular": [
@@ -211,20 +227,81 @@ def measure(setup, stages, runs, workdir):
             "stages_s": {s: summary(v) for s, v in by_stage.items()}}
 
 
+def medians(entry):
+    """The median of the whole run and of each stage, by name."""
+    return {"whole_s": entry["whole_s"]["median"],
+            **{stage: v["median"] for stage, v in entry["stages_s"].items()}}
+
+
+def compare(args, workloads):
+    """The ``--against`` report: ``--pairs`` pairs of fresh processes,
+    one per tree, the first of a pair alternating between them."""
+    sides = {"parent": args.against, "change": args.src}
+    report = {name: {"pairs": []} for name in workloads}
+    with tempfile.TemporaryDirectory() as tmp:
+        for pair in range(args.pairs):
+            entries = {}
+            for label in sorted(sides, reverse=pair % 2 == 0):
+                out = Path(tmp) / f"{pair}-{label}.json"
+                subprocess.run([sys.executable, __file__, "--label", label,
+                                "--src", sides[label], "--runs",
+                                str(args.runs), "--out", str(out),
+                                *(f"--workload={name}" for name in workloads)],
+                               check=True)
+                entries[label] = json.loads(out.read_text())
+            for name in workloads:
+                report[name]["pairs"].append(
+                    {label: medians(entries[label][name][label])
+                     for label in sides})
+    for entry in report.values():
+        for label in sides:
+            entry[label] = {}
+            for metric in entry["pairs"][0][label]:
+                values = [pair[label][metric] for pair in entry["pairs"]]
+                entry[label][metric] = dict(summary(values), min=min(values),
+                                            max=max(values))
+    report["comparison"] = {"pairs": args.pairs, "runs": args.runs}
+    return report
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True)
+    ap.add_argument("--label")
     ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--against", metavar="SRC")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--workload", action="append", choices=list(WORKLOADS))
     ap.add_argument("--runs", type=int, default=15)
     ap.add_argument("--out", default=str(ROOT / "BENCH_stages.json"))
     args = ap.parse_args(argv)
     if args.runs < 9:
         ap.error("--runs must be at least 9")
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
-
+    if (args.label is None) == (args.against is None):
+        ap.error("give exactly one of --label and --against")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    workloads = args.workload or list(WORKLOADS)
+    machine = (f"{platform.machine()}, {os.cpu_count()} cores, Python "
+               f"{platform.python_version()}, numpy {np.__version__}, "
+               "one BLAS thread")
     out = Path(args.out)
+    if args.against is not None:
+        report = compare(args, workloads)
+        for name in workloads:
+            parent, change = report[name]["parent"], report[name]["change"]
+            text = "  ".join(f"{metric}={parent[metric]['median'] * 1e3:.2f}"
+                             f"->{change[metric]['median'] * 1e3:.2f}"
+                             for metric in ["whole_s", *WORKLOADS[name][1]])
+            print(f"{name} parent->change, median of {args.pairs} pair "
+                  f"medians, ms: {text}")
+        report["machine"] = machine
+        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        return
+
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
     report = json.loads(out.read_text()) if out.is_file() else {}
-    for workload, (setup, stages) in WORKLOADS.items():
+    for workload in workloads:
+        setup, stages = WORKLOADS[workload]
         with tempfile.TemporaryDirectory() as workdir:
             entry = measure(setup, stages, args.runs, workdir)
         report.setdefault(workload, {})[args.label] = entry
@@ -233,9 +310,7 @@ def main(argv=None):
         print(f"{workload} {args.label}: whole="
               f"{entry['whole_s']['median'] * 1e3:.2f} ms (median of "
               f"{args.runs})  ms: {stage_text}")
-    report["machine"] = (
-        f"{platform.machine()}, {os.cpu_count()} cores, Python "
-        f"{platform.python_version()}, numpy {np.__version__}, one BLAS thread")
+    report["machine"] = machine
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 

@@ -11,13 +11,13 @@ chain: identify the shock, rebuild its one-shock systems form, price the
 condition.  Draws run in chunks of at most ``CHUNK_BYTES`` of working
 arrays, on one thread: each step of a chunk is one stacked numpy or
 LAPACK call over its draws, and on a stack of one these kernels give
-the point estimate's bits.  A chunk is regenerated and refitted
-``QR_ROWS`` periods at a time, so its memory does not grow with the
-sample length.  Every draw uses its own substream derived from ``(seed,
-draw index)`` and the kernels give each draw the same bits in any
-stack, so the bands are byte-identical at any chunk size.  A degenerate
-draw (rank-deficient regressors, a covariance that is not positive
-definite, a zero impact response) is flagged per draw and discarded.
+the point estimate's bits.  A chunk is resampled, regenerated and
+refitted in blocks, so its memory does not grow with the sample length.
+Every draw uses its own substream derived from ``(seed, draw index)``
+and the kernels give each draw the same bits in any stack, so the bands
+are byte-identical at any chunk size.  A degenerate draw (rank-deficient
+regressors, a covariance that is not positive definite, a zero impact
+response) is flagged per draw and discarded.
 """
 
 from __future__ import annotations
@@ -63,11 +63,14 @@ _RANK, _NOT_PD, _ZERO_IMPACT = 1, 2, 3
 
 MAX_DISCARD_SHARE = 0.05
 
-#: Bytes of the working arrays of one chunk of bootstrap draws: its
-#: resampling indices and one ``QR_ROWS`` block of the ``[X | Y]``
+#: Bytes of the working arrays of one chunk of bootstrap draws: a block
+#: of its resampling indices and one ``QR_ROWS`` block of the ``[X | Y]``
 #: regression rows of its refits, or its evaluator solve columns when
 #: those are larger.
 CHUNK_BYTES = 3 * 2 ** 20
+
+#: Resampling indices per call of a draw's generator, each call a fixed cost.
+INDEX_ROWS = 8 * QR_ROWS
 
 
 @dataclass(frozen=True)
@@ -180,19 +183,22 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
 def _regenerate(var: ReducedVar, seed: int, draws):
     """The regenerated samples of the given draws, ``QR_ROWS`` periods at
     a time: blocks ``(len(draws), p + rows, K)`` whose first p rows end
-    the block before (the data's first p rows at the start)."""
+    the block before (the data's first p rows at the start).  A draw's
+    generator gives its indices ``INDEX_ROWS`` at a time, one stream."""
     data = var.data
     resid = var.residuals
     if data is None or resid is None:
         raise ValueError("bootstrap needs a VAR estimated from data")
     p = var.p
     n = data.shape[0] - p
-    idx = np.empty((len(draws), n), dtype=np.int32)
-    for i, r in enumerate(draws):
-        idx[i] = np.random.default_rng((seed, r)).integers(0, n, size=n)
-    rows = np.broadcast_to(data[:p], (len(draws), p, var.K))
+    rngs = [np.random.default_rng((seed, r)) for r in draws]
+    rows = np.broadcast_to(data[:p], (len(rngs), p, var.K))
     for start in range(0, n, QR_ROWS):
-        shocks = np.take(resid, idx[:, start : start + QR_ROWS], axis=0)
+        at = start % INDEX_ROWS
+        if at == 0:
+            idx = np.array([rng.integers(0, n, size=min(INDEX_ROWS, n - start),
+                                         dtype=np.int32) for rng in rngs])
+        shocks = np.take(resid, idx[:, at : at + QR_ROWS], axis=0)
         rows = _var_recursion(var.coefs, var.intercept, shocks,
                               rows[:, rows.shape[1] - p :])
         yield rows
@@ -250,10 +256,10 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
 
     R = spec.replications
     n = (h + 1) * K
-    # a draw's working arrays: its resampling indices and a QR_ROWS block
-    # of [X | Y], or else its evaluator solve columns
+    # a draw's working arrays: a block of its resampling indices and a
+    # QR_ROWS block of [X | Y], or else its evaluator solve columns
     T_p, width = T - var.p, int(var_spec.intercept) + K * var.p + K
-    per_draw = max(4 * T_p + 8 * min(T_p, QR_ROWS) * width,
+    per_draw = max(4 * min(T_p, INDEX_ROWS) + 8 * min(T_p, QR_ROWS) * width,
                    8 * n * (_plan(cond.root, TERM_CAP)[0].size + 1))
     size = max(1, CHUNK_BYTES // per_draw)
     total = np.empty((R, n))

@@ -39,6 +39,10 @@ __all__ = [
 #: time, so that a fit's working memory does not grow with the sample.
 QR_ROWS = 256
 
+#: Periods per sequential step of the VAR recursion, a divisor of QR_ROWS.
+_SUB = 16
+assert QR_ROWS % _SUB == 0
+
 
 def _lag_matrices(mats, name: str, K: int) -> tuple:
     """``mats`` as a tuple of finite K x K arrays ``name[i]``."""
@@ -435,6 +439,27 @@ def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
     return LpEstimates(beta=beta, gamma=gamma, flagged=tuple(flagged))
 
 
+def _block_maps(coefs, K: int) -> tuple:
+    """``(T, M)``: a ``_SUB``-period step of the VAR recursion gives rows
+    ``y_t .. y_(t+_SUB-1)`` as ``g T + w M``, with ``g`` their ``c +
+    shocks`` and ``w`` the p rows before, all flattened.  With companion
+    matrix ``F`` and ``J = [I 0 .. 0]``, block (l, j) of ``T`` is ``(J
+    F^(j-l) J')'`` (0 for l > j) and block (i, j) of ``M`` is the block of
+    ``(J F^(j+1))'`` acting on ``y_(t-p+i)``."""
+    p, s = len(coefs), _SUB
+    F = np.eye(p * K, k=-K)
+    F[:K] = np.concatenate(coefs, axis=1)
+    JF = np.empty((s + 1, K, p * K))  # J F^j
+    JF[0] = np.eye(K, p * K)
+    for j in range(s):
+        np.matmul(JF[j], F, out=JF[j + 1])
+    psi = np.concatenate([JF[:s, :, :K], np.zeros((1, K, K))])  # psi[-1] = 0
+    lag = np.maximum(np.subtract.outer(np.arange(s), np.arange(s)), -1)
+    T = psi[lag].transpose(1, 3, 0, 2)  # lag -1 above the block diagonal
+    M = JF[1:].reshape(s, K, p, K)[:, :, ::-1].transpose(2, 3, 0, 1)
+    return T.reshape(s * K, s * K), M.reshape(p * K, s * K)
+
+
 def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
     """``y_t = c + sum_i coefs[i] y_{t-i} + shocks_t``, unchecked.
 
@@ -443,45 +468,36 @@ def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
     ``(..., p, K)``, holds the first p rows; the result is
     ``(..., p + n, K)``.  ``intercept`` may be ``None`` (zero).
 
-    Each row adds to ``c + shocks_t`` the products of its p K
-    predecessors with ``[A_p' .. A_1']``, summed pairwise in a fixed
-    order by elementwise operations over the samples.  A BLAS product
-    would round differently with the number of samples (gemv for one,
-    gemm for several); this way every sample gets the same bits in any
-    batch, alone or in a stack.
+    The periods go in steps of ``_SUB`` from the first, each ``g T + w M``
+    (:func:`_block_maps`): one stacked product per ``QR_ROWS`` block
+    gives its steps' ``g T``, then one per step adds the carried ``w M``.
+    numpy's matmul makes one BLAS call per sample, of a shape fixed by
+    ``(K, p)`` and the sample's steps in that ``QR_ROWS`` block, so every
+    sample gets the same bits alone or in a stack; and a sample made
+    ``QR_ROWS`` periods per call, each from the last p rows of the one
+    before, makes the calls of one call over the whole sample.
     """
     p = len(coefs)
     *batch, n, K = shocks.shape
-    base = shocks if intercept is None else intercept + shocks
-    # time first and samples last, so that every step is a few long
-    # elementwise operations
-    b = np.ascontiguousarray(np.moveaxis(base.reshape(-1, n, K), 0, -1))
-    C = b.shape[-1]
-    start = np.broadcast_to(initial, (*batch, p, K)).reshape(C, p, K)
-    out = np.empty((p + n, K, C))
-    out[:p] = np.moveaxis(start, 0, -1)
+    s, C = _SUB, int(np.prod(batch, dtype=int))
+    m = -(-n // s)  # steps; the last is padded with zero shocks
+    g = np.zeros((C, m, s * K))
+    head = g.reshape(C, -1)[:, : n * K]
+    head[:] = shocks.reshape(C, n * K)
+    if intercept is not None:  # one long row per sample, not K at a time
+        head += np.tile(intercept, n)
     if p == 0:
-        out[:] = b
-    else:
-        # row j of a step's terms holds the products of the j-th of the
-        # p K predecessors with row j of W = [A_p' .. A_1']
-        W = np.concatenate([np.asarray(A).T for A in reversed(coefs)])
-        W = W[:, :, None]
-        window = out.reshape((p + n) * K, 1, C)
-        width = 1 << (p * K - 1).bit_length()  # rows past p K stay zero
-        terms = np.zeros((width, K, C))
-        products, total = terms[: p * K], terms[0]
-        halves = []
-        while width > 1:
-            width //= 2
-            halves.append((terms[:width], terms[width : 2 * width]))
-        for t in range(n):
-            np.multiply(window[t * K : (t + p) * K], W, products)
-            for low, high in halves:
-                np.add(low, high, low)
-            np.add(b[t], total, out[t + p])
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(
-        *batch, p + n, K)
+        return head.reshape(*batch, n, K)
+    T, M = _block_maps(coefs, K)
+    out = np.empty((C, (p + m * s) * K))
+    out[:, : p * K] = np.broadcast_to(initial, (*batch, p, K)).reshape(C, -1)
+    body = out[:, p * K :].reshape(C, m, s * K)
+    for j in range(0, m, QR_ROWS // s):
+        block = slice(j, j + QR_ROWS // s)  # the steps of a QR_ROWS block
+        np.matmul(g[:, block], T, out=body[:, block])
+    for j in range(m):  # the window of p rows ends where step j starts
+        body[:, j] += (out[:, None, j * s * K : (j * s + p) * K] @ M)[:, 0]
+    return out.reshape(C, p + m * s, K)[:, : p + n].reshape(*batch, p + n, K)
 
 
 def simulate_var(coefs, intercept, innovations, initial) -> np.ndarray:

@@ -21,7 +21,9 @@ Three independent routes to a channel effect:
   target on or off, with ``2**(target-1)`` entries.
 
 :func:`ma_coefficients` is the textbook reduced-form MA recursion, the
-reference for identified and local-projection IRFs.
+reference for identified and local-projection IRFs, and
+:func:`var_recursion` the VAR recursion one period at a time, the
+reference for the library's blocked recursion.
 
 :func:`write_effects_csv`, :func:`verify_effects_csv` and
 :func:`read_data_csv` are the CLI's CSV layer as it was before the bulk
@@ -417,6 +419,50 @@ def ma_coefficients(var: ReducedVar, h: int) -> np.ndarray:
             acc += Ai @ theta[t - i]
         theta[t] = acc
     return theta
+
+
+def var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
+    """``y_t = c + sum_i coefs[i] y_{t-i} + shocks_t``, one period at a
+    time, with the signature of ``tca.model._var_recursion``.
+
+    Leading axes batch samples: ``shocks`` is ``(..., n, K)``,
+    ``initial`` ``(p, K)`` or ``(..., p, K)``, and the result is
+    ``(..., p + n, K)``.  Each row adds to ``c + shocks_t`` the products
+    of its p K predecessors with ``[A_p' .. A_1']``, summed pairwise in a
+    fixed order by elementwise operations over the samples.
+    """
+    p = len(coefs)
+    *batch, n, K = shocks.shape
+    base = shocks if intercept is None else intercept + shocks
+    # time first and samples last, so that every step is a few long
+    # elementwise operations
+    b = np.ascontiguousarray(np.moveaxis(base.reshape(-1, n, K), 0, -1))
+    C = b.shape[-1]
+    start = np.broadcast_to(initial, (*batch, p, K)).reshape(C, p, K)
+    out = np.empty((p + n, K, C))
+    out[:p] = np.moveaxis(start, 0, -1)
+    if p == 0:
+        out[:] = b
+    else:
+        # row j of a step's terms holds the products of the j-th of the
+        # p K predecessors with row j of W = [A_p' .. A_1']
+        W = np.concatenate([np.asarray(A).T for A in reversed(coefs)])
+        W = W[:, :, None]
+        window = out.reshape((p + n) * K, 1, C)
+        width = 1 << (p * K - 1).bit_length()  # rows past p K stay zero
+        terms = np.zeros((width, K, C))
+        products, total = terms[: p * K], terms[0]
+        halves = []
+        while width > 1:
+            width //= 2
+            halves.append((terms[:width], terms[width : 2 * width]))
+        for t in range(n):
+            np.multiply(window[t * K : (t + p) * K], W, products)
+            for low, high in halves:
+                np.add(low, high, low)
+            np.add(b[t], total, out[t + p])
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(
+        *batch, p + n, K)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Smoke test of scripts/bench_stages.py: every stage of every workload is
-timed, and the timers leave every binding as they found it."""
+timed, the timers leave every binding as they found it, and a comparison
+in pairs of processes writes each pair's medians and their spread."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,23 @@ def test_missing_function_raises_and_restores(bench):
     with pytest.raises(LookupError, match="no_such_module"):
         with bench.installed({"x": ["tca.no_such_module.f"]}):
             pass
+
+
+def test_one_pair_against_a_tree(bench, tmp_path):
+    out = tmp_path / "pairs.json"
+    bench.main(["--against", str(ROOT / "src"), "--pairs", "1", "--runs",
+                "9", "--workload", "cli_io", "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert "bootstrap" not in report
+    assert report["comparison"] == {"pairs": 1, "runs": 9}
+    entry = report["cli_io"]
+    names = ["whole_s", *bench.WORKLOADS["cli_io"][1]]
+    assert len(entry["pairs"]) == 1
+    for label in ("parent", "change"):
+        pair = entry["pairs"][0][label]
+        assert sorted(pair) == sorted(names)
+        for name in names:
+            spread = entry[label][name]
+            assert spread["n"] == 1
+            assert spread["min"] == spread["median"] == spread["max"]
+            assert spread["median"] == pair[name] > 0

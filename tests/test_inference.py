@@ -90,6 +90,36 @@ class TestRegeneration:
         assert np.array_equal(regenerated(var, seed, [4]), samples[4:5])
 
 
+class TestResamplingIndices:
+    @pytest.mark.parametrize("n", [100, 396, 1000, 4999])
+    @pytest.mark.parametrize("size", [inf.QR_ROWS, inf.INDEX_ROWS])
+    def test_block_draws_continue_the_one_call_stream(self, n, size):
+        # _regenerate draws a draw's indices INDEX_ROWS at a time from one
+        # generator; that equals one call for the whole sample because
+        # the bit generator carries its spare 32 bits from call to call
+        for r in range(3):
+            whole = np.random.default_rng((11, r)).integers(0, n, size=n)
+            rng = np.random.default_rng((11, r))
+            blocks = [rng.integers(0, n, size=min(size, n - start))
+                      for start in range(0, n, size)]
+            assert np.array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.parametrize("n", [2 * inf.QR_ROWS + 3, inf.INDEX_ROWS + 3,
+                                   4999])
+    def test_long_samples_are_simulate_var_on_one_call_indices(self, n):
+        rng = np.random.default_rng(n)
+        coefs = stable_var_coefs(rng, 2, 1)
+        data = simulate_var(coefs, rng.normal(size=2),
+                            rng.normal(size=(n, 2)), np.zeros((1, 2)))
+        var = estimate_var_ols(data, 1)
+        samples = regenerated(var, 3, range(3))
+        for r in range(3):
+            idx = np.random.default_rng((3, r)).integers(0, n, size=n)
+            expected = simulate_var(var.coefs, var.intercept,
+                                    var.residuals[idx], data[:1])
+            assert np.array_equal(samples[r], expected)
+
+
 class TestBootstrapEffects:
     def test_reproducible_bitwise(self):
         data = make_data(0)

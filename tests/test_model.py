@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import stable_var_coefs, three_var_model
-from oracles import ma_coefficients
+from oracles import ma_coefficients, var_recursion
 from tca import (
     ReducedVar,
     TransmissionOrdering,
@@ -18,6 +18,7 @@ from tca.errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
+from tca.model import QR_ROWS, _var_recursion
 
 
 def simulate(rng, coefs, T, intercept=None, chol=None):
@@ -254,3 +255,53 @@ class TestSimulateVar:
                            match="intercept must have length 2"):
             simulate_var([np.zeros((2, 2))], [0.1, 0.2, 0.3],
                          rng.normal(size=(5, 2)), np.zeros((1, 2)))
+
+
+class TestVarRecursion:
+    """The blocked recursion against the one-period-at-a-time reference."""
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 4, 17])
+    @pytest.mark.parametrize("K", [1, 2, 4, 6])
+    def test_matches_the_per_period_reference(self, K, p):
+        # stable, near-unit-root and mildly explosive; sample lengths
+        # around one step of 16 periods and past two QR_ROWS blocks
+        rng = np.random.default_rng(100 * K + p)
+        for radius in (0.6, 0.99, 1.02) if p else (None,):
+            coefs = stable_var_coefs(rng, K, p, radius) if p else []
+            for n in (1, 15, 16, 17, 2 * QR_ROWS + 3):
+                for batch in ((), (3,), (2, 3)):
+                    for c in (None, rng.normal(size=K)):
+                        shocks = rng.normal(size=(*batch, n, K))
+                        # one shared start for the 2-D batch
+                        initial = rng.normal(
+                            size=(p, K) if len(batch) == 2 else (*batch, p, K))
+                        got = _var_recursion(coefs, c, shocks, initial)
+                        want = var_recursion(coefs, c, shocks, initial)
+                        assert got.shape == want.shape == (*batch, p + n, K)
+                        scale = np.maximum(1.0, np.abs(want).max(
+                            axis=(-2, -1), keepdims=True))
+                        gap = np.abs(got - want) / scale
+                        assert gap.max() <= 1e-12, (radius, n, batch, c)
+
+    @pytest.mark.parametrize("K,p", [(2, 1), (4, 4), (6, 17)])
+    def test_each_sample_has_the_same_bits_in_any_stack(self, K, p):
+        rng = np.random.default_rng(7 * K + p)
+        coefs = stable_var_coefs(rng, K, p, 0.9)
+        c = rng.normal(size=K)
+        n = 2 * QR_ROWS + 3
+        shocks = rng.normal(size=(70, n, K))
+        initial = rng.normal(size=(70, p, K))
+        whole = _var_recursion(coefs, c, shocks, initial)
+        for size in (1, 7):
+            for start in range(0, 70, size):
+                part = _var_recursion(coefs, c, shocks[start : start + size],
+                                      initial[start : start + size])
+                assert np.array_equal(part, whole[start : start + size])
+        # QR_ROWS periods per call, each from the last p rows of the one
+        # before, as the bootstrap regenerates a sample
+        rows, parts = initial, [initial]
+        for start in range(0, n, QR_ROWS):
+            rows = _var_recursion(coefs, c, shocks[:, start : start + QR_ROWS],
+                                  rows[:, rows.shape[1] - p :])
+            parts.append(rows[:, p:])
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
