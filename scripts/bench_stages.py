@@ -30,8 +30,7 @@ Usage::
     python scripts/bench_stages.py --against ../parent/src --pairs 5
 
 ``--src`` is the ``src`` directory of the checkout to time (default: this
-one) and ``--workload`` picks one workload (default: all).  Each workload
-is run once to warm up, then ``--runs`` times whole and ``--runs`` times
+one).  Each workload is run once to warm up, then ``--runs`` times whole and ``--runs`` times
 with a timer around each stage function.  A stage's time is the self
 time of its calls summed over a run (its calls less the calls of other
 stages made inside them); the timers add a little to each call.  The
@@ -233,11 +232,11 @@ def medians(entry):
             **{stage: v["median"] for stage, v in entry["stages_s"].items()}}
 
 
-def compare(args, workloads):
+def compare(args):
     """The ``--against`` report: ``--pairs`` pairs of fresh processes,
     one per tree, the first of a pair alternating between them."""
     sides = {"parent": args.against, "change": args.src}
-    report = {name: {"pairs": []} for name in workloads}
+    report = {name: {"pairs": []} for name in WORKLOADS}
     with tempfile.TemporaryDirectory() as tmp:
         for pair in range(args.pairs):
             entries = {}
@@ -245,11 +244,10 @@ def compare(args, workloads):
                 out = Path(tmp) / f"{pair}-{label}.json"
                 subprocess.run([sys.executable, __file__, "--label", label,
                                 "--src", sides[label], "--runs",
-                                str(args.runs), "--out", str(out),
-                                *(f"--workload={name}" for name in workloads)],
+                                str(args.runs), "--out", str(out)],
                                check=True)
                 entries[label] = json.loads(out.read_text())
-            for name in workloads:
+            for name in WORKLOADS:
                 report[name]["pairs"].append(
                     {label: medians(entries[label][name][label])
                      for label in sides})
@@ -270,7 +268,6 @@ def main(argv=None):
     ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--against", metavar="SRC")
     ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--workload", action="append", choices=list(WORKLOADS))
     ap.add_argument("--runs", type=int, default=15)
     ap.add_argument("--out", default=str(ROOT / "BENCH_stages.json"))
     args = ap.parse_args(argv)
@@ -280,14 +277,13 @@ def main(argv=None):
         ap.error("give exactly one of --label and --against")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    workloads = args.workload or list(WORKLOADS)
     machine = (f"{platform.machine()}, {os.cpu_count()} cores, Python "
                f"{platform.python_version()}, numpy {np.__version__}, "
                "one BLAS thread")
     out = Path(args.out)
     if args.against is not None:
-        report = compare(args, workloads)
-        for name in workloads:
+        report = compare(args)
+        for name in WORKLOADS:
             parent, change = report[name]["parent"], report[name]["change"]
             text = "  ".join(f"{metric}={parent[metric]['median'] * 1e3:.2f}"
                              f"->{change[metric]['median'] * 1e3:.2f}"
@@ -300,8 +296,7 @@ def main(argv=None):
 
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
     report = json.loads(out.read_text()) if out.is_file() else {}
-    for workload in workloads:
-        setup, stages = WORKLOADS[workload]
+    for workload, (setup, stages) in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:
             entry = measure(setup, stages, args.runs, workdir)
         report.setdefault(workload, {})[args.label] = entry

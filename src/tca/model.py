@@ -39,9 +39,15 @@ __all__ = [
 #: time, so that a fit's working memory does not grow with the sample.
 QR_ROWS = 256
 
-#: Periods per sequential step of the VAR recursion, a divisor of QR_ROWS.
+#: Most periods per sequential step of the VAR recursion, a divisor of
+#: QR_ROWS.
 _SUB = 16
 assert QR_ROWS % _SUB == 0
+
+#: Most values a sample's step of the VAR recursion spans while it takes
+#: more than one period, ``s K``.  A step costs ``s K^2`` flops per period
+#: beside the ``p K^2`` of the lags, and its maps ``(s K)^2`` values.
+_STEP_WIDTH = 64
 
 
 def _lag_matrices(mats, name: str, K: int) -> tuple:
@@ -439,20 +445,33 @@ def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
     return LpEstimates(beta=beta, gamma=gamma, flagged=tuple(flagged))
 
 
-def _block_maps(coefs, K: int) -> tuple:
-    """``(T, M)``: a ``_SUB``-period step of the VAR recursion gives rows
-    ``y_t .. y_(t+_SUB-1)`` as ``g T + w M``, with ``g`` their ``c +
-    shocks`` and ``w`` the p rows before, all flattened.  With companion
-    matrix ``F`` and ``J = [I 0 .. 0]``, block (l, j) of ``T`` is ``(J
-    F^(j-l) J')'`` (0 for l > j) and block (i, j) of ``M`` is the block of
-    ``(J F^(j+1))'`` acting on ``y_(t-p+i)``."""
-    p, s = len(coefs), _SUB
-    F = np.eye(p * K, k=-K)
-    F[:K] = np.concatenate(coefs, axis=1)
-    JF = np.empty((s + 1, K, p * K))  # J F^j
-    JF[0] = np.eye(K, p * K)
+def _step(K: int) -> int:
+    """Periods per step of the VAR recursion of K variables: the most, up
+    to ``_SUB``, that keep ``s K`` within ``_STEP_WIDTH``, else 1.  They
+    depend on K alone, so a call over part of a sample steps as one call
+    over all of it does."""
+    s = _SUB
+    while s > 1 and s * K > _STEP_WIDTH:
+        s //= 2
+    return s
+
+
+def _block_maps(coefs, K: int, s: int) -> tuple:
+    """``(T, M)``: an s-period step of the VAR recursion gives rows
+    ``y_t .. y_(t+s-1)`` as ``g T + w M``, with ``g`` their ``c + shocks``
+    and ``w`` the p rows before, all flattened.  With companion matrix
+    ``F`` and ``J = [I 0 .. 0]``, block (l, j) of ``T`` is ``(J F^(j-l)
+    J')'`` (0 for l > j) and block (i, j) of ``M`` is the block of ``(J
+    F^(j+1))'`` acting on ``y_(t-p+i)``.  ``F`` itself is never formed:
+    ``J F^(j+1)`` is the first block of ``J F^j`` times ``[A_1 .. A_p]``
+    plus the rest of ``J F^j`` moved one block left."""
+    p = len(coefs)
+    A = np.concatenate(coefs, axis=1)
+    JF = np.zeros((s + 1, K, p * K))  # J F^j
+    JF[0, :, :K] = np.eye(K)
     for j in range(s):
-        np.matmul(JF[j], F, out=JF[j + 1])
+        np.matmul(JF[j, :, :K], A, out=JF[j + 1])
+        JF[j + 1, :, :-K] += JF[j, :, K:]
     psi = np.concatenate([JF[:s, :, :K], np.zeros((1, K, K))])  # psi[-1] = 0
     lag = np.maximum(np.subtract.outer(np.arange(s), np.arange(s)), -1)
     T = psi[lag].transpose(1, 3, 0, 2)  # lag -1 above the block diagonal
@@ -468,8 +487,8 @@ def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
     ``(..., p, K)``, holds the first p rows; the result is
     ``(..., p + n, K)``.  ``intercept`` may be ``None`` (zero).
 
-    The periods go in steps of ``_SUB`` from the first, each ``g T + w M``
-    (:func:`_block_maps`): one stacked product per ``QR_ROWS`` block
+    The periods go in steps of ``_step(K)`` from the first, each ``g T +
+    w M`` (:func:`_block_maps`): one stacked product per ``QR_ROWS`` block
     gives its steps' ``g T``, then one per step adds the carried ``w M``.
     numpy's matmul makes one BLAS call per sample, of a shape fixed by
     ``(K, p)`` and the sample's steps in that ``QR_ROWS`` block, so every
@@ -479,7 +498,7 @@ def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
     """
     p = len(coefs)
     *batch, n, K = shocks.shape
-    s, C = _SUB, int(np.prod(batch, dtype=int))
+    s, C = _step(K), int(np.prod(batch, dtype=int))
     m = -(-n // s)  # steps; the last is padded with zero shocks
     g = np.zeros((C, m, s * K))
     head = g.reshape(C, -1)[:, : n * K]
@@ -488,7 +507,7 @@ def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
         head += np.tile(intercept, n)
     if p == 0:
         return head.reshape(*batch, n, K)
-    T, M = _block_maps(coefs, K)
+    T, M = _block_maps(coefs, K, s)
     out = np.empty((C, (p + m * s) * K))
     out[:, : p * K] = np.broadcast_to(initial, (*batch, p, K)).reshape(C, -1)
     body = out[:, p * K :].reshape(C, m, s * K)

@@ -4,7 +4,9 @@ in pairs of processes writes each pair's medians and their spread."""
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -58,12 +60,21 @@ def test_missing_function_raises_and_restores(bench):
             pass
 
 
-def test_one_pair_against_a_tree(bench, tmp_path):
+def test_one_pair_against_a_tree(bench, tmp_path, monkeypatch):
+    # The pair's two processes run in this one, on the cli_io workload
+    # alone, to keep the test short.
+    def run_in_process(cmd, check):
+        assert cmd[:2] == [sys.executable, bench.__file__] and check
+        bench.main(cmd[2:])
+
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run_in_process))
+    monkeypatch.setattr(bench, "WORKLOADS", {"cli_io": bench.WORKLOADS["cli_io"]})
+    monkeypatch.setattr(sys, "path", list(sys.path))
     out = tmp_path / "pairs.json"
     bench.main(["--against", str(ROOT / "src"), "--pairs", "1", "--runs",
-                "9", "--workload", "cli_io", "--out", str(out)])
+                "9", "--out", str(out)])
     report = json.loads(out.read_text())
-    assert "bootstrap" not in report
+    assert sorted(report) == ["cli_io", "comparison", "machine"]
     assert report["comparison"] == {"pairs": 1, "runs": 9}
     entry = report["cli_io"]
     names = ["whole_s", *bench.WORKLOADS["cli_io"][1]]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from tca.errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from tca.model import QR_ROWS, _var_recursion
+from tca.model import QR_ROWS, _STEP_WIDTH, _step, _var_recursion
 
 
 def simulate(rng, coefs, T, intercept=None, chol=None):
@@ -283,7 +285,44 @@ class TestVarRecursion:
                         gap = np.abs(got - want) / scale
                         assert gap.max() <= 1e-12, (radius, n, batch, c)
 
-    @pytest.mark.parametrize("K,p", [(2, 1), (4, 4), (6, 17)])
+    @pytest.mark.parametrize("K", [8, 16, 32, 65])
+    def test_wide_vars_step_fewer_periods_and_match(self, K):
+        # 8, 4, 2 and 1 periods per step
+        assert _step(K) == max(1, _STEP_WIDTH // K)
+        rng = np.random.default_rng(K)
+        for p in (1, 3):
+            coefs = stable_var_coefs(rng, K, p, 0.99)
+            for n in (1, _step(K) + 1, 2 * QR_ROWS + 3):
+                c = rng.normal(size=K)
+                shocks = rng.normal(size=(3, n, K))
+                initial = rng.normal(size=(3, p, K))
+                got = _var_recursion(coefs, c, shocks, initial)
+                want = var_recursion(coefs, c, shocks, initial)
+                scale = np.maximum(1.0, np.abs(want).max(
+                    axis=(-2, -1), keepdims=True))
+                assert (np.abs(got - want) / scale).max() <= 1e-12, (p, n)
+
+    def test_memory_stays_within_a_few_lag_matrices_at_large_k(self):
+        # a one-period impulse of a VAR(2) with K=200, as the point
+        # estimate of a reduced-form VAR asks for; 16-period step maps
+        # would take 8 (16 K)^2 bytes, 82 MB here
+        K, p = 200, 2
+        rng = np.random.default_rng(5)
+        var = ReducedVar(var_names=[f"v{i}" for i in range(K)],
+                         coefs=[0.3 / K * rng.normal(size=(K, K))
+                                for _ in range(p)],
+                         sigma_u=np.eye(K))
+        tracemalloc.start()
+        try:
+            column = identify_internal_instrument(var, 1, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert column.phi.shape == (K,)
+        assert peak <= 16 * 8 * p * K * K, peak
+
+    @pytest.mark.parametrize("K,p", [(2, 1), (4, 4), (6, 17), (16, 2),
+                                     (40, 1)])
     def test_each_sample_has_the_same_bits_in_any_stack(self, K, p):
         rng = np.random.default_rng(7 * K + p)
         coefs = stable_var_coefs(rng, K, p, 0.9)
