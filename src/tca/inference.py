@@ -12,7 +12,9 @@ condition.  Draws run in chunks of at most ``CHUNK_BYTES`` of working
 arrays, on one thread: each step of a chunk is one stacked numpy or
 LAPACK call over its draws, and on a stack of one these kernels give
 the point estimate's bits.  A chunk is resampled, regenerated and
-refitted in blocks, so its memory does not grow with the sample length.
+refitted in blocks, so its memory does not grow with the sample length:
+each refit sums its draw's Gram matrix block by block, from rows shifted
+by the full-sample mean, and solves the normal equations by Cholesky.
 Every draw uses its own substream derived from ``(seed, draw index)``
 and the kernels give each draw the same bits in any stack, so the bands
 are byte-identical at any chunk size.  A degenerate draw (rank-deficient
@@ -36,8 +38,8 @@ from .errors import (
     ZeroImpactError,
 )
 from .linalg import as_matrix
-from .model import (QR_ROWS, ReducedVar, _instrument_impact, _lagged_design,
-                    _ols, _split_coefficients, _var_recursion,
+from .model import (BLOCK_ROWS, ReducedVar, _instrument_impact,
+                    _lagged_design, _ols, _split_coefficients, _var_recursion,
                     estimate_var_ols, identify_internal_instrument)
 from .system import (TransmissionOrdering, _reduced_form,
                      reconstruct_from_single_shock)
@@ -64,13 +66,13 @@ _RANK, _NOT_PD, _ZERO_IMPACT = 1, 2, 3
 MAX_DISCARD_SHARE = 0.05
 
 #: Bytes of the working arrays of one chunk of bootstrap draws: a block
-#: of its resampling indices and one ``QR_ROWS`` block of the ``[X | Y]``
-#: regression rows of its refits, or its evaluator solve columns when
-#: those are larger.
+#: of its resampling indices and one ``BLOCK_ROWS`` block of the
+#: ``[X | Y]`` regression rows whose products make its refits' Gram
+#: matrices, or its evaluator solve columns when those are larger.
 CHUNK_BYTES = 3 * 2 ** 20
 
 #: Resampling indices per call of a draw's generator, each call a fixed cost.
-INDEX_ROWS = 8 * QR_ROWS
+INDEX_ROWS = 8 * BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -181,10 +183,11 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
 
 
 def _regenerate(var: ReducedVar, seed: int, draws):
-    """The regenerated samples of the given draws, ``QR_ROWS`` periods at
-    a time: blocks ``(len(draws), p + rows, K)`` whose first p rows end
-    the block before (the data's first p rows at the start).  A draw's
-    generator gives its indices ``INDEX_ROWS`` at a time, one stream."""
+    """The regenerated samples of the given draws, ``BLOCK_ROWS``
+    periods at a time: blocks ``(len(draws), p + rows, K)`` whose first p
+    rows end the block before (the data's first p rows at the start).  A
+    draw's generator gives its indices ``INDEX_ROWS`` at a time, one
+    stream."""
     data = var.data
     resid = var.residuals
     if data is None or resid is None:
@@ -193,12 +196,12 @@ def _regenerate(var: ReducedVar, seed: int, draws):
     n = data.shape[0] - p
     rngs = [np.random.default_rng((seed, r)) for r in draws]
     rows = np.broadcast_to(data[:p], (len(rngs), p, var.K))
-    for start in range(0, n, QR_ROWS):
+    for start in range(0, n, BLOCK_ROWS):
         at = start % INDEX_ROWS
         if at == 0:
             idx = np.array([rng.integers(0, n, size=min(INDEX_ROWS, n - start),
                                          dtype=np.int32) for rng in rngs])
-        shocks = np.take(resid, idx[:, at : at + QR_ROWS], axis=0)
+        shocks = np.take(resid, idx[:, at : at + BLOCK_ROWS], axis=0)
         rows = _var_recursion(var.coefs, var.intercept, shocks,
                               rows[:, rows.shape[1] - p :])
         yield rows
@@ -211,7 +214,12 @@ def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
     p, K = var.p, var.K
     intercept = var.intercept is not None
     k = int(intercept) + K * p
-    coef, ssr, rank = _ols((_lagged_design(rows, p, intercept)
+    # the rows are shifted by the data's mean, as in estimate_var_ols,
+    # and every block of [X | Y] is made in the one array
+    mu = var.data.mean(axis=0) if intercept else np.zeros(K)
+    out = np.empty((len(draws), k + K, BLOCK_ROWS))
+    coef, ssr, rank = _ols((_lagged_design(rows, p, intercept, mu,
+                                           out[..., : rows.shape[1] - p])
                             for rows in _regenerate(var, seed, draws)), k)
     full = rank == k
     # a rank-deficient draw goes on as a white-noise VAR, so that every
@@ -257,9 +265,10 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     R = spec.replications
     n = (h + 1) * K
     # a draw's working arrays: a block of its resampling indices and a
-    # QR_ROWS block of [X | Y], or else its evaluator solve columns
+    # BLOCK_ROWS block of [X | Y], or else its evaluator solve columns
     T_p, width = T - var.p, int(var_spec.intercept) + K * var.p + K
-    per_draw = max(4 * min(T_p, INDEX_ROWS) + 8 * min(T_p, QR_ROWS) * width,
+    per_draw = max(4 * min(T_p, INDEX_ROWS)
+                   + 8 * min(T_p, BLOCK_ROWS) * width,
                    8 * n * (_plan(cond.root, TERM_CAP)[0].size + 1))
     size = max(1, CHUNK_BYTES // per_draw)
     total = np.empty((R, n))

@@ -5,6 +5,12 @@ equation-wise OLS, internal-instrument shock identification, and
 local-projection IRF regressions.  All estimation results are immutable
 and safe to share across threads.
 
+Every least-squares fit, the bootstrap refits included, solves the
+normal equations (:func:`_fit`): a Gram matrix per sample, summed over
+blocks of ``BLOCK_ROWS`` rows and factored by Cholesky, with the rank
+rule of ``RANK_TESTS``.  With an intercept, the rows are first shifted
+by the sample mean, so that the Gram matrix stays well conditioned.
+
 Variable indices in public signatures are 1-based, matching the system
 index convention used everywhere in this package.
 """
@@ -35,14 +41,26 @@ __all__ = [
 ]
 
 
-#: Rows of ``[X | Y]`` that one QR of a least-squares fit takes at a
-#: time, so that a fit's working memory does not grow with the sample.
-QR_ROWS = 256
+#: Rows of ``[X | Y]`` that one product of a least-squares fit's Gram
+#: matrix takes at a time, so that a fit's working memory does not grow
+#: with the sample.
+BLOCK_ROWS = 256
+
+#: The rank rule of a least-squares fit of n rows on k regressors, in the
+#: order :func:`_fit` applies it: the fit is full rank when it passes all
+#: four tests.  ``P`` is the Cholesky factor of the column-equilibrated
+#: ``X'X``.
+RANK_TESTS = (
+    "n >= k",
+    "no zero column",
+    "positive Cholesky pivots",
+    "sqrt(k) |P^-1|_F sqrt(eps max(n, k)) < 1",
+)
 
 #: Most periods per sequential step of the VAR recursion, a divisor of
-#: QR_ROWS.
+#: BLOCK_ROWS.
 _SUB = 16
-assert QR_ROWS % _SUB == 0
+assert BLOCK_ROWS % _SUB == 0
 
 #: Most values a sample's step of the VAR recursion spans while it takes
 #: more than one period, ``s K``.  A step costs ``s K^2`` flops per period
@@ -207,63 +225,86 @@ class LpEstimates:
     flagged: tuple = ()
 
 
-def _lagged_design(data: np.ndarray, p: int, intercept: bool) -> np.ndarray:
-    """``[X | Y]`` of samples ``data`` of shape ``(..., T, K)``: the
-    regressors (an intercept and p lags) beside the target rows, shape
-    ``(..., T - p, k + K)``; leading axes batch samples.  Each sample's
-    matrix is stored column by column, the layout LAPACK factors."""
+def _lagged_design(data: np.ndarray, p: int, intercept: bool, mu,
+                   out=None) -> np.ndarray:
+    """``[X | Y]`` of samples ``data`` of shape ``(..., T, K)`` shifted by
+    ``mu``: the regressors (an intercept and p lags of ``data - mu``)
+    beside the target rows, shape ``(..., T - p, k + K)``; leading axes
+    batch samples.  Each sample's matrix is stored column by column, in
+    ``out`` when given, a ``(..., k + K, T - p)`` array that a caller may
+    refill block after block."""
     *batch, T, K = data.shape
     k = int(intercept) + K * p
-    out = np.empty((*batch, k + K, T - p))
+    if out is None:
+        out = np.empty((*batch, k + K, T - p))
     if intercept:
         out[..., 0, :] = 1.0
     for lag in range(p + 1):  # lag 0 is the target, after the regressors
         first = k if lag == 0 else int(intercept) + K * (lag - 1)
-        out[..., first : first + K, :] = np.swapaxes(
-            data[..., p - lag : T - lag, :], -1, -2)
+        np.subtract(np.swapaxes(data[..., p - lag : T - lag, :], -1, -2),
+                    mu[:, None], out=out[..., first : first + K, :])
     return np.swapaxes(out, -1, -2)
 
 
 def _row_blocks(XY: np.ndarray):
-    """``XY`` in blocks of ``QR_ROWS`` rows, in order."""
-    for start in range(0, XY.shape[-2], QR_ROWS):
-        yield XY[..., start : start + QR_ROWS, :]
+    """``XY`` in blocks of ``BLOCK_ROWS`` rows, in order."""
+    for start in range(0, XY.shape[-2], BLOCK_ROWS):
+        yield XY[..., start : start + BLOCK_ROWS, :]
+
+
+def _fit(blocks, k: int) -> tuple:
+    """Least squares of the last columns of ``[X | Y]`` on its first
+    ``k``, by the normal equations, for a stack of samples whose rows
+    arrive in ``blocks``.
+
+    Every block is ``(..., rows, k + K)``; together, in order, they are
+    ``[X | Y]``, n rows in all.  One stacked product per block adds to
+    the Gram matrix ``G = [X | Y]'[X | Y]``, which is then equilibrated,
+    ``D^-1 G D^-1`` with ``D`` the column norms, and only its X block is
+    factored, ``P P'``.  One solve gives ``P^-1 [G_xy | I]``, that is
+    ``R = P^-1 G_xy`` and ``P^-1``; the coefficients solve ``P' b = R``,
+    and the residual cross-product is the Schur complement
+    ``G_yy - R'R``.  Each LAPACK call and product is one per sample, so a
+    sample gets the same bits in any stack.
+
+    The fit is full rank when it passes every test of ``RANK_TESTS``.
+    The columns of the equilibrated X have unit norm, so ``sqrt(k)
+    |P^-1|_F`` bounds its condition number kappa, and the last test keeps
+    ``kappa^2 eps n``, the relative error that forming ``X'X`` may add,
+    below 1: at n = 400 it rejects every kappa above about 3e6.  Returns
+    ``(coef, ssr, failed)``: ``failed`` is 0 for a full-rank fit and
+    otherwise 1 + the index of the first test the sample fails, whose
+    coefficients are then not meaningful.
+    """
+    G, n = 0.0, 0
+    for block in blocks:
+        n += block.shape[-2]
+        G = G + np.swapaxes(block, -1, -2) @ block
+    d = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
+    zero = np.any(d[..., :k] == 0.0, axis=-1)
+    d = np.where(d > 0.0, d, 1.0)
+    G = G / (d[..., :, None] * d[..., None, :])
+    P, pd = cholesky_lower(G[..., :k, :k])
+    eye = np.broadcast_to(np.eye(k), P.shape)
+    W = np.linalg.solve(P, np.concatenate([G[..., :k, k:], eye], axis=-1))
+    R, inv = W[..., : -k], W[..., -k:]
+    bounded = (np.sqrt(k * np.finfo(float).eps * max(n, k))
+               * np.sqrt(np.sum(inv * inv, axis=(-2, -1))) < 1.0)
+    coef = np.linalg.solve(np.swapaxes(P, -1, -2), R)
+    coef = coef / d[..., :k, None] * d[..., None, k:]
+    dy = d[..., k:, None] * d[..., None, k:]
+    ssr = (G[..., k:, k:] - np.swapaxes(R, -1, -2) @ R) * dy
+    failed = np.select([np.broadcast_to(n < k, pd.shape), zero, ~pd,
+                        ~bounded], [1, 2, 3, 4])
+    return coef, ssr, failed
 
 
 def _ols(blocks, k: int) -> tuple:
-    """Least squares of the last columns of ``[X | Y]`` on its first
-    ``k``, for a stack of samples whose rows arrive in ``blocks``.
-
-    Every block is ``(..., rows, k + K)``; together, in order, they are
-    ``[X | Y]``.  Each QR factors the previous R stacked on the next
-    block, so one R of ``[X | Y]`` per sample holds everything: its
-    leading k x k block is the R of ``X``, whose singular values are
-    those of ``X``; the block beside it is ``Q'Y``; and the trailing
-    block ``S`` has ``S'S`` equal to the residual cross-product.  The
-    rank follows numpy's default least-squares rule: the singular values
-    above ``eps * max(n, k)`` times the largest, for n rows.  Returns
-    ``(coef, ssr, rank)``; the coefficients of a sample whose rank is
-    below k are not meaningful.
-    """
-    R, n = None, 0
-    for block in blocks:
-        n += block.shape[-2]
-        if R is not None:  # stacked column by column, the layout LAPACK reads
-            block = np.swapaxes(np.concatenate(
-                [np.swapaxes(R, -1, -2), np.swapaxes(block, -1, -2)], axis=-1),
-                -1, -2)
-        R = np.linalg.qr(block, mode="r")
-    short = R.shape[-1] - R.shape[-2]
-    if short > 0:  # fewer rows than columns: zero rows keep R'R and the rank
-        R = np.pad(R, [(0, 0)] * (R.ndim - 2) + [(0, short), (0, 0)])
-    Rx = R[..., :k, :k]
-    s = np.linalg.svd(Rx, compute_uv=False)
-    rank = np.count_nonzero(s > np.finfo(float).eps * max(n, k) * s[..., :1],
-                            axis=-1)
-    Rx = np.where((rank == k)[..., None, None], Rx, np.eye(k))
-    coef = np.linalg.solve(Rx, R[..., :k, k:])
-    S = R[..., k:, k:]
-    return coef, np.swapaxes(S, -1, -2) @ S, rank
+    """:func:`_fit` with its verdict as a rank: ``(coef, ssr, rank)``,
+    where ``rank`` is k for a full-rank fit and k - 1 otherwise, the rule
+    giving no finer count."""
+    coef, ssr, failed = _fit(blocks, k)
+    return coef, ssr, np.where(failed == 0, k, k - 1)
 
 
 def _split_coefficients(coef: np.ndarray, p: int, intercept: bool) -> tuple:
@@ -305,17 +346,23 @@ def estimate_var_ols(data, p: int, include_intercept: bool = True,
     if len(names) != K:
         raise DimensionMismatchError("var_names length does not match data")
 
-    XY = _lagged_design(data, p, include_intercept)
+    # with an intercept the rows are shifted by their mean, which leaves
+    # the lags alone and moves the intercept by (I - sum_i A_i) mu
+    mu = data.mean(axis=0) if include_intercept else np.zeros(K)
+    XY = _lagged_design(data, p, include_intercept, mu)
     k = XY.shape[1] - K
-    coef, ssr, rank = _ols(_row_blocks(XY[None]), k)
-    if rank[0] < k:
+    coef, ssr, failed = _fit(_row_blocks(XY[None]), k)
+    if failed[0]:
         raise RankDeficientRegressorsError(
-            f"regressor matrix has rank {rank[0]} < {k}"
+            f"regressors are rank deficient: the {T - p} x {k} regressor "
+            f"matrix fails the rank test {RANK_TESTS[failed[0] - 1]}"
         )
     dof = T - p - K * p - (1 if include_intercept else 0)
     if dof <= 0:
         raise ValueError("not enough observations for the dof correction")
     intercept, lags = _split_coefficients(coef[0], p, include_intercept)
+    if include_intercept:
+        intercept = intercept + mu - lags.sum(axis=0) @ mu
     return ReducedVar(
         var_names=names,
         coefs=tuple(lags),
@@ -420,6 +467,7 @@ def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
             f"<= {n_reg} regressors"
         )
 
+    data = data - data.mean(axis=0)  # moves only the unused intercepts
     s = data[:, shock_var - 1]
     controls = data[:, [i - 1 for i in before]]
     lag_cols = [data[lags - l : T - l] for l in range(1, lags + 1)]
@@ -436,8 +484,8 @@ def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
         Y = data[lags + h : lags + h + n]
         for out, X in ((beta, base), (gamma, with_controls)):
             XY = np.hstack([X[:n], Y])[None]
-            coef, _, rank = _ols(_row_blocks(XY), X.shape[1])
-            if rank[0] < X.shape[1]:
+            coef, _, failed = _fit(_row_blocks(XY), X.shape[1])
+            if failed[0]:
                 if h not in flagged:
                     flagged.append(h)
                 continue
@@ -488,12 +536,12 @@ def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
     ``(..., p + n, K)``.  ``intercept`` may be ``None`` (zero).
 
     The periods go in steps of ``_step(K)`` from the first, each ``g T +
-    w M`` (:func:`_block_maps`): one stacked product per ``QR_ROWS`` block
+    w M`` (:func:`_block_maps`): one stacked product per ``BLOCK_ROWS`` block
     gives its steps' ``g T``, then one per step adds the carried ``w M``.
     numpy's matmul makes one BLAS call per sample, of a shape fixed by
-    ``(K, p)`` and the sample's steps in that ``QR_ROWS`` block, so every
+    ``(K, p)`` and the sample's steps in that ``BLOCK_ROWS`` block, so every
     sample gets the same bits alone or in a stack; and a sample made
-    ``QR_ROWS`` periods per call, each from the last p rows of the one
+    ``BLOCK_ROWS`` periods per call, each from the last p rows of the one
     before, makes the calls of one call over the whole sample.
     """
     p = len(coefs)
@@ -511,8 +559,8 @@ def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
     out = np.empty((C, (p + m * s) * K))
     out[:, : p * K] = np.broadcast_to(initial, (*batch, p, K)).reshape(C, -1)
     body = out[:, p * K :].reshape(C, m, s * K)
-    for j in range(0, m, QR_ROWS // s):
-        block = slice(j, j + QR_ROWS // s)  # the steps of a QR_ROWS block
+    for j in range(0, m, BLOCK_ROWS // s):
+        block = slice(j, j + BLOCK_ROWS // s)  # the steps of a row block
         np.matmul(g[:, block], T, out=body[:, block])
     for j in range(m):  # the window of p rows ends where step j starts
         body[:, j] += (out[:, None, j * s * K : (j * s + p) * K] @ M)[:, 0]

@@ -23,7 +23,10 @@ Three independent routes to a channel effect:
 :func:`ma_coefficients` is the textbook reduced-form MA recursion, the
 reference for identified and local-projection IRFs, and
 :func:`var_recursion` the VAR recursion one period at a time, the
-reference for the library's blocked recursion.
+reference for the library's blocked recursion.  :func:`var_lstsq` and
+:func:`lp_lstsq` fit the VAR and the local projections with
+``np.lstsq`` on the unshifted regressors, the reference for the
+library's normal equations.
 
 :func:`write_effects_csv`, :func:`verify_effects_csv` and
 :func:`read_data_csv` are the CLI's CSV layer as it was before the bulk
@@ -463,6 +466,43 @@ def var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
             np.add(b[t], total, out[t + p])
     return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(
         *batch, p + n, K)
+
+
+def var_lstsq(data, p: int, intercept: bool = True) -> tuple:
+    """``(c, coefs, sigma_u)`` of a VAR(p) fitted to ``data`` by
+    ``np.linalg.lstsq``: the intercept (``None`` without one), the
+    ``(p, K, K)`` lag matrices and the residual covariance with the
+    degrees-of-freedom correction of ``estimate_var_ols``."""
+    T, K = data.shape
+    Y = data[p:]
+    X = np.hstack([np.ones((T - p, int(intercept)))]
+                  + [data[p - i : T - i] for i in range(1, p + 1)])
+    coef = np.linalg.lstsq(X, Y, rcond=None)[0]
+    resid = Y - X @ coef
+    lags = coef[int(intercept):].reshape(p, K, K).transpose(0, 2, 1)
+    sigma_u = resid.T @ resid / (T - p - X.shape[1])
+    return (coef[0] if intercept else None), lags, sigma_u
+
+
+def lp_lstsq(data, shock_var: int, ordered_before, horizons: int,
+             lags: int) -> tuple:
+    """``(beta, gamma)`` of ``estimate_lp_irfs``, each regression fitted
+    by ``np.linalg.lstsq`` on its own unshifted regressors."""
+    T, K = data.shape
+    beta = np.empty((horizons + 1, K))
+    gamma = np.empty((horizons + 1, K))
+    lagged = [data[lags - i : T - i] for i in range(1, lags + 1)]
+    controls = [data[lags:, [i - 1 for i in ordered_before]]]
+    for out, extra in ((beta, []), (gamma, controls)):
+        X = np.hstack([np.ones((T - lags, 1)),
+                       data[lags:, shock_var - 1 : shock_var]]
+                      + extra + lagged)
+        for h in range(horizons + 1):
+            n = T - lags - h
+            coef = np.linalg.lstsq(X[:n], data[lags + h : lags + h + n],
+                                   rcond=None)[0]
+            out[h] = coef[1]
+    return beta, gamma
 
 
 # ---------------------------------------------------------------------------

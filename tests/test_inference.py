@@ -77,9 +77,9 @@ class TestRegeneration:
                             rng.normal(size=(300, K)), np.zeros((p, K)))
         var = estimate_var_ols(data, p)
         seed = 11
-        samples = regenerated(var, seed, range(6))  # in blocks of QR_ROWS
+        samples = regenerated(var, seed, range(6))  # in blocks of BLOCK_ROWS
         n = data.shape[0] - p
-        assert n > inf.QR_ROWS
+        assert n > inf.BLOCK_ROWS
         for r in range(6):
             idx = np.random.default_rng((seed, r)).integers(0, n, size=n)
             expected = simulate_var(var.coefs, var.intercept,
@@ -92,7 +92,7 @@ class TestRegeneration:
 
 class TestResamplingIndices:
     @pytest.mark.parametrize("n", [100, 396, 1000, 4999])
-    @pytest.mark.parametrize("size", [inf.QR_ROWS, inf.INDEX_ROWS])
+    @pytest.mark.parametrize("size", [inf.BLOCK_ROWS, inf.INDEX_ROWS])
     def test_block_draws_continue_the_one_call_stream(self, n, size):
         # _regenerate draws a draw's indices INDEX_ROWS at a time from one
         # generator; that equals one call for the whole sample because
@@ -104,8 +104,8 @@ class TestResamplingIndices:
                       for start in range(0, n, size)]
             assert np.array_equal(np.concatenate(blocks), whole)
 
-    @pytest.mark.parametrize("n", [2 * inf.QR_ROWS + 3, inf.INDEX_ROWS + 3,
-                                   4999])
+    @pytest.mark.parametrize("n", [2 * inf.BLOCK_ROWS + 3,
+                                   inf.INDEX_ROWS + 3, 4999])
     def test_long_samples_are_simulate_var_on_one_call_indices(self, n):
         rng = np.random.default_rng(n)
         coefs = stable_var_coefs(rng, 2, 1)
@@ -234,6 +234,28 @@ class TestBootstrapEffects:
         assert bands.discarded == 1
         assert bands.discarded_by == {"RankDeficientRegressorsError": 1}
 
+    def test_draw_past_the_condition_bound_is_a_rank_discard(self,
+                                                             monkeypatch):
+        # the 40 draws make one chunk, and its first draw's second lag
+        # regressor becomes the first plus a little noise, condition
+        # number about 1.25 / sqrt(eps n); the unpatched rank rule of the
+        # refit discards that draw alone
+        data = make_data(10)
+        limit = 1.0 / np.sqrt(np.finfo(float).eps * (data.shape[0] - 1))
+        original = inf._lagged_design
+        noise = np.random.default_rng(0)
+
+        def near_collinear(*args):
+            XY = original(*args)
+            first = XY[0, :, 1]
+            XY[0, :, 2] = first + 1.7 / (1.25 * limit) * np.std(first) * (
+                noise.normal(size=first.shape))
+            return XY
+
+        monkeypatch.setattr(inf, "_lagged_design", near_collinear)
+        bands = run(data, reps=40)
+        assert bands.discarded_by == {"RankDeficientRegressorsError": 1}
+
     @pytest.mark.parametrize("chunk_bytes", [None, 7 * (4 * 799 + 8 * 256 * 5)],
                              ids=["default_chunks", "chunks_of_7"])
     def test_one_bad_draw_in_a_chunk_discards_that_draw_only(
@@ -289,6 +311,8 @@ def _policy_case(name):
     coefs = stable_var_coefs(rng, 4, 4, radius=0.6)
     data = simulate_var(coefs, rng.normal(size=4) if name != "no_intercept"
                         else None, rng.normal(size=(300, 4)), np.zeros((4, 4)))
+    if name == "levels":  # an I(1) VAR with drift, fitted in levels
+        data = np.cumsum(data, axis=0)
     names = ("ffr", "ygap", "infl", "pcom")
     ordering = TransmissionOrdering.from_names(names,
                                                ("ffr", "pcom", "infl", "ygap"))
@@ -304,7 +328,7 @@ class TestChunking:
         data, var_spec, ordering, cond, h, freeze = _policy_case(name)
         p, K = var_spec.lags, data.shape[1]
         n = data.shape[0] - p
-        draw_bytes = 4 * n + 8 * min(n, inf.QR_ROWS) * (
+        draw_bytes = 4 * n + 8 * min(n, inf.BLOCK_ROWS) * (
             int(var_spec.intercept) + K * p + K)
         sizes = []
         original = inf._draw_effects
@@ -334,7 +358,8 @@ class TestChunking:
                     assert a.tobytes() == b.tobytes()
         assert runs[None].discarded == 0
 
-    @pytest.mark.parametrize("name", ["var4", "frozen", "no_intercept"])
+    @pytest.mark.parametrize("name", ["var4", "frozen", "no_intercept",
+                                      "levels"])
     def test_each_draw_is_its_own_point_estimate(self, name):
         # the stacked refit of a draw against estimate_var_ols plus
         # point_effects on the same regenerated sample

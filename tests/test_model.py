@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import stable_var_coefs, three_var_model
-from oracles import ma_coefficients, var_recursion
+from oracles import lp_lstsq, ma_coefficients, var_lstsq, var_recursion
 from tca import (
     ReducedVar,
     TransmissionOrdering,
@@ -20,7 +20,7 @@ from tca.errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from tca.model import QR_ROWS, _STEP_WIDTH, _step, _var_recursion
+from tca.model import BLOCK_ROWS, _STEP_WIDTH, _step, _var_recursion
 
 
 def simulate(rng, coefs, T, intercept=None, chol=None):
@@ -75,6 +75,68 @@ class TestEstimateVarOls:
         with pytest.raises(RankDeficientRegressorsError):
             estimate_var_ols(np.hstack([data, data]), 1)
 
+    def test_zero_column_is_rank_deficient(self, rng):
+        data = np.hstack([rng.normal(size=(50, 1)), np.zeros((50, 1))])
+        with pytest.raises(RankDeficientRegressorsError,
+                           match="rank test no zero column"):
+            estimate_var_ols(data, 1, include_intercept=False)
+
+    def test_duplicated_column_is_rank_deficient(self, rng):
+        x = rng.normal(size=(50, 1))
+        with pytest.raises(RankDeficientRegressorsError,
+                           match=r"rank test (positive Cholesky pivots"
+                                 r"|sqrt\(k\) \|P\^-1\|_F)"):
+            estimate_var_ols(np.hstack([x, rng.normal(size=(50, 1)), x]), 1)
+
+    def test_constant_column_beside_the_intercept_is_rank_deficient(self,
+                                                                     rng):
+        # 2.0 has an exact mean, so the shifted column is exactly zero;
+        # 0.1 leaves rounding beside a multiple of the intercept
+        data = np.hstack([rng.normal(size=(50, 1)), np.full((50, 1), 2.0)])
+        with pytest.raises(RankDeficientRegressorsError,
+                           match="rank test no zero column"):
+            estimate_var_ols(data, 1)
+        data[:, 1] = 0.1
+        with pytest.raises(RankDeficientRegressorsError,
+                           match=r"rank test (no zero column|positive "
+                                 r"Cholesky pivots|sqrt\(k\) \|P\^-1\|_F)"):
+            estimate_var_ols(data, 1)
+
+    @staticmethod
+    def _near_collinear(kappa, T=400):
+        """A VAR(1) sample of x and x + delta z whose shifted, column-scaled
+        regressors have condition number about ``kappa``, and that
+        condition number measured by SVD."""
+        rng = np.random.default_rng(1)
+        x, z = rng.normal(size=(2, T))
+        data = np.column_stack([x, x + 1.7 / kappa * z])
+        shifted = data - data.mean(axis=0)
+        X = np.column_stack([np.ones(T - 1), shifted[:-1]])
+        s = np.linalg.svd(X / np.linalg.norm(X, axis=0), compute_uv=False)
+        return data, s[0] / s[-1]
+
+    def test_design_past_the_condition_bound_is_rank_deficient(self):
+        # the rule bounds kappa by sqrt(k) |P^-1|_F and rejects kappa
+        # sqrt(eps n) >= 1: at n = 399 kappa >= 3.36e6
+        limit = 1.0 / np.sqrt(np.finfo(float).eps * 399)
+        data, kappa = self._near_collinear(1.25 * limit)
+        assert limit < kappa < 1.5 * limit
+        with pytest.raises(RankDeficientRegressorsError,
+                           match=r"rank test sqrt\(k\) \|P\^-1\|_F "
+                                 r"sqrt\(eps max\(n, k\)\) < 1"):
+            estimate_var_ols(data, 1)
+
+    @pytest.mark.parametrize("target", [1e3, 1e6])
+    def test_design_inside_the_condition_bound_is_accepted(self, target):
+        data, kappa = self._near_collinear(target)
+        assert 0.5 * target < kappa < 1.5 * target
+        var = estimate_var_ols(data, 1)
+        c, lags, sigma_u = var_lstsq(data, 1)
+        # the normal equations lose about kappa^2 eps of the relative error
+        tol = 10 * kappa ** 2 * np.finfo(float).eps
+        assert np.abs(var.coefs[0] - lags[0]).max() <= tol * np.abs(
+            lags).max()
+
     def test_too_short_sample_rejected(self):
         with pytest.raises(ValueError):
             estimate_var_ols(np.random.default_rng(0).normal(size=(5, 2)), 2)
@@ -84,7 +146,8 @@ class TestEstimateVarOls:
         # T = K p + p passes the length check but leaves T - p = K p rows
         # for K p + 1 regressors
         data = np.random.default_rng(0).normal(size=(K * p + p, K))
-        with pytest.raises(RankDeficientRegressorsError, match="rank"):
+        with pytest.raises(RankDeficientRegressorsError,
+                           match="rank test n >= k"):
             estimate_var_ols(data, p)
 
     def test_duplicate_names_rejected(self):
@@ -102,6 +165,68 @@ class TestEstimateVarOls:
         resid = var.residuals
         expected = resid.T @ resid / (T - 1 - 1 - 1)
         assert np.allclose(var.sigma_u, expected)
+
+
+class TestOlsAccuracy:
+    """The normal equations against ``np.linalg.lstsq`` on the unshifted
+    regressors; gaps are relative to max(1, max|reference|)."""
+
+    @staticmethod
+    def assert_close(got, want, tol):
+        gap = np.abs(np.asarray(got) - want).max()
+        assert gap <= tol * max(1.0, np.abs(want).max()), gap
+
+    def check(self, data, p, intercept, tol):
+        var = estimate_var_ols(data, p, intercept)
+        c, lags, sigma_u = var_lstsq(data, p, intercept)
+        self.assert_close(var.coefs, lags, tol)
+        self.assert_close(var.sigma_u, sigma_u, tol)
+        if intercept:
+            self.assert_close(var.intercept, c, tol)
+        else:
+            assert var.intercept is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_policy_dgp(self, seed):
+        # the criterion-09 VAR(4): kappa of the scaled regressors ~3
+        rng = np.random.default_rng(seed)
+        coefs = stable_var_coefs(rng, 4, 4, radius=0.6)
+        S = np.linalg.cholesky(0.2 * np.eye(4)
+                               + 0.8 * np.diag([1.0, 0.8, 0.6, 1.2]))
+        data = simulate_var(coefs, None, rng.normal(size=(400, 4)) @ S.T,
+                            np.zeros((4, 4)))
+        self.check(data, 4, True, 1e-10)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_levels_with_drift(self, seed):
+        # an I(1) VAR(4) with drift in levels: shifting the rows by their
+        # mean keeps kappa of the scaled regressors near 1e2..1e4
+        rng = np.random.default_rng(seed)
+        coefs = stable_var_coefs(rng, 4, 3, radius=0.6)
+        growth = simulate_var(coefs, rng.normal(size=4),
+                              rng.normal(size=(400, 4)), np.zeros((3, 4)))
+        self.check(np.cumsum(growth, axis=0), 4, True, 1e-7)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_intercept(self, seed):
+        rng = np.random.default_rng(seed)
+        coefs = stable_var_coefs(rng, 3, 2, radius=0.8)
+        data = simulate_var(coefs, None, rng.normal(size=(300, 3)),
+                            np.zeros((2, 3)))
+        self.check(data, 2, False, 1e-10)
+
+    @pytest.mark.parametrize("shock_var, before", [(1, []), (2, [1]),
+                                                   (3, [2, 1])])
+    def test_lp_designs(self, shock_var, before):
+        rng = np.random.default_rng(shock_var)
+        coefs = stable_var_coefs(rng, 3, 2, radius=0.8)
+        data = simulate_var(coefs, rng.normal(size=3),
+                            rng.normal(size=(500, 3)), np.zeros((2, 3)))
+        lp = estimate_lp_irfs(data, shock_var, before, 6, lags=2)
+        beta, gamma = lp_lstsq(data, shock_var, before, 6, 2)
+        assert lp.flagged == ()
+        self.assert_close(lp.beta, beta, 1e-10)
+        self.assert_close(lp.gamma, gamma, 1e-10)
 
 
 class TestIdentifyInternalInstrument:
@@ -266,11 +391,11 @@ class TestVarRecursion:
     @pytest.mark.parametrize("K", [1, 2, 4, 6])
     def test_matches_the_per_period_reference(self, K, p):
         # stable, near-unit-root and mildly explosive; sample lengths
-        # around one step of 16 periods and past two QR_ROWS blocks
+        # around one step of 16 periods and past two BLOCK_ROWS blocks
         rng = np.random.default_rng(100 * K + p)
         for radius in (0.6, 0.99, 1.02) if p else (None,):
             coefs = stable_var_coefs(rng, K, p, radius) if p else []
-            for n in (1, 15, 16, 17, 2 * QR_ROWS + 3):
+            for n in (1, 15, 16, 17, 2 * BLOCK_ROWS + 3):
                 for batch in ((), (3,), (2, 3)):
                     for c in (None, rng.normal(size=K)):
                         shocks = rng.normal(size=(*batch, n, K))
@@ -292,7 +417,7 @@ class TestVarRecursion:
         rng = np.random.default_rng(K)
         for p in (1, 3):
             coefs = stable_var_coefs(rng, K, p, 0.99)
-            for n in (1, _step(K) + 1, 2 * QR_ROWS + 3):
+            for n in (1, _step(K) + 1, 2 * BLOCK_ROWS + 3):
                 c = rng.normal(size=K)
                 shocks = rng.normal(size=(3, n, K))
                 initial = rng.normal(size=(3, p, K))
@@ -327,7 +452,7 @@ class TestVarRecursion:
         rng = np.random.default_rng(7 * K + p)
         coefs = stable_var_coefs(rng, K, p, 0.9)
         c = rng.normal(size=K)
-        n = 2 * QR_ROWS + 3
+        n = 2 * BLOCK_ROWS + 3
         shocks = rng.normal(size=(70, n, K))
         initial = rng.normal(size=(70, p, K))
         whole = _var_recursion(coefs, c, shocks, initial)
@@ -336,11 +461,12 @@ class TestVarRecursion:
                 part = _var_recursion(coefs, c, shocks[start : start + size],
                                       initial[start : start + size])
                 assert np.array_equal(part, whole[start : start + size])
-        # QR_ROWS periods per call, each from the last p rows of the one
+        # BLOCK_ROWS periods per call, each from the last p rows of the one
         # before, as the bootstrap regenerates a sample
         rows, parts = initial, [initial]
-        for start in range(0, n, QR_ROWS):
-            rows = _var_recursion(coefs, c, shocks[:, start : start + QR_ROWS],
+        for start in range(0, n, BLOCK_ROWS):
+            rows = _var_recursion(coefs, c,
+                                  shocks[:, start : start + BLOCK_ROWS],
                                   rows[:, rows.shape[1] - p :])
             parts.append(rows[:, p:])
         assert np.array_equal(np.concatenate(parts, axis=1), whole)
