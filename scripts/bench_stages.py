@@ -113,7 +113,7 @@ WORKLOADS = {
     "bootstrap": (bootstrap, {
         "regenerate": ["tca.inference._regenerate"],
         "recursion": ["tca.inference._var_recursion"],
-        "ols": ["tca.inference._lagged_design", "tca.inference._ols",
+        "ols": ["tca.inference._lagged_design", "tca.inference._fit",
                 "tca.inference.estimate_var_ols"],
         "identify_and_triangular": [
             "tca.inference._instrument_impact", "tca.inference._reduced_form",

@@ -37,7 +37,7 @@ from .errors import (
 from .graph import enumerate_paths
 from .inference import BootstrapSpec, InstrumentSpec, VarSpec, bootstrap_effects
 from .linalg import solve_unit_lower
-from .model import (ReducedVar, VarmaModel, estimate_var_ols,
+from .model import (ReducedVar, VarmaModel, _impact_scale, estimate_var_ols,
                     identify_internal_instrument)
 from .system import (TransmissionOrdering, make_systems_form,
                      reconstruct_from_single_shock)
@@ -367,15 +367,14 @@ def _tables(model, ordering, shock, normalize, conditions, horizon, xi):
             name, value = normalize
             # B is strictly lower-triangular, so the horizon-0 block solves
             # alone
-            K = sf.K
-            phi = solve_unit_lower(sf.B_blocks[:1], sf.omega[:K, shock - 1])
-            denom = phi[ordering.position(name) - 1]
-            # the scale-aware rule of identify_internal_instrument
-            if abs(denom) < 1e-12 * max(1.0, np.abs(phi).max()):
+            phi = solve_unit_lower(sf.B_blocks[:1], sf.omega[:sf.K, shock - 1])
+            position = ordering.position(name)
+            xi, nonzero = _impact_scale(phi, position, value)
+            if not nonzero:
                 raise ZeroImpactError(
-                    f"impact of shock {shock} on {name!r} is {denom:.3e}"
+                    f"impact of shock {shock} on {name!r} is "
+                    f"{phi[position - 1]:.3e}"
                 )
-            xi = value / denom
     return [transmission_effect(sf, cond, shock=shock, xi=xi)
             for cond in conditions]
 

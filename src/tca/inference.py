@@ -38,8 +38,8 @@ from .errors import (
     ZeroImpactError,
 )
 from .linalg import as_matrix
-from .model import (BLOCK_ROWS, ReducedVar, _instrument_impact,
-                    _lagged_design, _ols, _split_coefficients, _var_recursion,
+from .model import (BLOCK_ROWS, ReducedVar, _fit, _instrument_impact,
+                    _lagged_design, _split_coefficients, _var_recursion,
                     estimate_var_ols, identify_internal_instrument)
 from .system import (TransmissionOrdering, _reduced_form,
                      reconstruct_from_single_shock)
@@ -169,8 +169,8 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
     ``_DISCARDS`` class).  ``scale_override``, when given, replaces every
     normalisation factor (a frozen normalisation).
     """
-    raw, scale, pd, nonzero = _instrument_impact(sigma_u, ident.normalize_on,
-                                                 ident.impact)
+    raw, scale, nonzero = _instrument_impact(sigma_u, ident.normalize_on,
+                                             ident.impact)
     if scale_override is not None:
         scale = np.full_like(scale, scale_override)
     B_blocks, DL, _, ok = _reduced_form(sigma_u, coefs, dest, h)
@@ -178,7 +178,8 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
     col = np.zeros(raw.shape[:-1] + ((h + 1) * K,))
     col[..., :K] = (DL @ (raw[..., dest] * scale[..., None])[..., None])[..., 0]
     total, channel = _effects(B_blocks, col, root)
-    code = np.select([~pd, ~nonzero, ~ok], [_NOT_PD, _ZERO_IMPACT, _NOT_PD], 0)
+    # one verdict on positive definiteness, ok, from the triangular form
+    code = np.select([~ok, ~nonzero], [_NOT_PD, _ZERO_IMPACT], 0)
     return total, channel, scale, code
 
 
@@ -218,10 +219,10 @@ def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
     # and every block of [X | Y] is made in the one array
     mu = var.data.mean(axis=0) if intercept else np.zeros(K)
     out = np.empty((len(draws), k + K, BLOCK_ROWS))
-    coef, ssr, rank = _ols((_lagged_design(rows, p, intercept, mu,
-                                           out[..., : rows.shape[1] - p])
-                            for rows in _regenerate(var, seed, draws)), k)
-    full = rank == k
+    coef, ssr, failed = _fit((_lagged_design(rows, p, intercept, mu,
+                                             out[..., : rows.shape[1] - p])
+                              for rows in _regenerate(var, seed, draws)), k)
+    full = failed == 0
     # a rank-deficient draw goes on as a white-noise VAR, so that every
     # later stacked call sees finite, well-posed inputs
     dof = var.data.shape[0] - p - k

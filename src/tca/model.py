@@ -7,9 +7,10 @@ and safe to share across threads.
 
 Every least-squares fit, the bootstrap refits included, solves the
 normal equations (:func:`_fit`): a Gram matrix per sample, summed over
-blocks of ``BLOCK_ROWS`` rows and factored by Cholesky, with the rank
-rule of ``RANK_TESTS``.  With an intercept, the rows are first shifted
-by the sample mean, so that the Gram matrix stays well conditioned.
+blocks of ``BLOCK_ROWS`` rows, factored by Cholesky and inverted once,
+with the rank rule of ``RANK_TESTS``.  With an intercept, the rows are
+first shifted by the sample mean, so that the Gram matrix stays well
+conditioned.  The instrument's impact column is read off the covariance.
 
 Variable indices in public signatures are 1-based, matching the system
 index convention used everywhere in this package.
@@ -27,7 +28,7 @@ from .errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from .linalg import as_matrix, cholesky_lower
+from .linalg import as_matrix, cholesky_lower, unit_lower_inverse
 
 __all__ = [
     "VarmaModel",
@@ -261,11 +262,12 @@ def _fit(blocks, k: int) -> tuple:
     ``[X | Y]``, n rows in all.  One stacked product per block adds to
     the Gram matrix ``G = [X | Y]'[X | Y]``, which is then equilibrated,
     ``D^-1 G D^-1`` with ``D`` the column norms, and only its X block is
-    factored, ``P P'``.  One solve gives ``P^-1 [G_xy | I]``, that is
-    ``R = P^-1 G_xy`` and ``P^-1``; the coefficients solve ``P' b = R``,
-    and the residual cross-product is the Schur complement
-    ``G_yy - R'R``.  Each LAPACK call and product is one per sample, so a
-    sample gets the same bits in any stack.
+    factored, ``P P'``.  ``P^-1`` is the one triangular inverse, of ``P``
+    scaled to a unit diagonal (:func:`~tca.linalg.unit_lower_inverse`);
+    the rest are products: ``R = P^-1 G_xy``, the coefficients ``P^-T R``
+    and the residual cross-product, the Schur complement ``G_yy - R'R``.
+    Each LAPACK call and product is one per sample, so a sample gets the
+    same bits in any stack.
 
     The fit is full rank when it passes every test of ``RANK_TESTS``.
     The columns of the equilibrated X have unit norm, so ``sqrt(k)
@@ -285,26 +287,17 @@ def _fit(blocks, k: int) -> tuple:
     d = np.where(d > 0.0, d, 1.0)
     G = G / (d[..., :, None] * d[..., None, :])
     P, pd = cholesky_lower(G[..., :k, :k])
-    eye = np.broadcast_to(np.eye(k), P.shape)
-    W = np.linalg.solve(P, np.concatenate([G[..., :k, k:], eye], axis=-1))
-    R, inv = W[..., : -k], W[..., -k:]
+    pivots = np.diagonal(P, axis1=-2, axis2=-1)
+    inv = unit_lower_inverse(P / pivots[..., None, :]) / pivots[..., :, None]
     bounded = (np.sqrt(k * np.finfo(float).eps * max(n, k))
                * np.sqrt(np.sum(inv * inv, axis=(-2, -1))) < 1.0)
-    coef = np.linalg.solve(np.swapaxes(P, -1, -2), R)
-    coef = coef / d[..., :k, None] * d[..., None, k:]
+    R = inv @ G[..., :k, k:]
+    coef = np.swapaxes(inv, -1, -2) @ R / d[..., :k, None] * d[..., None, k:]
     dy = d[..., k:, None] * d[..., None, k:]
     ssr = (G[..., k:, k:] - np.swapaxes(R, -1, -2) @ R) * dy
     failed = np.select([np.broadcast_to(n < k, pd.shape), zero, ~pd,
                         ~bounded], [1, 2, 3, 4])
     return coef, ssr, failed
-
-
-def _ols(blocks, k: int) -> tuple:
-    """:func:`_fit` with its verdict as a rank: ``(coef, ssr, rank)``,
-    where ``rank`` is k for a full-rank fit and k - 1 otherwise, the rule
-    giving no finer count."""
-    coef, ssr, failed = _fit(blocks, k)
-    return coef, ssr, np.where(failed == 0, k, k - 1)
 
 
 def _split_coefficients(coef: np.ndarray, p: int, intercept: bool) -> tuple:
@@ -388,12 +381,12 @@ def identify_internal_instrument(var: ReducedVar, normalize_on: int,
         raise DimensionMismatchError(f"normalize_on must be in 1..{K}")
     if h < 0:
         raise ValueError(f"h must be >= 0, got {h}")
-    impulse, scale, pd, nonzero = _instrument_impact(var.sigma_u, normalize_on,
-                                                     impact)
-    if not pd:
+    if not cholesky_lower(var.sigma_u)[1]:
         raise NotPositiveDefiniteError(
             "residual covariance is not positive definite"
         )
+    impulse, scale, nonzero = _instrument_impact(var.sigma_u, normalize_on,
+                                                 impact)
     if not nonzero:
         raise ZeroImpactError(
             f"impact response of variable {normalize_on} is "
@@ -413,22 +406,28 @@ def identify_internal_instrument(var: ReducedVar, normalize_on: int,
 
 def _instrument_impact(sigma_u, normalize_on: int, impact: float) -> tuple:
     """Horizon-0 internal-instrument identification for a stack of
-    residual covariances ``(..., K, K)``, unchecked.
+    positive-definite residual covariances ``(..., K, K)``, unchecked.
 
-    Returns ``(raw, scale, pd, nonzero)``: ``raw`` is the first column
-    of each Cholesky factor, the impact responses to the first
-    orthogonalised innovation, and ``raw * scale`` sets the response of
-    variable ``normalize_on`` (1-based) to ``impact``.  ``pd`` marks the
-    positive-definite covariances and ``nonzero`` the responses that
-    clear the scale-aware zero tolerance; elsewhere ``scale`` is not
-    meaningful.
+    Returns ``(raw, scale, nonzero)``: ``raw``, the first column of each
+    Cholesky factor, ``sigma_u e_1 / sqrt(sigma_11)`` with the bits of
+    :func:`~tca.linalg.cholesky_lower`, holds the impact responses to the
+    first orthogonalised innovation; :func:`_impact_scale` normalises it.
     """
-    P, pd = cholesky_lower(sigma_u)
-    raw = P[..., :, 0]
-    denom = raw[..., normalize_on - 1]
-    tol = 1e-12 * np.maximum(1.0, np.abs(P).max(axis=(-2, -1)))
-    nonzero = np.abs(denom) >= tol
-    return raw, impact / np.where(nonzero, denom, 1.0), pd, nonzero
+    first = sigma_u[..., :, 0]
+    # finite values also for a non-PD draw, which is discarded later
+    root = np.sqrt(np.where(first[..., :1] > 0.0, first[..., :1], 1.0))
+    raw = np.concatenate([root, first[..., 1:] / root], axis=-1)
+    return (raw, *_impact_scale(raw, normalize_on, impact))
+
+
+def _impact_scale(column, normalize_on: int, impact: float) -> tuple:
+    """``(scale, nonzero)`` for impact columns ``(..., K)``: ``column *
+    scale`` moves variable ``normalize_on`` (1-based) by ``impact`` where
+    its entry ``c`` is nonzero, ``|c| >= 1e-12 max(1, max|column|)``."""
+    denom = column[..., normalize_on - 1]
+    nonzero = np.abs(denom) >= 1e-12 * np.maximum(
+        1.0, np.abs(column).max(axis=-1))
+    return impact / np.where(nonzero, denom, 1.0), nonzero
 
 
 def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,

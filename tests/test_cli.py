@@ -13,7 +13,8 @@ import pytest
 import oracles
 import tca.cli
 from conftest import three_var_closed_forms, three_var_model
-from tca import VarmaModel, simulate_var
+from tca import (ReducedVar, VarmaModel, identify_internal_instrument,
+                 simulate_var)
 from tca.cli import (
     build_parser,
     load_model_file,
@@ -24,6 +25,7 @@ from tca.cli import (
     write_effects_csv,
 )
 from tca.condition import EffectTable
+from tca.errors import ZeroImpactError
 
 
 def write_csv(path, names, data):
@@ -219,6 +221,36 @@ class TestTransmission:
         ])
         assert code == 2
         assert "impact of shock 3 on 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio, accepted", [(1e-13, False),
+                                                 (1e-11, True)])
+    def test_one_zero_impact_rule_for_both_shocks(self, tmp_path, capsys,
+                                                  ratio, accepted):
+        # the impact column (1e6, 1e6 ratio): of the first shock of a
+        # structural model, and the first Cholesky column of a residual
+        # covariance; both routes normalise on its second entry, or both
+        # find it zero against the column's maximum (at 1e-13 the entry
+        # is 1e-7, far above an absolute 1e-12)
+        impact = np.array([[1e6, 0.0], [1e6 * ratio, 1.0]])
+        model = tmp_path / "m.json"
+        save_model_file(model, VarmaModel(var_names=("a", "b"),
+                                          A0=np.linalg.inv(impact)))
+        code = main([
+            "transmission", "--model", str(model), "--order", "a,b",
+            "--shock", "1", "--normalize", "b=1", "--condition", "b_0",
+            "--horizon", "0", "--out", str(tmp_path / "e.csv"), "--quiet",
+        ])
+        var = ReducedVar(var_names=("a", "b"), coefs=(),
+                         sigma_u=impact @ impact.T)
+        if accepted:
+            assert code == 0
+            col = identify_internal_instrument(var, 2, 1.0)
+            assert col.phi[1] == pytest.approx(1.0, rel=1e-12)
+        else:
+            assert code == 2
+            assert "impact of shock 1 on 'b'" in capsys.readouterr().err
+            with pytest.raises(ZeroImpactError):
+                identify_internal_instrument(var, 2, 1.0)
 
     def test_normalize_on_unknown_variable_exits_2(self, tmp_path, model3_path,
                                                    capsys):
@@ -461,13 +493,13 @@ class TestBootstrap:
                                               monkeypatch, capsys):
         import tca.inference
 
-        original = tca.inference._ols
+        original = tca.inference._fit
 
         def first_draw_rank_deficient(XY, k):
-            coef, ssr, rank = original(XY, k)
-            return coef, ssr, np.where(np.arange(len(rank)) == 0, 0, rank)
+            coef, ssr, failed = original(XY, k)
+            return coef, ssr, np.where(np.arange(len(failed)) == 0, 1, failed)
 
-        monkeypatch.setattr(tca.inference, "_ols", first_draw_rank_deficient)
+        monkeypatch.setattr(tca.inference, "_fit", first_draw_rank_deficient)
         args = self.boot_args(var_data, tmp_path / "e.csv")[:-1]
         assert main(args) == 0
         assert ("reps=25 discarded=1 RankDeficientRegressorsError=1 "

@@ -179,6 +179,27 @@ class TestBootstrapEffects:
         assert np.array_equal(total[0], table.total.reshape(-1))
         assert np.array_equal(channel[0], table.channel.reshape(-1))
 
+    def test_a_chunk_factors_each_matrix_once(self, monkeypatch):
+        # one stacked Cholesky call of the chunk's Gram blocks (the
+        # refit) and one of its permuted covariances (the triangular
+        # form); the impact column is read off the covariance
+        import tca.model
+        import tca.system
+
+        calls = []
+        for module in (tca.model, tca.system):
+            def spy(S, original=module.cholesky_lower):
+                calls.append(np.shape(S))
+                return original(S)
+            monkeypatch.setattr(module, "cholesky_lower", spy)
+        var = estimate_var_ols(make_data(12), 1, True, ("v1", "v2"))
+        root = inf.parse_condition("v2_0", ORDERING.labels, 2, H).root
+        calls.clear()
+        _, _, code = _draw_effects(var, InstrumentSpec(1, 1.0), ORDERING.dest,
+                                   root, H, None, 5, range(6))
+        assert code.tolist() == [0] * 6
+        assert calls == [(6, 3, 3), (6, 2, 2)]
+
     def test_draw_wise_decomposition_identity(self):
         # the complement bands of a condition coincide with the channel
         # bands of its negation: the identity holds draw by draw
@@ -204,32 +225,32 @@ class TestBootstrapEffects:
 
     def test_unstable_bootstrap_raises(self, monkeypatch):
         data = make_data(7)
-        original = inf._ols
+        original = inf._fit
 
         def flaky(XY, k):  # every draw's refit is rank deficient
-            coef, ssr, rank = original(XY, k)
-            return coef, ssr, np.zeros_like(rank)
+            coef, ssr, failed = original(XY, k)
+            return coef, ssr, np.ones_like(failed)
 
-        monkeypatch.setattr(inf, "_ols", flaky)
+        monkeypatch.setattr(inf, "_fit", flaky)
         with pytest.raises(BootstrapUnstableError,
                            match="20 of 20 .*RankDeficientRegressorsError=20"):
             run(data, reps=20)
 
     def test_discarded_share_within_limit_is_reported(self, monkeypatch):
         data = make_data(8)
-        original = inf._ols
+        original = inf._fit
         seen = {"n": 0}
 
         def sometimes(XY, k):  # exactly one degenerate draw, the fifth
-            coef, ssr, rank = original(XY, k)
+            coef, ssr, failed = original(XY, k)
             first = seen["n"]
-            seen["n"] += len(rank)
+            seen["n"] += len(failed)
             if first <= 4 < seen["n"]:
-                rank = rank.copy()
-                rank[4 - first] = 0
-            return coef, ssr, rank
+                failed = failed.copy()
+                failed[4 - first] = 1
+            return coef, ssr, failed
 
-        monkeypatch.setattr(inf, "_ols", sometimes)
+        monkeypatch.setattr(inf, "_fit", sometimes)
         bands = run(data, reps=40)
         assert bands.discarded == 1
         assert bands.discarded_by == {"RankDeficientRegressorsError": 1}
@@ -260,41 +281,50 @@ class TestBootstrapEffects:
                              ids=["default_chunks", "chunks_of_7"])
     def test_one_bad_draw_in_a_chunk_discards_that_draw_only(
             self, monkeypatch, chunk_bytes):
-        # draw 9 gets a covariance that is not positive definite, or
+        # draw 9 gets a covariance that is not positive definite, negated
+        # whole or only in its last variance (its first stays positive,
+        # so only the factor of the permuted covariance can tell), or
         # regressors of deficient rank; either way it alone is dropped,
         # so the bands agree to the bit, and only the reason differs
         data = make_data(9)
         if chunk_bytes is not None:  # chunks of 7: draw 9 is in the second
             monkeypatch.setattr(inf, "CHUNK_BYTES", chunk_bytes)
         clean = run(data, reps=40)
-        original = inf._ols
+        original = inf._fit
 
         def spoil(kind):
             seen = {"n": 0}
 
-            def ols(XY, k):
-                coef, ssr, rank = original(XY, k)
+            def fit(XY, k):
+                coef, ssr, failed = original(XY, k)
                 first = seen["n"]
-                seen["n"] += len(rank)
+                seen["n"] += len(failed)
                 if first <= 9 < seen["n"]:
-                    ssr, rank = ssr.copy(), rank.copy()
+                    ssr, failed = ssr.copy(), failed.copy()
                     if kind == "not_pd":
                         ssr[9 - first] *= -1.0
+                    elif kind == "indefinite":
+                        assert ssr[9 - first, 0, 0] > 0.0
+                        ssr[9 - first, -1, -1] *= -1.0
                     else:
-                        rank[9 - first] = 0
-                return coef, ssr, rank
-            return ols
+                        failed[9 - first] = 1
+                return coef, ssr, failed
+            return fit
 
-        monkeypatch.setattr(inf, "_ols", spoil("not_pd"))
-        not_pd = run(data, reps=40)
-        monkeypatch.setattr(inf, "_ols", spoil("rank"))
-        rank = run(data, reps=40)
+        spoiled = {}
+        for kind in ("not_pd", "indefinite", "rank"):
+            monkeypatch.setattr(inf, "_fit", spoil(kind))
+            spoiled[kind] = run(data, reps=40)
+        not_pd, rank = spoiled["not_pd"], spoiled["rank"]
         assert clean.discarded_by == {}
         assert not_pd.discarded_by == {"NotPositiveDefiniteError": 1}
+        assert spoiled["indefinite"].discarded_by == {
+            "NotPositiveDefiniteError": 1}
         assert rank.discarded_by == {"RankDeficientRegressorsError": 1}
         for kind in ("total", "channel", "complement"):
-            assert np.array_equal(not_pd.lower[kind], rank.lower[kind])
-            assert np.array_equal(not_pd.upper[kind], rank.upper[kind])
+            for bands in (not_pd, spoiled["indefinite"]):
+                assert np.array_equal(bands.lower[kind], rank.lower[kind])
+                assert np.array_equal(bands.upper[kind], rank.upper[kind])
         assert not np.array_equal(clean.lower["channel"], rank.lower["channel"])
 
 

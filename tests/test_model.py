@@ -17,10 +17,13 @@ from tca import (
 )
 from tca.errors import (
     DimensionMismatchError,
+    NotPositiveDefiniteError,
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from tca.model import BLOCK_ROWS, _STEP_WIDTH, _step, _var_recursion
+from tca.linalg import cholesky_lower
+from tca.model import (BLOCK_ROWS, _STEP_WIDTH, _instrument_impact, _step,
+                       _var_recursion)
 
 
 def simulate(rng, coefs, T, intercept=None, chol=None):
@@ -280,6 +283,27 @@ class TestIdentifyInternalInstrument:
         var = ReducedVar(var_names=("a", "b"), coefs=(), sigma_u=np.eye(2))
         with pytest.raises(ValueError, match="h must be >= 0"):
             identify_internal_instrument(var, 1, impact=1.0, h=-1)
+
+    def test_indefinite_covariance_rejected(self):
+        # the first variance is positive, so the impact column alone
+        # looks fine; the check at the boundary factors the covariance
+        var = ReducedVar(var_names=("a", "b"), coefs=(),
+                         sigma_u=np.array([[1.0, 0.0], [0.0, -1e-12]]))
+        with pytest.raises(NotPositiveDefiniteError):
+            identify_internal_instrument(var, 1, impact=1.0)
+
+    @pytest.mark.parametrize("batch", [(), (40,), (3, 5)])
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_impact_column_is_the_first_cholesky_column(self, rng, batch, K):
+        # read off the covariance, without a factorisation: LAPACK's
+        # factor to 1e-15 relative, and the bits of cholesky_lower
+        S = rng.normal(size=(*batch, K, K)) * rng.uniform(
+            0.1, 10.0, size=(*batch, K, 1))
+        sigma = S @ np.swapaxes(S, -1, -2) + 0.1 * np.eye(K)
+        raw, _, _ = _instrument_impact(sigma, 1, 0.25)
+        expected = np.linalg.cholesky(sigma)[..., :, 0]
+        assert np.all(np.abs(raw - expected) <= 1e-15 * np.abs(expected))
+        assert np.array_equal(raw, cholesky_lower(sigma)[0][..., :, 0])
 
 
 class TestEstimateLpIrfs:
