@@ -33,10 +33,16 @@ Usage::
 one).  Each workload is run once to warm up, then ``--runs`` times whole and ``--runs`` times
 with a timer around each stage function.  A stage's time is the self
 time of its calls summed over a run (its calls less the calls of other
-stages made inside them); the timers add a little to each call.  The
+stages made inside them); the timers add a little to each call.  A
+stage lists the names of its functions in every tree it may time, so a
+renamed function keeps its stage: the names that a tree lacks are
+skipped, and only a stage none of whose names resolve is an error.  The
 median and quartiles go under ``--label`` in ``--out``, laid out as
-``{workload: {label: {whole_s, stages_s}}, machine}`` and keeping the
-entries of other labels.
+``{workload: {label: {whole_s, stages_s, peak_rss_mb}}, machine}`` and
+keeping the entries of other labels.  ``peak_rss_mb`` is the process's
+peak resident set size (``ru_maxrss``) once the workload has run; the
+workloads run in the order of ``WORKLOADS``, so the first one's is its
+own and a later one's covers the ones before it.
 
 ``--against SRC`` compares ``--src`` (label ``change``) with ``SRC``
 (label ``parent``) in ``--pairs`` pairs of fresh processes, one of each,
@@ -44,8 +50,9 @@ the first of a pair alternating between the two.  Timings of one code
 move between processes on a shared machine, so one pair cannot resolve
 a small change; ``--out`` then gets, per workload, each pair's medians
 under ``pairs`` and, under ``parent`` and ``change``, the median,
-quartiles and range of the pair medians, beside ``comparison`` (the
-pair and run counts) and ``machine``.
+quartiles and range of the pair medians (and of each process's
+``peak_rss_mb``), beside ``comparison`` (the pair and run counts) and
+``machine``.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ import inspect  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
@@ -113,8 +121,10 @@ WORKLOADS = {
     "bootstrap": (bootstrap, {
         "regenerate": ["tca.inference._regenerate"],
         "recursion": ["tca.inference._var_recursion"],
-        "ols": ["tca.inference._lagged_design", "tca.inference._fit",
-                "tca.inference.estimate_var_ols"],
+        # _lagged_design built the refits' regression rows before
+        # _lag_gram summed their Gram matrices from lag products
+        "ols": ["tca.inference._lagged_design", "tca.inference._lag_gram",
+                "tca.inference._fit", "tca.inference.estimate_var_ols"],
         "identify_and_triangular": [
             "tca.inference._instrument_impact", "tca.inference._reduced_form",
             "tca.inference.identify_internal_instrument",
@@ -181,21 +191,26 @@ class StageTimers:
 @contextlib.contextmanager
 def installed(stages):
     """Wrap every stage function in one :class:`StageTimers` and yield it;
-    every binding is restored on exit.  A name that does not resolve
-    raises ``LookupError``, so no stage silently times as 0."""
+    every binding is restored on exit.  Names that do not resolve are
+    skipped; a stage none of whose names resolve raises ``LookupError``,
+    so no stage silently times as 0."""
     timers = StageTimers(stages)
     undo = []
     try:
         for stage, keys in stages.items():
+            found = False
             for key in keys:
                 module_name, name = key.rsplit(".", 1)
                 try:
                     module = importlib.import_module(module_name)
                     fn = getattr(module, name)
                 except (ImportError, AttributeError):
-                    raise LookupError(f"stage {stage!r}: no {key}") from None
+                    continue
                 setattr(module, name, timers.wrap(fn, stage))
                 undo.append((module, name, fn))
+                found = True
+            if not found:
+                raise LookupError(f"stage {stage!r}: none of {keys}")
         yield timers
     finally:
         for module, name, fn in reversed(undo):
@@ -223,13 +238,17 @@ def measure(setup, stages, runs, workdir):
         for stage, value in timers.totals.items():
             by_stage[stage].append(value)
     return {"whole_s": summary(whole),
-            "stages_s": {s: summary(v) for s, v in by_stage.items()}}
+            "stages_s": {s: summary(v) for s, v in by_stage.items()},
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            / 1024}
 
 
 def medians(entry):
-    """The median of the whole run and of each stage, by name."""
+    """The median of the whole run and of each stage, by name, and the
+    process's peak RSS."""
     return {"whole_s": entry["whole_s"]["median"],
-            **{stage: v["median"] for stage, v in entry["stages_s"].items()}}
+            **{stage: v["median"] for stage, v in entry["stages_s"].items()},
+            "peak_rss_mb": entry["peak_rss_mb"]}
 
 
 def compare(args):
@@ -288,8 +307,10 @@ def main(argv=None):
             text = "  ".join(f"{metric}={parent[metric]['median'] * 1e3:.2f}"
                              f"->{change[metric]['median'] * 1e3:.2f}"
                              for metric in ["whole_s", *WORKLOADS[name][1]])
+            rss = (f"{parent['peak_rss_mb']['median']:.1f}->"
+                   f"{change['peak_rss_mb']['median']:.1f}")
             print(f"{name} parent->change, median of {args.pairs} pair "
-                  f"medians, ms: {text}")
+                  f"medians, ms: {text}  peak_rss_mb={rss}")
         report["machine"] = machine
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return
@@ -304,7 +325,8 @@ def main(argv=None):
                                for s, v in entry["stages_s"].items())
         print(f"{workload} {args.label}: whole="
               f"{entry['whole_s']['median'] * 1e3:.2f} ms (median of "
-              f"{args.runs})  ms: {stage_text}")
+              f"{args.runs})  ms: {stage_text}  peak_rss_mb="
+              f"{entry['peak_rss_mb']:.1f}")
     report["machine"] = machine
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 

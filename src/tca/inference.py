@@ -13,8 +13,10 @@ arrays, on one thread: each step of a chunk is one stacked numpy or
 LAPACK call over its draws, and on a stack of one these kernels give
 the point estimate's bits.  A chunk is resampled, regenerated and
 refitted in blocks, so its memory does not grow with the sample length:
-each refit sums its draw's Gram matrix block by block, from rows shifted
-by the full-sample mean, and solves the normal equations by Cholesky.
+each block adds to its draws' lagged cross-products, of rows shifted by
+the full-sample mean, from which each refit forms its Gram matrix
+without a regression design array and solves the normal equations by
+Cholesky.
 Every draw uses its own substream derived from ``(seed, draw index)``
 and the kernels give each draw the same bits in any stack, so the bands
 are byte-identical at any chunk size.  A degenerate draw (rank-deficient
@@ -38,9 +40,10 @@ from .errors import (
     ZeroImpactError,
 )
 from .linalg import as_matrix
-from .model import (BLOCK_ROWS, ReducedVar, _fit, _instrument_impact,
-                    _lagged_design, _split_coefficients, _var_recursion,
-                    estimate_var_ols, identify_internal_instrument)
+from .model import (BLOCK_ROWS, ReducedVar, _block_maps, _fit,
+                    _instrument_impact, _lag_gram, _split_coefficients,
+                    _step, _var_recursion, estimate_var_ols,
+                    identify_internal_instrument)
 from .system import (TransmissionOrdering, _reduced_form,
                      reconstruct_from_single_shock)
 
@@ -65,10 +68,11 @@ _RANK, _NOT_PD, _ZERO_IMPACT = 1, 2, 3
 
 MAX_DISCARD_SHARE = 0.05
 
-#: Bytes of the working arrays of one chunk of bootstrap draws: a block
-#: of its resampling indices and one ``BLOCK_ROWS`` block of the
-#: ``[X | Y]`` regression rows whose products make its refits' Gram
-#: matrices, or its evaluator solve columns when those are larger.
+#: Bytes of the working arrays of one chunk of bootstrap draws
+#: (:func:`_draw_bytes` per draw): a block of its resampling indices and
+#: the arrays that regenerate one ``BLOCK_ROWS`` block of its samples and
+#: add that block's lagged cross-products to its refits' Gram matrices,
+#: or its evaluator solve columns when those are larger.
 CHUNK_BYTES = 3 * 2 ** 20
 
 #: Resampling indices per call of a draw's generator, each call a fixed cost.
@@ -183,12 +187,24 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
     return total, channel, scale, code
 
 
-def _regenerate(var: ReducedVar, seed: int, draws):
+def _draw_bytes(n: int, K: int, p: int, solve: int = 0) -> int:
+    """Bytes that one bootstrap draw of n regression rows, K variables
+    and p lags holds at once in a chunk: a block of its int32 resampling
+    indices and, while a block of r = ``min(n, BLOCK_ROWS)`` periods is
+    regenerated, its resampled shocks, the recursion's steps and the new
+    ``p + r`` rows, beside the block before and that block's shift by
+    the mean; or else its ``solve`` evaluator solve values, when those
+    are larger."""
+    r = min(n, BLOCK_ROWS)
+    return max(4 * min(n, INDEX_ROWS) + 8 * K * (5 * r + 3 * p), 8 * solve)
+
+
+def _regenerate(var: ReducedVar, seed: int, draws, maps=None):
     """The regenerated samples of the given draws, ``BLOCK_ROWS``
     periods at a time: blocks ``(len(draws), p + rows, K)`` whose first p
     rows end the block before (the data's first p rows at the start).  A
     draw's generator gives its indices ``INDEX_ROWS`` at a time, one
-    stream."""
+    stream.  ``maps`` are the recursion's (:func:`_var_recursion`)."""
     data = var.data
     resid = var.residuals
     if data is None or resid is None:
@@ -204,28 +220,26 @@ def _regenerate(var: ReducedVar, seed: int, draws):
                                          dtype=np.int32) for rng in rngs])
         shocks = np.take(resid, idx[:, at : at + BLOCK_ROWS], axis=0)
         rows = _var_recursion(var.coefs, var.intercept, shocks,
-                              rows[:, rows.shape[1] - p :])
+                              rows[:, rows.shape[1] - p :], maps)
         yield rows
 
 
 def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
-                  h: int, scale_override, seed: int, draws):
+                  h: int, scale_override, seed: int, draws, maps=None):
     """Total and channel effects ``(C, (h+1)K)`` of the given bootstrap
-    draws, refitted and priced as one stack, and their discard codes."""
+    draws, refitted and priced as one stack, and their discard codes.
+    ``maps`` are the recursion's (:func:`_var_recursion`)."""
     p, K = var.p, var.K
     intercept = var.intercept is not None
-    k = int(intercept) + K * p
-    # the rows are shifted by the data's mean, as in estimate_var_ols,
-    # and every block of [X | Y] is made in the one array
+    # the rows are shifted by the data's mean, as in estimate_var_ols
     mu = var.data.mean(axis=0) if intercept else np.zeros(K)
-    out = np.empty((len(draws), k + K, BLOCK_ROWS))
-    coef, ssr, failed = _fit((_lagged_design(rows, p, intercept, mu,
-                                             out[..., : rows.shape[1] - p])
-                              for rows in _regenerate(var, seed, draws)), k)
+    G, n = _lag_gram(_regenerate(var, seed, draws, maps), p, intercept, mu)
+    k = G.shape[-1] - K
+    coef, ssr, failed = _fit(G, n, k)
     full = failed == 0
     # a rank-deficient draw goes on as a white-noise VAR, so that every
     # later stacked call sees finite, well-posed inputs
-    dof = var.data.shape[0] - p - k
+    dof = n - k
     sigma_u = np.where(full[:, None, None], ssr / dof, np.eye(K))
     lags = np.where(full[:, None, None, None],
                     _split_coefficients(coef, p, intercept)[1], 0.0)
@@ -265,13 +279,11 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
 
     R = spec.replications
     n = (h + 1) * K
-    # a draw's working arrays: a block of its resampling indices and a
-    # BLOCK_ROWS block of [X | Y], or else its evaluator solve columns
-    T_p, width = T - var.p, int(var_spec.intercept) + K * var.p + K
-    per_draw = max(4 * min(T_p, INDEX_ROWS)
-                   + 8 * min(T_p, BLOCK_ROWS) * width,
-                   8 * n * (_plan(cond.root, TERM_CAP)[0].size + 1))
+    per_draw = _draw_bytes(T - var.p, K, var.p,
+                           n * (_plan(cond.root, TERM_CAP)[0].size + 1))
     size = max(1, CHUNK_BYTES // per_draw)
+    # every draw steps the point estimate's coefficients
+    maps = _block_maps(var.coefs, K, _step(K)) if var.p else None
     total = np.empty((R, n))
     channel = np.empty((R, n))
     code = np.empty(R, dtype=int)
@@ -279,7 +291,7 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
         stop = min(R, start + size)
         total[start:stop], channel[start:stop], code[start:stop] = (
             _draw_effects(var, ident, ordering.dest, cond.root, h, override,
-                          spec.seed, range(start, stop)))
+                          spec.seed, range(start, stop), maps=maps))
 
     counts = np.bincount(code, minlength=len(_DISCARDS) + 1)[1:]
     discarded_by = {cls.__name__: int(c) for cls, c in zip(_DISCARDS, counts)

@@ -6,11 +6,14 @@ local-projection IRF regressions.  All estimation results are immutable
 and safe to share across threads.
 
 Every least-squares fit, the bootstrap refits included, solves the
-normal equations (:func:`_fit`): a Gram matrix per sample, summed over
-blocks of ``BLOCK_ROWS`` rows, factored by Cholesky and inverted once,
-with the rank rule of ``RANK_TESTS``.  With an intercept, the rows are
-first shifted by the sample mean, so that the Gram matrix stays well
-conditioned.  The instrument's impact column is read off the covariance.
+normal equations (:func:`_fit`): a Gram matrix per sample, factored by
+Cholesky and inverted once, with the rank rule of ``RANK_TESTS``.  A
+VAR's Gram matrix, for the point estimate and every bootstrap draw, is
+summed from the p+1 lagged cross-products of its sample, ``BLOCK_ROWS``
+periods at a time, with no regression design array (:func:`_lag_gram`).
+With an intercept, the rows are first shifted by the sample mean, so
+that the Gram matrix stays well conditioned.  The instrument's impact
+column is read off the covariance.
 
 Variable indices in public signatures are 1-based, matching the system
 index convention used everywhere in this package.
@@ -42,9 +45,9 @@ __all__ = [
 ]
 
 
-#: Rows of ``[X | Y]`` that one product of a least-squares fit's Gram
-#: matrix takes at a time, so that a fit's working memory does not grow
-#: with the sample.
+#: Periods of a VAR's sample that one step of its Gram matrix
+#: (:func:`_lag_gram`) takes at a time, so that a fit's working memory
+#: does not grow with the sample.
 BLOCK_ROWS = 256
 
 #: The rank rule of a least-squares fit of n rows on k regressors, in the
@@ -226,51 +229,105 @@ class LpEstimates:
     flagged: tuple = ()
 
 
-def _lagged_design(data: np.ndarray, p: int, intercept: bool, mu,
-                   out=None) -> np.ndarray:
-    """``[X | Y]`` of samples ``data`` of shape ``(..., T, K)`` shifted by
-    ``mu``: the regressors (an intercept and p lags of ``data - mu``)
-    beside the target rows, shape ``(..., T - p, k + K)``; leading axes
-    batch samples.  Each sample's matrix is stored column by column, in
-    ``out`` when given, a ``(..., k + K, T - p)`` array that a caller may
-    refill block after block."""
-    *batch, T, K = data.shape
-    k = int(intercept) + K * p
-    if out is None:
-        out = np.empty((*batch, k + K, T - p))
+def _edge_rows(w: np.ndarray, intercept: bool) -> np.ndarray:
+    """The p regressor rows ``(..., p, k)`` that the p rows ``w`` ``(...,
+    p, K)`` make past an end of a sample, zero-padded: row m holds the
+    intercept 1 and, as lag i, row ``p + m - i`` of ``w`` for i > m and
+    zeros for i <= m."""
+    *batch, p, K = w.shape
+    at = p + np.arange(p)[:, None] - np.arange(1, p + 1)
+    padded = np.concatenate([w, np.zeros((*batch, 1, K))], axis=-2)
+    rows = padded[..., np.where(at < p, at, p), :].reshape(*batch, p, p * K)
     if intercept:
-        out[..., 0, :] = 1.0
-    for lag in range(p + 1):  # lag 0 is the target, after the regressors
-        first = k if lag == 0 else int(intercept) + K * (lag - 1)
-        np.subtract(np.swapaxes(data[..., p - lag : T - lag, :], -1, -2),
-                    mu[:, None], out=out[..., first : first + K, :])
-    return np.swapaxes(out, -1, -2)
+        rows = np.concatenate([np.ones((*batch, p, 1)), rows], axis=-1)
+    return rows
 
 
-def _row_blocks(XY: np.ndarray):
-    """``XY`` in blocks of ``BLOCK_ROWS`` rows, in order."""
-    for start in range(0, XY.shape[-2], BLOCK_ROWS):
-        yield XY[..., start : start + BLOCK_ROWS, :]
+def _lag_gram(blocks, p: int, intercept: bool, mu) -> tuple:
+    """``(G, n)``: the Gram matrix ``[X | Y]'[X | Y]`` of a VAR(p)
+    regression on samples shifted by ``mu``, and its row count n, from
+    the samples' rows as they arrive in ``blocks``, without ``[X | Y]``.
+
+    Every block is ``(C, p + r, K)``: a stack of C samples, whose first p
+    rows end the block before; the samples share their first p rows, the
+    data's in every bootstrap draw.  ``[X | Y]`` has an intercept (when
+    ``intercept``), p lags of ``z = rows - mu`` and the K targets, in
+    this order.  Each block adds to the lagged cross-products ``M_d =
+    sum_t z_t z_(t-d)'`` over its r targets, d = 0..p, and to their
+    column sums.  The lag i, j block of ``G`` sums ``z_(t-i) z_(t-j)'``
+    over the same n targets moved back by i; so ``G`` is the
+    block-Toeplitz matrix of the ``M_d``, plus the Gram matrix of the p
+    rows that the first p rows make before the first target, less that
+    of the p rows the last p rows make after the last
+    (:func:`_edge_rows`).  The first of these is computed once per
+    stack.  Each product is one per sample, of a shape fixed by the
+    block, so a sample gets the same bits in any stack.
+
+    A diagonal entry is then a difference of sums of squares: one that
+    is not positive, or within the rounding of those sums, ``n eps``,
+    is set to 0, which marks a zero column.
+    """
+    K = len(mu)
+    n, lagged = 0, None
+    for rows in blocks:
+        C, L = rows.shape[:2]
+        # one flat subtraction: broadcasting mu over an axis of length K
+        # costs several times more
+        z = (rows.reshape(C, L * K) - np.tile(mu, L)).reshape(C, L, K)
+        if lagged is None:
+            lagged = np.zeros((C, p + 1, K, K))
+            sums = np.zeros((C, K))
+            head = z[0, :p].copy()  # not a view that keeps z alive
+        y = z[:, p:]
+        yt = np.swapaxes(y, 1, 2)
+        # a copy: the product of two views of one buffer is much slower
+        lagged[:, 0] += yt @ y.copy()
+        for d in range(1, p + 1):
+            lagged[:, d] += yt @ z[:, p - d : L - d]
+        sums += np.ones(L - p) @ y
+        n += L - p
+    c, k = int(intercept), int(intercept) + K * p
+    # blocks of lag gap j - i = -p..p, the target (lag 0) last
+    gaps = np.concatenate([np.swapaxes(lagged[:, :0:-1], -1, -2), lagged],
+                          axis=1)
+    lag = np.r_[1 : p + 1, 0]
+    G = np.empty((C, k + K, k + K))
+    G[:, c:, c:] = gaps[:, p + lag[None, :] - lag[:, None]].transpose(
+        0, 1, 3, 2, 4).reshape(C, (p + 1) * K, (p + 1) * K)
+    if intercept:
+        G[:, 0, 0] = n
+        G[:, 0, 1:] = G[:, 1:, 0] = np.tile(sums, p + 1)
+    if p:
+        head, tail = _edge_rows(head, intercept), _edge_rows(z[:, L - p :],
+                                                            intercept)
+        G[:, :k, :k] += np.swapaxes(head, -1, -2) @ head
+        tail = np.swapaxes(tail, -1, -2) @ tail
+        G[:, :k, :k] -= tail
+        diag = G.reshape(C, -1)[:, :: k + K + 1][:, :k]
+        # n eps bounds the rounding of the sums that the tail cancels
+        spill = np.diagonal(tail, axis1=-2, axis2=-1)
+        diag[diag <= n * np.finfo(float).eps * (diag + 2.0 * spill)] = 0.0
+    return G, n
 
 
-def _fit(blocks, k: int) -> tuple:
+def _fit(G, n: int, k: int) -> tuple:
     """Least squares of the last columns of ``[X | Y]`` on its first
-    ``k``, by the normal equations, for a stack of samples whose rows
-    arrive in ``blocks``.
+    ``k``, by the normal equations, for a stack of samples of n rows each,
+    given by their Gram matrices ``G = [X | Y]'[X | Y]``, ``(..., k + K, k
+    + K)``.
 
-    Every block is ``(..., rows, k + K)``; together, in order, they are
-    ``[X | Y]``, n rows in all.  One stacked product per block adds to
-    the Gram matrix ``G = [X | Y]'[X | Y]``, which is then equilibrated,
-    ``D^-1 G D^-1`` with ``D`` the column norms, and only its X block is
-    factored, ``P P'``.  ``P^-1`` is the one triangular inverse, of ``P``
-    scaled to a unit diagonal (:func:`~tca.linalg.unit_lower_inverse`);
-    the rest are products: ``R = P^-1 G_xy``, the coefficients ``P^-T R``
-    and the residual cross-product, the Schur complement ``G_yy - R'R``.
-    Each LAPACK call and product is one per sample, so a sample gets the
-    same bits in any stack.
+    ``G`` is equilibrated, ``D^-1 G D^-1`` with ``D`` the column norms,
+    and only its X block is factored, ``P P'``.  ``P^-1`` is the one
+    triangular inverse, of ``P`` scaled to a unit diagonal
+    (:func:`~tca.linalg.unit_lower_inverse`); the rest are products: ``R
+    = P^-1 G_xy``, the coefficients ``P^-T R`` and the residual
+    cross-product, the Schur complement ``G_yy - R'R``.  Each LAPACK call
+    and product is one per sample, so a sample gets the same bits in any
+    stack.
 
-    The fit is full rank when it passes every test of ``RANK_TESTS``.
-    The columns of the equilibrated X have unit norm, so ``sqrt(k)
+    The fit is full rank when it passes every test of ``RANK_TESTS``; a
+    column whose diagonal entry is not positive is a zero column.  The
+    columns of the equilibrated X have unit norm, so ``sqrt(k)
     |P^-1|_F`` bounds its condition number kappa, and the last test keeps
     ``kappa^2 eps n``, the relative error that forming ``X'X`` may add,
     below 1: at n = 400 it rejects every kappa above about 3e6.  Returns
@@ -278,13 +335,9 @@ def _fit(blocks, k: int) -> tuple:
     otherwise 1 + the index of the first test the sample fails, whose
     coefficients are then not meaningful.
     """
-    G, n = 0.0, 0
-    for block in blocks:
-        n += block.shape[-2]
-        G = G + np.swapaxes(block, -1, -2) @ block
-    d = np.sqrt(np.diagonal(G, axis1=-2, axis2=-1))
-    zero = np.any(d[..., :k] == 0.0, axis=-1)
-    d = np.where(d > 0.0, d, 1.0)
+    diag = np.diagonal(G, axis1=-2, axis2=-1)
+    zero = np.any(diag[..., :k] <= 0.0, axis=-1)
+    d = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     G = G / (d[..., :, None] * d[..., None, :])
     P, pd = cholesky_lower(G[..., :k, :k])
     pivots = np.diagonal(P, axis1=-2, axis2=-1)
@@ -342,18 +395,24 @@ def estimate_var_ols(data, p: int, include_intercept: bool = True,
     # with an intercept the rows are shifted by their mean, which leaves
     # the lags alone and moves the intercept by (I - sum_i A_i) mu
     mu = data.mean(axis=0) if include_intercept else np.zeros(K)
-    XY = _lagged_design(data, p, include_intercept, mu)
-    k = XY.shape[1] - K
-    coef, ssr, failed = _fit(_row_blocks(XY[None]), k)
+    G, n = _lag_gram((data[None, start : start + p + BLOCK_ROWS]
+                      for start in range(0, T - p, BLOCK_ROWS)),
+                     p, include_intercept, mu)
+    k = G.shape[-1] - K
+    coef, ssr, failed = _fit(G, n, k)
     if failed[0]:
         raise RankDeficientRegressorsError(
-            f"regressors are rank deficient: the {T - p} x {k} regressor "
+            f"regressors are rank deficient: the {n} x {k} regressor "
             f"matrix fails the rank test {RANK_TESTS[failed[0] - 1]}"
         )
     dof = T - p - K * p - (1 if include_intercept else 0)
     if dof <= 0:
         raise ValueError("not enough observations for the dof correction")
     intercept, lags = _split_coefficients(coef[0], p, include_intercept)
+    z = data - mu
+    residuals = z[p:] - (0.0 if intercept is None else intercept)
+    for i, A in enumerate(lags, 1):
+        residuals -= z[p - i : T - i] @ A.T
     if include_intercept:
         intercept = intercept + mu - lags.sum(axis=0) @ mu
     return ReducedVar(
@@ -361,7 +420,7 @@ def estimate_var_ols(data, p: int, include_intercept: bool = True,
         coefs=tuple(lags),
         sigma_u=ssr[0] / dof,
         intercept=intercept,
-        residuals=XY[:, k:] - XY[:, :k] @ coef[0],
+        residuals=residuals,
         data=data,
     )
 
@@ -482,8 +541,8 @@ def estimate_lp_irfs(data, shock_var: int, ordered_before, horizons: int,
         n = T - lags - h
         Y = data[lags + h : lags + h + n]
         for out, X in ((beta, base), (gamma, with_controls)):
-            XY = np.hstack([X[:n], Y])[None]
-            coef, _, failed = _fit(_row_blocks(XY), X.shape[1])
+            XY = np.hstack([X[:n], Y])
+            coef, _, failed = _fit((XY.T @ XY)[None], n, X.shape[1])
             if failed[0]:
                 if h not in flagged:
                     flagged.append(h)
@@ -526,13 +585,16 @@ def _block_maps(coefs, K: int, s: int) -> tuple:
     return T.reshape(s * K, s * K), M.reshape(p * K, s * K)
 
 
-def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
+def _var_recursion(coefs, intercept, shocks, initial,
+                   maps=None) -> np.ndarray:
     """``y_t = c + sum_i coefs[i] y_{t-i} + shocks_t``, unchecked.
 
     Leading axes batch independent samples that share the coefficients:
     ``shocks`` is ``(..., n, K)`` and ``initial``, ``(p, K)`` or
     ``(..., p, K)``, holds the first p rows; the result is
     ``(..., p + n, K)``.  ``intercept`` may be ``None`` (zero).
+    ``maps``, when given, is ``_block_maps(coefs, K, _step(K))``, for a
+    caller that steps the same coefficients many times.
 
     The periods go in steps of ``_step(K)`` from the first, each ``g T +
     w M`` (:func:`_block_maps`): one stacked product per ``BLOCK_ROWS`` block
@@ -554,7 +616,7 @@ def _var_recursion(coefs, intercept, shocks, initial) -> np.ndarray:
         head += np.tile(intercept, n)
     if p == 0:
         return head.reshape(*batch, n, K)
-    T, M = _block_maps(coefs, K, s)
+    T, M = _block_maps(coefs, K, s) if maps is None else maps
     out = np.empty((C, (p + m * s) * K))
     out[:, : p * K] = np.broadcast_to(initial, (*batch, p, K)).reshape(C, -1)
     body = out[:, p * K :].reshape(C, m, s * K)

@@ -26,7 +26,9 @@ reference for identified and local-projection IRFs, and
 reference for the library's blocked recursion.  :func:`var_lstsq` and
 :func:`lp_lstsq` fit the VAR and the local projections with
 ``np.lstsq`` on the unshifted regressors, the reference for the
-library's normal equations.
+library's normal equations, and :func:`design_gram` forms a VAR's
+regression rows ``[X | Y]`` explicitly, the reference for the Gram
+matrix that the library sums from lagged cross-products.
 
 :func:`write_effects_csv`, :func:`verify_effects_csv` and
 :func:`read_data_csv` are the CLI's CSV layer as it was before the bulk
@@ -482,6 +484,17 @@ def var_lstsq(data, p: int, intercept: bool = True) -> tuple:
     lags = coef[int(intercept):].reshape(p, K, K).transpose(0, 2, 1)
     sigma_u = resid.T @ resid / (T - p - X.shape[1])
     return (coef[0] if intercept else None), lags, sigma_u
+
+
+def design_gram(data, p: int, intercept: bool, mu) -> np.ndarray:
+    """``[X | Y]'[X | Y]`` of a VAR(p) regression on ``data - mu``, from
+    the explicit rows: an intercept column (when ``intercept``), lags 1
+    to p, then the targets, one row per period from the p-th on."""
+    T = data.shape[0]
+    z = data - mu
+    XY = np.hstack([np.ones((T - p, int(intercept)))]
+                   + [z[p - i : T - i] for i in range(1, p + 1)] + [z[p:]])
+    return XY.T @ XY
 
 
 def lp_lstsq(data, shock_var: int, ordered_before, horizons: int,

@@ -404,10 +404,8 @@ def test_criterion_09_empirical_shape_and_runtime(monkeypatch):
     )
     elapsed = time.perf_counter() - t0
 
-    # the same bootstrap in chunks of 7 draws gives the same bands; a
-    # draw's working bytes are its 396 resampling indices and a 256-row
-    # block of the 21 regressor and response columns
-    draw_bytes = 4 * 396 + 8 * 256 * (1 + 4 * 4 + 4)
+    # the same bootstrap in chunks of 7 draws gives the same bands
+    draw_bytes = tca.inference._draw_bytes(396, 4, 4)
     monkeypatch.setattr(tca.inference, "CHUNK_BYTES", 7 * draw_bytes)
     chunked = bootstrap_effects(data, VarSpec(lags=4), ident, ordering,
                                 "!ffr_0",

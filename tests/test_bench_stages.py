@@ -1,6 +1,7 @@
 """Smoke test of scripts/bench_stages.py: every stage of every workload is
-timed, the timers leave every binding as they found it, and a comparison
-in pairs of processes writes each pair's medians and their spread."""
+timed, a stage resolves while any of its names does, the timers leave
+every binding as they found it, and a comparison in pairs of processes
+writes each pair's medians and their spread."""
 
 import importlib.util
 import json
@@ -23,12 +24,14 @@ def bench():
 
 
 def _bindings(stages):
+    """The functions the stages' names resolve to in this tree."""
     out = {}
     for keys in stages.values():
         for key in keys:
             module_name, name = key.rsplit(".", 1)
             module = importlib.import_module(module_name)
-            out[key] = getattr(module, name)
+            if hasattr(module, name):
+                out[key] = getattr(module, name)
     return out
 
 
@@ -60,6 +63,22 @@ def test_missing_function_raises_and_restores(bench):
             pass
 
 
+def test_stage_resolves_while_any_of_its_names_does(bench):
+    # a stage that names a function under its old and its new name, as
+    # the ols stage does across a rename, times whichever the tree has
+    import tca.linalg
+
+    as_matrix = tca.linalg.as_matrix
+    stages = {"m": ["tca.linalg.no_such_function", "tca.linalg.as_matrix",
+                    "tca.no_such_module.f"]}
+    with bench.installed(stages) as timers:
+        assert tca.linalg.as_matrix is not as_matrix
+        tca.linalg.as_matrix([[1.0]])
+    assert timers.totals["m"] > 0
+    assert tca.linalg.as_matrix is as_matrix
+    assert not hasattr(tca.linalg, "no_such_function")
+
+
 def test_one_pair_against_a_tree(bench, tmp_path, monkeypatch):
     # The pair's two processes run in this one, on the cli_io workload
     # alone, to keep the test short.
@@ -77,7 +96,7 @@ def test_one_pair_against_a_tree(bench, tmp_path, monkeypatch):
     assert sorted(report) == ["cli_io", "comparison", "machine"]
     assert report["comparison"] == {"pairs": 1, "runs": 9}
     entry = report["cli_io"]
-    names = ["whole_s", *bench.WORKLOADS["cli_io"][1]]
+    names = ["whole_s", *bench.WORKLOADS["cli_io"][1], "peak_rss_mb"]
     assert len(entry["pairs"]) == 1
     for label in ("parent", "change"):
         pair = entry["pairs"][0][label]

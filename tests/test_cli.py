@@ -452,9 +452,9 @@ class TestBootstrap:
         chunks = []
         original = inf._draw_effects
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             chunks.append(len(args[-1]))
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(inf, "_draw_effects", spy)
         out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
@@ -495,8 +495,8 @@ class TestBootstrap:
 
         original = tca.inference._fit
 
-        def first_draw_rank_deficient(XY, k):
-            coef, ssr, failed = original(XY, k)
+        def first_draw_rank_deficient(G, n, k):
+            coef, ssr, failed = original(G, n, k)
             return coef, ssr, np.where(np.arange(len(failed)) == 0, 1, failed)
 
         monkeypatch.setattr(tca.inference, "_fit", first_draw_rank_deficient)

@@ -1,6 +1,8 @@
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from concurrent.futures import ThreadPoolExecutor
 
 from conftest import stable_var_coefs
 from tca import (
@@ -40,9 +42,9 @@ def make_data(seed, T=800):
     return simulate_var([A0INV @ A1], None, eps @ A0INV.T, np.zeros((1, 2)))
 
 
-def regenerated(var, seed, draws):
+def regenerated(var, seed, draws, maps=None):
     """The samples ``_regenerate`` yields block by block, joined."""
-    blocks = list(_regenerate(var, seed, draws))
+    blocks = list(_regenerate(var, seed, draws, maps))
     return np.concatenate([blocks[0]] + [b[:, var.p:] for b in blocks[1:]],
                           axis=1)
 
@@ -88,6 +90,26 @@ class TestRegeneration:
             # nor on the blocks
             assert np.array_equal(samples[r], expected)
         assert np.array_equal(regenerated(var, seed, [4]), samples[4:5])
+        # the recursion's maps built once, as bootstrap_effects passes them
+        maps = inf._block_maps(var.coefs, K, inf._step(K))
+        assert np.array_equal(regenerated(var, seed, range(6), maps), samples)
+
+
+    def test_recursion_maps_are_built_once_per_bootstrap(self, monkeypatch):
+        # one build for every block of every draw, in chunks of one
+        # draw, and one for the point estimate's impulse responses
+        import tca.model
+
+        data = make_data(0)
+        calls = []
+        for name, module in (("draws", inf), ("point", tca.model)):
+            def spy(*args, name=name, original=module._block_maps):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, "_block_maps", spy)
+        monkeypatch.setattr(inf, "CHUNK_BYTES", 1)
+        run(data, reps=5)
+        assert sorted(calls) == ["draws", "point"]
 
 
 class TestResamplingIndices:
@@ -227,8 +249,8 @@ class TestBootstrapEffects:
         data = make_data(7)
         original = inf._fit
 
-        def flaky(XY, k):  # every draw's refit is rank deficient
-            coef, ssr, failed = original(XY, k)
+        def flaky(G, n, k):  # every draw's refit is rank deficient
+            coef, ssr, failed = original(G, n, k)
             return coef, ssr, np.ones_like(failed)
 
         monkeypatch.setattr(inf, "_fit", flaky)
@@ -241,8 +263,8 @@ class TestBootstrapEffects:
         original = inf._fit
         seen = {"n": 0}
 
-        def sometimes(XY, k):  # exactly one degenerate draw, the fifth
-            coef, ssr, failed = original(XY, k)
+        def sometimes(G, n, k):  # exactly one degenerate draw, the fifth
+            coef, ssr, failed = original(G, n, k)
             first = seen["n"]
             seen["n"] += len(failed)
             if first <= 4 < seen["n"]:
@@ -257,27 +279,35 @@ class TestBootstrapEffects:
 
     def test_draw_past_the_condition_bound_is_a_rank_discard(self,
                                                              monkeypatch):
-        # the 40 draws make one chunk, and its first draw's second lag
-        # regressor becomes the first plus a little noise, condition
-        # number about 1.25 / sqrt(eps n); the unpatched rank rule of the
-        # refit discards that draw alone
+        # the 40 draws make one chunk, and in its first draw's
+        # regenerated rows the second variable becomes the first plus a
+        # little noise, as in the data's first row, (0, 0): beside the
+        # intercept its lag regressor has condition number about 1.25 /
+        # sqrt(eps n), and the unpatched rank rule of the refit discards
+        # that draw alone
         data = make_data(10)
+        assert not data[0].any()
         limit = 1.0 / np.sqrt(np.finfo(float).eps * (data.shape[0] - 1))
-        original = inf._lagged_design
+        original = inf._regenerate
         noise = np.random.default_rng(0)
 
-        def near_collinear(*args):
-            XY = original(*args)
-            first = XY[0, :, 1]
-            XY[0, :, 2] = first + 1.7 / (1.25 * limit) * np.std(first) * (
-                noise.normal(size=first.shape))
-            return XY
+        def near_collinear(*args, **kwargs):
+            last = None
+            for rows in original(*args, **kwargs):
+                rows = rows.copy()
+                if last is not None:  # the rows that end the block before
+                    rows[0, :1] = last
+                first = rows[0, 1:, 0]
+                rows[0, 1:, 1] = first + 1.7 / (1.25 * limit) * (
+                    np.std(first) * noise.normal(size=first.shape))
+                last = rows[0, -1:]
+                yield rows
 
-        monkeypatch.setattr(inf, "_lagged_design", near_collinear)
+        monkeypatch.setattr(inf, "_regenerate", near_collinear)
         bands = run(data, reps=40)
         assert bands.discarded_by == {"RankDeficientRegressorsError": 1}
 
-    @pytest.mark.parametrize("chunk_bytes", [None, 7 * (4 * 799 + 8 * 256 * 5)],
+    @pytest.mark.parametrize("chunk_bytes", [None, 7 * inf._draw_bytes(799, 2, 1)],
                              ids=["default_chunks", "chunks_of_7"])
     def test_one_bad_draw_in_a_chunk_discards_that_draw_only(
             self, monkeypatch, chunk_bytes):
@@ -295,8 +325,8 @@ class TestBootstrapEffects:
         def spoil(kind):
             seen = {"n": 0}
 
-            def fit(XY, k):
-                coef, ssr, failed = original(XY, k)
+            def fit(G, n, k):
+                coef, ssr, failed = original(G, n, k)
                 first = seen["n"]
                 seen["n"] += len(failed)
                 if first <= 9 < seen["n"]:
@@ -326,6 +356,54 @@ class TestBootstrapEffects:
                 assert np.array_equal(bands.lower[kind], rank.lower[kind])
                 assert np.array_equal(bands.upper[kind], rank.upper[kind])
         assert not np.array_equal(clean.lower["channel"], rank.lower["channel"])
+
+
+class _FirstChunk(Exception):
+    pass
+
+
+def _first_chunk_peak(T):
+    """``(draws, bytes)``: the size of the first default chunk of
+    criterion 09's bootstrap on T observations, and the traced peak of
+    the memory its refit and pricing allocate."""
+    rng = np.random.default_rng(9)
+    coefs = stable_var_coefs(rng, 4, 4, radius=0.6)
+    data = simulate_var(coefs, None, rng.normal(size=(T, 4)), np.zeros((4, 4)))
+    original = inf._draw_effects
+    seen = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            original(*args, **kwargs)
+            seen.append((len(args[-1]), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        raise _FirstChunk
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(_FirstChunk):
+        patch.setattr(inf, "_draw_effects", traced)
+        bootstrap_effects(data, VarSpec(lags=4), InstrumentSpec(1, 0.25),
+                          TransmissionOrdering.identity(
+                              ("ffr", "ygap", "infl", "pcom")),
+                          "!ffr_0", BootstrapSpec(replications=500, seed=909),
+                          20)
+    return seen[0]
+
+
+class TestChunkMemory:
+    def test_a_default_chunk_stays_within_its_budget(self):
+        # criterion 09's shape: about 70 draws a chunk, refitted without
+        # a regression design array
+        draws, peak = _first_chunk_peak(400)
+        assert 60 <= draws <= 80
+        assert peak <= 3 * 2 ** 20, peak
+
+    def test_peak_does_not_grow_with_the_sample(self):
+        short = _first_chunk_peak(4_000)
+        long = _first_chunk_peak(20_000)
+        assert short[0] == long[0]
+        assert abs(long[1] - short[1]) <= 0.05 * short[1], (short, long)
 
 
 def _policy_case(name):
@@ -358,14 +436,13 @@ class TestChunking:
         data, var_spec, ordering, cond, h, freeze = _policy_case(name)
         p, K = var_spec.lags, data.shape[1]
         n = data.shape[0] - p
-        draw_bytes = 4 * n + 8 * min(n, inf.BLOCK_ROWS) * (
-            int(var_spec.intercept) + K * p + K)
+        draw_bytes = inf._draw_bytes(n, K, p)
         sizes = []
         original = inf._draw_effects
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             sizes.append(len(args[-1]))
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(inf, "_draw_effects", spy)
         runs = {}

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import stable_var_coefs, three_var_model
-from oracles import lp_lstsq, ma_coefficients, var_lstsq, var_recursion
+from oracles import (design_gram, lp_lstsq, ma_coefficients, var_lstsq,
+                     var_recursion)
 from tca import (
     ReducedVar,
     TransmissionOrdering,
@@ -22,8 +23,8 @@ from tca.errors import (
     ZeroImpactError,
 )
 from tca.linalg import cholesky_lower
-from tca.model import (BLOCK_ROWS, _STEP_WIDTH, _instrument_impact, _step,
-                       _var_recursion)
+from tca.model import (BLOCK_ROWS, _STEP_WIDTH, _instrument_impact,
+                       _lag_gram, _step, _var_recursion)
 
 
 def simulate(rng, coefs, T, intercept=None, chol=None):
@@ -83,6 +84,22 @@ class TestEstimateVarOls:
         with pytest.raises(RankDeficientRegressorsError,
                            match="rank test no zero column"):
             estimate_var_ols(data, 1, include_intercept=False)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_column_zero_but_in_its_last_rows_is_a_zero_column(self, p):
+        # the second variable is 0 but in the last p rows, which straddle
+        # the end of the first BLOCK_ROWS block: its lag-p regressor is
+        # exactly zero, though the lag sums that the Gram matrix takes
+        # for it, less their tail, can round to a little above 0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            data = np.zeros((BLOCK_ROWS + p + 1, 2))
+            data[:, 0] = rng.normal(size=len(data))
+            data[-p:, 1] = rng.normal(size=p) * 10.0 ** rng.integers(-8, 1,
+                                                                      size=p)
+            with pytest.raises(RankDeficientRegressorsError,
+                               match="rank test no zero column"):
+                estimate_var_ols(data, p, include_intercept=False)
 
     def test_duplicated_column_is_rank_deficient(self, rng):
         x = rng.normal(size=(50, 1))
@@ -168,6 +185,37 @@ class TestEstimateVarOls:
         resid = var.residuals
         expected = resid.T @ resid / (T - 1 - 1 - 1)
         assert np.allclose(var.sigma_u, expected)
+
+
+class TestLagGram:
+    """The Gram matrix summed from lagged cross-products against the one
+    of the explicit regression rows (:func:`oracles.design_gram`)."""
+
+    @pytest.mark.parametrize("rows", ["k-1", "block", "block+2",
+                                      "2block+3"])
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_matches_the_explicit_design(self, p, intercept, rows):
+        # a stack of 3 samples that share their first p rows, in the
+        # blocks the bootstrap regenerates; at block+2 and p = 4 the last
+        # block has fewer targets than lags.  A sample of n <= 0 rows has
+        # no Gram matrix, so n = k - 1 is at least 1
+        K = 3
+        k = int(intercept) + K * p
+        n = {"k-1": max(k - 1, 1), "block": BLOCK_ROWS,
+             "block+2": BLOCK_ROWS + 2, "2block+3": 2 * BLOCK_ROWS + 3}[rows]
+        rng = np.random.default_rng(100 * p + n)
+        data = 2.0 + rng.normal(size=(3, p + n, K)).cumsum(axis=1)
+        data[1:, :p] = data[0, :p]
+        mu = data[0].mean(axis=0) if intercept else np.zeros(K)
+        G, got_n = _lag_gram((data[:, start : start + p + BLOCK_ROWS]
+                              for start in range(0, n, BLOCK_ROWS)),
+                             p, intercept, mu)
+        assert got_n == n and G.shape == (3, k + K, k + K)
+        for sample, gram in zip(data, G):
+            want = design_gram(sample, p, intercept, mu)
+            gap = np.abs(gram - want).max()
+            assert gap <= 1e-13 * np.abs(want).max(), gap
 
 
 class TestOlsAccuracy:
