@@ -400,10 +400,13 @@ class TestChunkMemory:
         assert peak <= 3 * 2 ** 20, peak
 
     def test_peak_does_not_grow_with_the_sample(self):
+        # past INDEX_ROWS periods a chunk holds the same arrays at any T,
+        # and they fit its CHUNK_BYTES, give or take the temporaries
         short = _first_chunk_peak(4_000)
         long = _first_chunk_peak(20_000)
         assert short[0] == long[0]
         assert abs(long[1] - short[1]) <= 0.05 * short[1], (short, long)
+        assert long[1] <= 1.1 * inf.CHUNK_BYTES, long
 
 
 def _policy_case(name):
