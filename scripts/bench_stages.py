@@ -14,6 +14,9 @@ Workloads (``WORKLOADS``):
     ``np.take``); ``identify_internal_instrument``,
     ``reconstruct_from_single_shock`` and ``transmission_effect`` time the
     full-sample point estimate.
+``bootstrap_channel``
+    Criterion 09 as ``bootstrap``, priced for the 21-literal condition
+    ``any_horizon("ygap", range(21))``, a channel that is not zero.
 ``cli_io``
     The benchmark's ``large_grid`` pass (perfbench/workloads.py, seed 9):
     ``tca transmission`` with two conditions and ``--assert-partition`` at
@@ -42,7 +45,10 @@ median and quartiles go under ``--label`` in ``--out``, laid out as
 keeping the entries of other labels.  ``peak_rss_mb`` is the process's
 peak resident set size (``ru_maxrss``) once the workload has run; the
 workloads run in the order of ``WORKLOADS``, so the first one's is its
-own and a later one's covers the ones before it.
+own and a later one's covers the ones before it.  A bootstrap workload
+(``CHUNKED``) also reports ``first_chunk_mb``, the ``tracemalloc`` peak
+of its first chunk of draws (``tca.inference._draw_effects``), in MiB
+as ``peak_rss_mb``.
 
 ``--against SRC`` compares ``--src`` (label ``change``) with ``SRC``
 (label ``parent``) in ``--pairs`` pairs of fresh processes, one of each,
@@ -75,6 +81,7 @@ import resource  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -82,8 +89,8 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def bootstrap(workdir):
-    """Criterion 09's inputs and its bootstrap call."""
+def bootstrap(workdir, cond="!ffr_0"):
+    """Criterion 09's inputs and its bootstrap call, for ``cond``."""
     import tca
     from perfbench.reference import stable_var_coefs
 
@@ -96,8 +103,15 @@ def bootstrap(workdir):
     ordering = tca.TransmissionOrdering.identity(names)
     ident = tca.InstrumentSpec(normalize_on=1, impact=0.25)
     return lambda: tca.bootstrap_effects(
-        data, tca.VarSpec(lags=4), ident, ordering, "!ffr_0",
+        data, tca.VarSpec(lags=4), ident, ordering, cond,
         tca.BootstrapSpec(replications=500, seed=909), 20)
+
+
+def bootstrap_channel(workdir):
+    """Criterion 09's bootstrap of a 21-literal channel."""
+    from tca.condition import any_horizon
+
+    return bootstrap(workdir, any_horizon("ygap", range(21)))
 
 
 def cli_io(workdir):
@@ -115,24 +129,28 @@ def cli_io(workdir):
     return run
 
 
+#: The stages of a bootstrap workload.
+BOOTSTRAP_STAGES = {
+    "regenerate": ["tca.inference._regenerate"],
+    "recursion": ["tca.inference._var_recursion"],
+    # _lagged_design built the refits' regression rows before
+    # _lag_gram summed their Gram matrices from lag products
+    "ols": ["tca.inference._lagged_design", "tca.inference._lag_gram",
+            "tca.inference._fit", "tca.inference.estimate_var_ols"],
+    "identify_and_triangular": [
+        "tca.inference._instrument_impact", "tca.inference._reduced_form",
+        "tca.inference.identify_internal_instrument",
+        "tca.inference.reconstruct_from_single_shock"],
+    "evaluate": ["tca.inference._effects",
+                 "tca.inference.transmission_effect"],
+    "quantiles": ["numpy.quantile"],
+}
+
 #: workload -> (set-up returning a zero-argument run, stage -> the
 #: ``module.function`` names that do its work)
 WORKLOADS = {
-    "bootstrap": (bootstrap, {
-        "regenerate": ["tca.inference._regenerate"],
-        "recursion": ["tca.inference._var_recursion"],
-        # _lagged_design built the refits' regression rows before
-        # _lag_gram summed their Gram matrices from lag products
-        "ols": ["tca.inference._lagged_design", "tca.inference._lag_gram",
-                "tca.inference._fit", "tca.inference.estimate_var_ols"],
-        "identify_and_triangular": [
-            "tca.inference._instrument_impact", "tca.inference._reduced_form",
-            "tca.inference.identify_internal_instrument",
-            "tca.inference.reconstruct_from_single_shock"],
-        "evaluate": ["tca.inference._effects",
-                     "tca.inference.transmission_effect"],
-        "quantiles": ["numpy.quantile"],
-    }),
+    "bootstrap": (bootstrap, BOOTSTRAP_STAGES),
+    "bootstrap_channel": (bootstrap_channel, BOOTSTRAP_STAGES),
     "cli_io": (cli_io, {
         "args": ["tca.cli.main"],
         "load": ["tca.cli.load_model_file"],
@@ -142,6 +160,10 @@ WORKLOADS = {
         "verify": ["tca.cli.verify_effects_csv"],
     }),
 }
+
+
+#: The workloads that run bootstrap chunks, whose first chunk is traced.
+CHUNKED = ("bootstrap", "bootstrap_channel")
 
 
 class StageTimers:
@@ -217,13 +239,39 @@ def installed(stages):
             setattr(module, name, fn)
 
 
+def first_chunk_mb(run):
+    """The ``tracemalloc`` peak, in MiB, of the first chunk of draws that
+    ``run`` prices; the rest of the run is not traced."""
+    import tca.inference as inference
+
+    original, peaks = inference._draw_effects, []
+
+    def traced(*args, **kwargs):
+        if peaks:
+            return original(*args, **kwargs)
+        tracemalloc.start()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            tracemalloc.stop()
+
+    inference._draw_effects = traced
+    try:
+        run()
+    finally:
+        inference._draw_effects = original
+    return peaks[0]
+
+
 def summary(values):
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def measure(setup, stages, runs, workdir):
-    """Whole-run and per-stage summaries of ``runs`` runs each."""
+def measure(setup, stages, runs, workdir, chunked=False):
+    """Whole-run and per-stage summaries of ``runs`` runs each, and, when
+    ``chunked``, the traced peak of the first chunk of draws."""
     run = setup(workdir)
     run()  # warm-up: imports, caches, first allocations
     whole = []
@@ -237,18 +285,22 @@ def measure(setup, stages, runs, workdir):
             run()
         for stage, value in timers.totals.items():
             by_stage[stage].append(value)
-    return {"whole_s": summary(whole),
-            "stages_s": {s: summary(v) for s, v in by_stage.items()},
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            / 1024}
+    entry = {"whole_s": summary(whole),
+             "stages_s": {s: summary(v) for s, v in by_stage.items()},
+             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+             / 1024}
+    if chunked:  # after peak_rss_mb, which tracing would inflate
+        entry["first_chunk_mb"] = first_chunk_mb(run)
+    return entry
 
 
 def medians(entry):
-    """The median of the whole run and of each stage, by name, and the
-    process's peak RSS."""
+    """The median of the whole run and of each stage, by name, the
+    process's peak RSS and, of a bootstrap, its first chunk's peak."""
     return {"whole_s": entry["whole_s"]["median"],
             **{stage: v["median"] for stage, v in entry["stages_s"].items()},
-            "peak_rss_mb": entry["peak_rss_mb"]}
+            **{key: entry[key] for key in ("peak_rss_mb", "first_chunk_mb")
+               if key in entry}}
 
 
 def compare(args):
@@ -307,10 +359,12 @@ def main(argv=None):
             text = "  ".join(f"{metric}={parent[metric]['median'] * 1e3:.2f}"
                              f"->{change[metric]['median'] * 1e3:.2f}"
                              for metric in ["whole_s", *WORKLOADS[name][1]])
-            rss = (f"{parent['peak_rss_mb']['median']:.1f}->"
-                   f"{change['peak_rss_mb']['median']:.1f}")
+            memory = "  ".join(
+                f"{key}={parent[key]['median']:.2f}->"
+                f"{change[key]['median']:.2f}"
+                for key in ("peak_rss_mb", "first_chunk_mb") if key in parent)
             print(f"{name} parent->change, median of {args.pairs} pair "
-                  f"medians, ms: {text}  peak_rss_mb={rss}")
+                  f"medians, ms: {text}  {memory}")
         report["machine"] = machine
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return
@@ -319,14 +373,16 @@ def main(argv=None):
     report = json.loads(out.read_text()) if out.is_file() else {}
     for workload, (setup, stages) in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:
-            entry = measure(setup, stages, args.runs, workdir)
+            entry = measure(setup, stages, args.runs, workdir,
+                            workload in CHUNKED)
         report.setdefault(workload, {})[args.label] = entry
         stage_text = "  ".join(f"{s}={v['median'] * 1e3:.2f}"
                                for s, v in entry["stages_s"].items())
+        memory = "  ".join(f"{key}={entry[key]:.2f}" for key in
+                           ("peak_rss_mb", "first_chunk_mb") if key in entry)
         print(f"{workload} {args.label}: whole="
               f"{entry['whole_s']['median'] * 1e3:.2f} ms (median of "
-              f"{args.runs})  ms: {stage_text}  peak_rss_mb="
-              f"{entry['peak_rss_mb']:.1f}")
+              f"{args.runs})  ms: {stage_text}  {memory}")
     report["machine"] = machine
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 

@@ -518,6 +518,7 @@ def _effects(B_blocks, col, root):
     rhs[..., 0] = col
     rhs[..., lits, np.arange(1, m + 1)] = 1.0
     Z = solve_unit_lower(B_blocks, rhs)
+    del rhs  # the solve's m + 1 columns are its result's alone from here
     total, paths = Z[..., 0], Z[..., 1:]
     at_lits = np.take(total, lits, axis=-1)
     # between, the paths' rows at the literals, is unit lower-triangular,
@@ -529,7 +530,9 @@ def _effects(B_blocks, col, root):
 
     w = np.empty(col.shape[:-1] + (m + 1,))
     flat_w = w.reshape(-1, m + 1)
-    for r, g_r in enumerate(g.reshape(len(flat_w), m, m + 1).tolist()):
+    flat_g = g.reshape(len(flat_w), m, m + 1)
+    for r in range(len(flat_w)):
+        g_r = flat_g[r].tolist()  # one system's floats at a time
         amp = [1.0] + [0.0] * (len(column) - 1)
         for s, target, k, c in steps:
             amp[target] += amp[s] * g_r[k][c]

@@ -9,14 +9,17 @@ decomposition.  Percentile intervals are taken across draws.
 The point estimate is :func:`point_effects`, the public single-shock
 chain: identify the shock, rebuild its one-shock systems form, price the
 condition.  Draws run in chunks of at most ``CHUNK_BYTES`` of working
-arrays, on one thread: each step of a chunk is one stacked numpy or
-LAPACK call over its draws, and on a stack of one these kernels give
-the point estimate's bits.  A chunk is resampled, regenerated and
-refitted in blocks, so its memory does not grow with the sample length:
-each block adds to its draws' lagged cross-products, of rows shifted by
-the full-sample mean, from which each refit forms its Gram matrix
-without a regression design array and solves the normal equations by
-Cholesky.
+arrays, counted by the phase of a draw that holds the most
+(:func:`_draw_bytes`), on one thread: each step of a chunk is one
+stacked numpy or LAPACK call over its draws, and on a stack of one these
+kernels give the point estimate's bits.  A chunk is resampled,
+regenerated and refitted in blocks, so its memory does not grow with the
+sample length: each block's shocks are gathered into one reused buffer
+and regenerated into another, then shifted in place by the full-sample
+mean and added to its draws' lagged cross-products, from which each
+refit forms its Gram matrix without a regression design array and
+solves the normal equations by Cholesky.  The bands are the quantiles of
+the draw arrays themselves, scaled in place.
 Every draw uses its own substream derived from ``(seed, draw index)``
 and the kernels give each draw the same bits in any stack, so the bands
 are byte-identical at any chunk size.  A degenerate draw (rank-deficient
@@ -68,12 +71,10 @@ _RANK, _NOT_PD, _ZERO_IMPACT = 1, 2, 3
 
 MAX_DISCARD_SHARE = 0.05
 
-#: Bytes of the working arrays of one chunk of bootstrap draws
-#: (:func:`_draw_bytes` per draw): a block of its resampling indices and
-#: the arrays that regenerate one ``BLOCK_ROWS`` block of its samples and
-#: add that block's lagged cross-products to its refits' Gram matrices,
-#: or its evaluator solve columns when those are larger.
-CHUNK_BYTES = 3 * 2 ** 20
+#: Bytes of the working arrays of one chunk of bootstrap draws, 1.875
+#: MiB: at :func:`_draw_bytes` per draw, the most that any phase of a
+#: draw holds at once.  Criterion 09's chunks are of 70 draws.
+CHUNK_BYTES = 15 * 2 ** 17
 
 #: Resampling indices per call of a draw's generator, each call a fixed cost.
 INDEX_ROWS = 8 * BLOCK_ROWS
@@ -187,53 +188,127 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
     return total, channel, scale, code
 
 
-def _draw_bytes(n: int, K: int, p: int, solve: int = 0) -> int:
-    """Bytes that one bootstrap draw of n regression rows, K variables
-    and p lags holds at once in a chunk: a block of its int32 resampling
-    indices and, while a block of r = ``min(n, BLOCK_ROWS)`` periods is
-    regenerated, its resampled shocks, the recursion's steps and the new
-    ``p + r`` rows, beside the block before and that block's shift by
-    the mean; or else its ``solve`` evaluator solve values, when those
-    are larger."""
-    r = min(n, BLOCK_ROWS)
-    return max(4 * min(n, INDEX_ROWS) + 8 * K * (5 * r + 3 * p), 8 * solve)
+def _draw_bytes(n: int, K: int, p: int, h: int = 0, m: int = 0) -> int:
+    """Bytes that one bootstrap draw holds at once in a chunk, the most
+    of its three phases, for n regression rows, K variables and p lags,
+    priced on horizons 0..h by a plan of m literals.
+
+    - Regeneration: the two block buffers of :func:`_regenerate`, of r
+      = ``min(n, BLOCK_ROWS)`` periods padded to whole recursion steps,
+      and the p + 1 lag products; beside them, a block of int32
+      resampling indices, their int64 copy in ``np.take`` and the draw's
+      generator, or, after the last block, the Gram matrix's assembly,
+      about three arrays of its size.
+    - Refit: about five arrays of the Gram matrix's size.
+    - Pricing: about three of those (the Gram matrix, the coefficients,
+      the triangular form) and the evaluator's ``(h+1) K (m+1)`` solve
+      values, beside the solve's right-hand side or the three ``m
+      (m+1)`` arrays of the path-sum inverse
+      (:func:`~tca.condition._effects`).
+    """
+    r = _padded(min(n, BLOCK_ROWS), K)
+    gram = 8 * (1 + (p + 1) * K) ** 2  # with an intercept
+    values = (h + 1) * K * (m + 1)
+    regenerate = 8 * K * (2 * r + p) + 8 * (p + 1) * K * K + max(
+        4 * _padded(min(n, INDEX_ROWS), K) + 8 * r + 2 ** 11, 3 * gram)
+    price = 3 * gram + 8 * (values + max(values, 3 * m * (m + 1)))
+    return max(regenerate, 5 * gram, price)
 
 
-def _regenerate(var: ReducedVar, seed: int, draws, maps=None):
+def _padded(rows: int, K: int) -> int:
+    """Rows made up to whole steps of the VAR recursion (:func:`_step`)."""
+    s = _step(K)
+    return -(-rows // s) * s
+
+
+def _shocks(var: ReducedVar) -> np.ndarray:
+    """The rows that every draw of a bootstrap resamples its shocks from,
+    built once per bootstrap: the residuals plus the intercept, then a
+    row of zeros, which pads a block to whole steps of the recursion."""
+    if var.data is None or var.residuals is None:
+        raise ValueError("bootstrap needs a VAR estimated from data")
+    resid = var.residuals
+    shocks = np.zeros((resid.shape[0] + 1, var.K))
+    shocks[:-1] = resid
+    if var.intercept is not None:
+        shocks[:-1] += var.intercept
+    return shocks
+
+
+def _block_buffers(draws: int, n: int, K: int, p: int) -> tuple:
+    """The two flat buffers of :func:`_regenerate` for ``draws`` samples
+    of n regression rows: a block's resampled shocks, the recursion's
+    input, and its ``p + r`` regenerated rows."""
+    r = _padded(min(n, BLOCK_ROWS), K)
+    return np.empty(draws * r * K), np.empty(draws * (p + r) * K)
+
+
+def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
+                buffers=None):
     """The regenerated samples of the given draws, ``BLOCK_ROWS``
     periods at a time: blocks ``(len(draws), p + rows, K)`` whose first p
-    rows end the block before (the data's first p rows at the start).  A
-    draw's generator gives its indices ``INDEX_ROWS`` at a time, one
-    stream.  ``maps`` are the recursion's (:func:`_var_recursion`)."""
-    data = var.data
-    resid = var.residuals
-    if data is None or resid is None:
-        raise ValueError("bootstrap needs a VAR estimated from data")
-    p = var.p
-    n = data.shape[0] - p
+    rows end the block before (the data's first p rows at the start).
+
+    Every block is made in the same two buffers, ``buffers``
+    (:func:`_block_buffers`; new ones by default): the block's shocks
+    are gathered into the first, the recursion's input, and the
+    recursion writes its rows into the second.  So a yielded block is
+    valid until the next one is requested, and the consumer may shift it
+    in place; the first buffer is free again while it holds the block.
+    A draw's generator gives its indices ``INDEX_ROWS`` at a time, one
+    stream.  ``maps`` are the recursion's (:func:`_var_recursion`) and
+    ``shocks`` are :func:`_shocks`; both are built once per bootstrap by
+    the caller, or here by default."""
+    if shocks is None:
+        shocks = _shocks(var)
+    p, K = var.p, var.K
+    n = shocks.shape[0] - 1
+    C = len(draws)
+    g, out = _block_buffers(C, n, K, p) if buffers is None else buffers
     rngs = [np.random.default_rng((seed, r)) for r in draws]
-    rows = np.broadcast_to(data[:p], (len(rngs), p, var.K))
+    # an index past the sample picks the zero row that pads a block
+    idx = np.full((C, _padded(min(n, INDEX_ROWS), K)), n, dtype=np.int32)
+    rows = var.data[:p]
     for start in range(0, n, BLOCK_ROWS):
         at = start % INDEX_ROWS
         if at == 0:
-            idx = np.array([rng.integers(0, n, size=min(INDEX_ROWS, n - start),
-                                         dtype=np.int32) for rng in rngs])
-        shocks = np.take(resid, idx[:, at : at + BLOCK_ROWS], axis=0)
-        rows = _var_recursion(var.coefs, var.intercept, shocks,
-                              rows[:, rows.shape[1] - p :], maps)
-        yield rows
+            size = min(INDEX_ROWS, n - start)
+            for row, rng in zip(idx, rngs):
+                row[:size] = rng.integers(0, n, size=size, dtype=np.int32)
+            idx[:, size:] = n
+        r = min(BLOCK_ROWS, n - start)
+        width = _padded(r, K)
+        step = g[: C * width * K].reshape(C, width, K)
+        # "clip" lets numpy gather into out directly; no index is outside
+        np.take(shocks, idx[:, at : at + width], axis=0, out=step,
+                mode="clip")
+        _var_recursion(var.coefs, None, step, rows, maps, out)
+        span = (p + r) * K
+        if width > r:
+            # the samples end to end without their padding, one at a time,
+            # since numpy copies a strided operand of an in-place operation
+            for c in range(1, C):
+                padded = c * (p + width) * K
+                out[c * span : (c + 1) * span] = out[padded : padded + span]
+        block = out[: C * span].reshape(C, p + r, K)
+        rows = block[:, r:].copy()  # before the consumer shifts the block
+        yield block
 
 
 def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
-                  h: int, scale_override, seed: int, draws, maps=None):
+                  h: int, scale_override, seed: int, draws, maps=None,
+                  shocks=None):
     """Total and channel effects ``(C, (h+1)K)`` of the given bootstrap
     draws, refitted and priced as one stack, and their discard codes.
-    ``maps`` are the recursion's (:func:`_var_recursion`)."""
+    ``maps`` and ``shocks`` are :func:`_regenerate`'s."""
     p, K = var.p, var.K
     intercept = var.intercept is not None
     # the rows are shifted by the data's mean, as in estimate_var_ols
     mu = var.data.mean(axis=0) if intercept else np.zeros(K)
-    G, n = _lag_gram(_regenerate(var, seed, draws, maps), p, intercept, mu)
+    buffers = _block_buffers(len(draws), var.data.shape[0] - p, K, p)
+    G, n = _lag_gram(_regenerate(var, seed, draws, maps, shocks, buffers),
+                     p, intercept, mu, spare=buffers[0])
+    del buffers  # neither the refit nor the pricing needs them
     k = G.shape[-1] - K
     coef, ssr, failed = _fit(G, n, k)
     full = failed == 0
@@ -279,11 +354,13 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
 
     R = spec.replications
     n = (h + 1) * K
-    per_draw = _draw_bytes(T - var.p, K, var.p,
-                           n * (_plan(cond.root, TERM_CAP)[0].size + 1))
+    per_draw = _draw_bytes(T - var.p, K, var.p, h,
+                           _plan(cond.root, TERM_CAP)[0].size)
     size = max(1, CHUNK_BYTES // per_draw)
-    # every draw steps the point estimate's coefficients
+    # every draw steps the point estimate's coefficients and resamples
+    # its residuals
     maps = _block_maps(var.coefs, K, _step(K)) if var.p else None
+    shocks = _shocks(var)
     total = np.empty((R, n))
     channel = np.empty((R, n))
     code = np.empty(R, dtype=int)
@@ -291,7 +368,8 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
         stop = min(R, start + size)
         total[start:stop], channel[start:stop], code[start:stop] = (
             _draw_effects(var, ident, ordering.dest, cond.root, h, override,
-                          spec.seed, range(start, stop), maps=maps))
+                          spec.seed, range(start, stop), maps=maps,
+                          shocks=shocks))
 
     counts = np.bincount(code, minlength=len(_DISCARDS) + 1)[1:]
     discarded_by = {cls.__name__: int(c) for cls, c in zip(_DISCARDS, counts)
@@ -305,15 +383,17 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
         )
 
     kept = code == 0
-    shape = (-1, h + 1, K)
-    draws = {"total": xi * total[kept], "channel": xi * channel[kept],
-             "complement": xi * (total[kept] - channel[kept])}
-    lo_q, hi_q = (1.0 - spec.level) / 2.0, (1.0 + spec.level) / 2.0
+    total = total[kept]
+    channel = channel[kept]
+    # the complement of the unscaled draws, as the point estimate's
+    complement = total - channel
+    q = [(1.0 - spec.level) / 2.0, (1.0 + spec.level) / 2.0]
     lower, upper, point = {}, {}, {}
-    for k in _KINDS:
-        stacked = draws[k].reshape(shape)
-        lower[k] = np.quantile(stacked, lo_q, axis=0)
-        upper[k] = np.quantile(stacked, hi_q, axis=0)
+    for k, x in zip(_KINDS, (total, channel, complement)):
+        x *= xi
+        # the draws are not needed again, so the quantiles may sort them
+        lower[k], upper[k] = np.quantile(x, q, axis=0, overwrite_input=True
+                                         ).reshape(2, h + 1, K)
         point[k] = getattr(table, k)
     return EffectBands(
         shock_label=table.shock_label,

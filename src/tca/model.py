@@ -243,7 +243,7 @@ def _edge_rows(w: np.ndarray, intercept: bool) -> np.ndarray:
     return rows
 
 
-def _lag_gram(blocks, p: int, intercept: bool, mu) -> tuple:
+def _lag_gram(blocks, p: int, intercept: bool, mu, spare=None) -> tuple:
     """``(G, n)``: the Gram matrix ``[X | Y]'[X | Y]`` of a VAR(p)
     regression on samples shifted by ``mu``, and its row count n, from
     the samples' rows as they arrive in ``blocks``, without ``[X | Y]``.
@@ -263,6 +263,12 @@ def _lag_gram(blocks, p: int, intercept: bool, mu) -> tuple:
     stack.  Each product is one per sample, of a shape fixed by the
     block, so a sample gets the same bits in any stack.
 
+    Each block is shifted by ``mu`` in place, so it must be writable and
+    no longer needed by its producer, except its last block, which the
+    Gram matrix reads until it is made.  The lag-0 product takes a copy
+    of a block's targets: into ``spare``, a flat buffer of at least ``C
+    r K`` floats free while the block is read, when given.
+
     A diagonal entry is then a difference of sums of squares: one that
     is not positive, or within the rounding of those sums, ``n eps``,
     is set to 0, which marks a zero column.
@@ -273,15 +279,20 @@ def _lag_gram(blocks, p: int, intercept: bool, mu) -> tuple:
         C, L = rows.shape[:2]
         # one flat subtraction: broadcasting mu over an axis of length K
         # costs several times more
-        z = (rows.reshape(C, L * K) - np.tile(mu, L)).reshape(C, L, K)
+        z = rows.reshape(C, L * K)
+        z -= np.tile(mu, L)
+        z = z.reshape(C, L, K)
         if lagged is None:
             lagged = np.zeros((C, p + 1, K, K))
             sums = np.zeros((C, K))
-            head = z[0, :p].copy()  # not a view that keeps z alive
+            head = z[0, :p].copy()  # the first block's buffer is reused
         y = z[:, p:]
         yt = np.swapaxes(y, 1, 2)
         # a copy: the product of two views of one buffer is much slower
-        lagged[:, 0] += yt @ y.copy()
+        y0 = np.empty(y.size) if spare is None else spare[: y.size]
+        y0 = y0.reshape(y.shape)
+        y0[:] = y
+        lagged[:, 0] += yt @ y0
         for d in range(1, p + 1):
             lagged[:, d] += yt @ z[:, p - d : L - d]
         sums += np.ones(L - p) @ y
@@ -292,8 +303,8 @@ def _lag_gram(blocks, p: int, intercept: bool, mu) -> tuple:
                           axis=1)
     lag = np.r_[1 : p + 1, 0]
     G = np.empty((C, k + K, k + K))
-    G[:, c:, c:] = gaps[:, p + lag[None, :] - lag[:, None]].transpose(
-        0, 1, 3, 2, 4).reshape(C, (p + 1) * K, (p + 1) * K)
+    G[:, c:, c:].reshape(C, p + 1, K, p + 1, K)[:] = gaps[
+        :, p + lag[None, :] - lag[:, None]].transpose(0, 1, 3, 2, 4)
     if intercept:
         G[:, 0, 0] = n
         G[:, 0, 1:] = G[:, 1:, 0] = np.tile(sums, p + 1)
@@ -395,7 +406,7 @@ def estimate_var_ols(data, p: int, include_intercept: bool = True,
     # with an intercept the rows are shifted by their mean, which leaves
     # the lags alone and moves the intercept by (I - sum_i A_i) mu
     mu = data.mean(axis=0) if include_intercept else np.zeros(K)
-    G, n = _lag_gram((data[None, start : start + p + BLOCK_ROWS]
+    G, n = _lag_gram((data[None, start : start + p + BLOCK_ROWS].copy()
                       for start in range(0, T - p, BLOCK_ROWS)),
                      p, include_intercept, mu)
     k = G.shape[-1] - K
@@ -585,8 +596,8 @@ def _block_maps(coefs, K: int, s: int) -> tuple:
     return T.reshape(s * K, s * K), M.reshape(p * K, s * K)
 
 
-def _var_recursion(coefs, intercept, shocks, initial,
-                   maps=None) -> np.ndarray:
+def _var_recursion(coefs, intercept, shocks, initial, maps=None,
+                   out=None) -> np.ndarray:
     """``y_t = c + sum_i coefs[i] y_{t-i} + shocks_t``, unchecked.
 
     Leading axes batch independent samples that share the coefficients:
@@ -594,7 +605,11 @@ def _var_recursion(coefs, intercept, shocks, initial,
     ``(..., p, K)``, holds the first p rows; the result is
     ``(..., p + n, K)``.  ``intercept`` may be ``None`` (zero).
     ``maps``, when given, is ``_block_maps(coefs, K, _step(K))``, for a
-    caller that steps the same coefficients many times.
+    caller that steps the same coefficients many times.  ``out``, when
+    given, is a flat buffer of at least ``C (p + m s) K`` floats (C
+    samples, m steps of s periods) that the result is a view of.
+    Shocks of a whole number of steps and no intercept are stepped where
+    they are, others from a zero-padded copy with the intercept added.
 
     The periods go in steps of ``_step(K)`` from the first, each ``g T +
     w M`` (:func:`_block_maps`): one stacked product per ``BLOCK_ROWS`` block
@@ -609,22 +624,27 @@ def _var_recursion(coefs, intercept, shocks, initial,
     *batch, n, K = shocks.shape
     s, C = _step(K), int(np.prod(batch, dtype=int))
     m = -(-n // s)  # steps; the last is padded with zero shocks
-    g = np.zeros((C, m, s * K))
-    head = g.reshape(C, -1)[:, : n * K]
-    head[:] = shocks.reshape(C, n * K)
-    if intercept is not None:  # one long row per sample, not K at a time
-        head += np.tile(intercept, n)
-    if p == 0:
-        return head.reshape(*batch, n, K)
-    T, M = _block_maps(coefs, K, s) if maps is None else maps
-    out = np.empty((C, (p + m * s) * K))
+    if intercept is None and n == m * s:
+        g = shocks.reshape(C, m, s * K)
+    else:
+        g = np.zeros((C, m, s * K))
+        head = g.reshape(C, -1)[:, : n * K]
+        head[:] = shocks.reshape(C, n * K)
+        if intercept is not None:  # one long row per sample, not K at a time
+            head += np.tile(intercept, n)
+    size = C * (p + m * s) * K
+    out = (np.empty(size) if out is None else out[:size]).reshape(C, -1)
     out[:, : p * K] = np.broadcast_to(initial, (*batch, p, K)).reshape(C, -1)
     body = out[:, p * K :].reshape(C, m, s * K)
-    for j in range(0, m, BLOCK_ROWS // s):
-        block = slice(j, j + BLOCK_ROWS // s)  # the steps of a row block
-        np.matmul(g[:, block], T, out=body[:, block])
-    for j in range(m):  # the window of p rows ends where step j starts
-        body[:, j] += (out[:, None, j * s * K : (j * s + p) * K] @ M)[:, 0]
+    if p == 0:
+        body[:] = g
+    else:
+        T, M = _block_maps(coefs, K, s) if maps is None else maps
+        for j in range(0, m, BLOCK_ROWS // s):
+            block = slice(j, j + BLOCK_ROWS // s)  # the steps of a row block
+            np.matmul(g[:, block], T, out=body[:, block])
+        for j in range(m):  # the window of p rows ends where step j starts
+            body[:, j] += (out[:, None, j * s * K : (j * s + p) * K] @ M)[:, 0]
     return out.reshape(C, p + m * s, K)[:, : p + n].reshape(*batch, p + n, K)
 
 

@@ -29,6 +29,9 @@ reference for the library's blocked recursion.  :func:`var_lstsq` and
 library's normal equations, and :func:`design_gram` forms a VAR's
 regression rows ``[X | Y]`` explicitly, the reference for the Gram
 matrix that the library sums from lagged cross-products.
+:func:`percentile_bands` is the bootstrap's band step as it was before
+the bands were taken from the draw arrays, one quantile per kind and
+side over scaled copies of the kept draws.
 
 :func:`write_effects_csv`, :func:`verify_effects_csv` and
 :func:`read_data_csv` are the CLI's CSV layer as it was before the bulk
@@ -495,6 +498,19 @@ def design_gram(data, p: int, intercept: bool, mu) -> np.ndarray:
     XY = np.hstack([np.ones((T - p, int(intercept)))]
                    + [z[p - i : T - i] for i in range(1, p + 1)] + [z[p:]])
     return XY.T @ XY
+
+
+def percentile_bands(total, channel, kept, xi: float, level: float,
+                     shape) -> tuple:
+    """``(lower, upper)``, each a dict of ``total``, ``channel`` and
+    ``complement`` bands of ``shape``, from the draws ``(R, n)`` of a
+    bootstrap and the mask of its kept draws: the complement is ``xi (t
+    - c)`` of each kept draw's total and channel."""
+    t, c = total[kept], channel[kept]
+    draws = {"total": xi * t, "channel": xi * c, "complement": xi * (t - c)}
+    q = ((1.0 - level) / 2.0, (1.0 + level) / 2.0)
+    return tuple({kind: np.quantile(d.reshape(-1, *shape), side, axis=0)
+                  for kind, d in draws.items()} for side in q)
 
 
 def lp_lstsq(data, shock_var: int, ordered_before, horizons: int,

@@ -1,7 +1,8 @@
 """Smoke test of scripts/bench_stages.py: every stage of every workload is
 timed, a stage resolves while any of its names does, the timers leave
-every binding as they found it, and a comparison in pairs of processes
-writes each pair's medians and their spread."""
+every binding as they found it, a bootstrap workload reports its first
+chunk's traced peak, and a comparison in pairs of processes writes each
+pair's medians and their spread."""
 
 import importlib.util
 import json
@@ -35,7 +36,8 @@ def _bindings(stages):
     return out
 
 
-@pytest.mark.parametrize("workload", ["bootstrap", "cli_io"])
+@pytest.mark.parametrize("workload", ["bootstrap", "bootstrap_channel",
+                                      "cli_io"])
 def test_every_stage_is_timed_and_restored(bench, workload, tmp_path,
                                            monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT))
@@ -47,6 +49,28 @@ def test_every_stage_is_timed_and_restored(bench, workload, tmp_path,
     assert all(timers.totals[stage] > 0 for stage in stages), timers.totals
     after = _bindings(stages)
     assert all(after[key] is fn for key, fn in before.items())
+
+
+def test_bootstrap_workloads_report_their_first_chunk(bench, tmp_path,
+                                                      monkeypatch):
+    # both bootstrap workloads' first chunks fit the chunk budget; one
+    # timed run each keeps the test short
+    import tca.inference
+
+    monkeypatch.syspath_prepend(str(ROOT))
+    assert sorted(bench.CHUNKED) == ["bootstrap", "bootstrap_channel"]
+    draw_effects = tca.inference._draw_effects
+    budget = tca.inference.CHUNK_BYTES / 2 ** 20
+    for workload in bench.CHUNKED:
+        setup, stages = bench.WORKLOADS[workload]
+        entry = bench.measure(setup, stages, 1, tmp_path, chunked=True)
+        assert tca.inference._draw_effects is draw_effects
+        assert 0.5 * budget < entry["first_chunk_mb"] <= 1.1 * budget
+        medians = bench.medians(entry)
+        assert medians["first_chunk_mb"] == entry["first_chunk_mb"]
+        assert medians["peak_rss_mb"] == entry["peak_rss_mb"] > 0
+    setup, stages = bench.WORKLOADS["cli_io"]
+    assert "first_chunk_mb" not in bench.measure(setup, stages, 1, tmp_path)
 
 
 def test_missing_function_raises_and_restores(bench):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import stable_var_coefs
+from oracles import percentile_bands
 from tca import (
     TransmissionOrdering,
     estimate_var_ols,
@@ -15,6 +16,7 @@ from tca import (
     simulate_var,
     transmission_effect,
 )
+from tca.condition import any_horizon
 from tca.errors import BootstrapUnstableError, RankDeficientRegressorsError
 import tca.inference as inf
 from tca.inference import (
@@ -43,8 +45,9 @@ def make_data(seed, T=800):
 
 
 def regenerated(var, seed, draws, maps=None):
-    """The samples ``_regenerate`` yields block by block, joined."""
-    blocks = list(_regenerate(var, seed, draws, maps))
+    """The samples ``_regenerate`` yields block by block, joined; each
+    block is copied, since the next one reuses its buffer."""
+    blocks = [block.copy() for block in _regenerate(var, seed, draws, maps)]
     return np.concatenate([blocks[0]] + [b[:, var.p:] for b in blocks[1:]],
                           axis=1)
 
@@ -260,22 +263,37 @@ class TestBootstrapEffects:
 
     def test_discarded_share_within_limit_is_reported(self, monkeypatch):
         data = make_data(8)
-        original = inf._fit
-        seen = {"n": 0}
-
-        def sometimes(G, n, k):  # exactly one degenerate draw, the fifth
-            coef, ssr, failed = original(G, n, k)
-            first = seen["n"]
-            seen["n"] += len(failed)
-            if first <= 4 < seen["n"]:
-                failed = failed.copy()
-                failed[4 - first] = 1
-            return coef, ssr, failed
-
-        monkeypatch.setattr(inf, "_fit", sometimes)
+        monkeypatch.setattr(inf, "_fit", _fifth_draw_rank_deficient(inf._fit))
         bands = run(data, reps=40)
         assert bands.discarded == 1
         assert bands.discarded_by == {"RankDeficientRegressorsError": 1}
+
+    def test_bands_are_quantiles_of_the_scaled_kept_draws(self, monkeypatch):
+        # bit for bit against the band step over scaled copies of the
+        # kept draws; a negative shock size reverses the order of the
+        # draws, and one discarded draw leaves 39 of 40
+        data, var_spec, ordering, cond, h, _ = _policy_case("var4")
+        chunks = []
+        original = inf._draw_effects
+
+        def spy(*args, **kwargs):
+            chunks.append(original(*args, **kwargs))
+            return chunks[-1]
+
+        monkeypatch.setattr(inf, "_draw_effects", spy)
+        monkeypatch.setattr(inf, "_fit", _fifth_draw_rank_deficient(inf._fit))
+        bands = bootstrap_effects(data, var_spec, InstrumentSpec(1, 0.25),
+                                  ordering, cond,
+                                  BootstrapSpec(replications=40, seed=17,
+                                                level=0.68), h, xi=-2.5)
+        assert bands.discarded == 1
+        total, channel, code = (np.concatenate(part) for part in zip(*chunks))
+        lower, upper = percentile_bands(total, channel, code == 0, -2.5, 0.68,
+                                        (h + 1, data.shape[1]))
+        for kind in ("total", "channel", "complement"):
+            assert bands.lower[kind].tobytes() == lower[kind].tobytes()
+            assert bands.upper[kind].tobytes() == upper[kind].tobytes()
+        assert np.any(bands.lower["channel"] != bands.upper["channel"])
 
     def test_draw_past_the_condition_bound_is_a_rank_discard(self,
                                                              monkeypatch):
@@ -300,7 +318,8 @@ class TestBootstrapEffects:
                 first = rows[0, 1:, 0]
                 rows[0, 1:, 1] = first + 1.7 / (1.25 * limit) * (
                     np.std(first) * noise.normal(size=first.shape))
-                last = rows[0, -1:]
+                # a copy: the refit shifts the yielded block in place
+                last = rows[0, -1:].copy()
                 yield rows
 
         monkeypatch.setattr(inf, "_regenerate", near_collinear)
@@ -358,14 +377,31 @@ class TestBootstrapEffects:
         assert not np.array_equal(clean.lower["channel"], rank.lower["channel"])
 
 
+def _fifth_draw_rank_deficient(original):
+    """A ``_fit`` that marks the fifth draw of a bootstrap, and no other,
+    rank deficient."""
+    seen = {"n": 0}
+
+    def fit(G, n, k):
+        coef, ssr, failed = original(G, n, k)
+        first = seen["n"]
+        seen["n"] += len(failed)
+        if first <= 4 < seen["n"]:
+            failed = failed.copy()
+            failed[4 - first] = 1
+        return coef, ssr, failed
+    return fit
+
+
 class _FirstChunk(Exception):
     pass
 
 
-def _first_chunk_peak(T):
+def _first_chunk_peak(T, cond="!ffr_0"):
     """``(draws, bytes)``: the size of the first default chunk of
-    criterion 09's bootstrap on T observations, and the traced peak of
-    the memory its refit and pricing allocate."""
+    criterion 09's bootstrap on T observations, priced for ``cond``, and
+    the traced peak of the memory its regeneration, refit and pricing
+    allocate."""
     rng = np.random.default_rng(9)
     coefs = stable_var_coefs(rng, 4, 4, radius=0.6)
     data = simulate_var(coefs, None, rng.normal(size=(T, 4)), np.zeros((4, 4)))
@@ -386,18 +422,29 @@ def _first_chunk_peak(T):
         bootstrap_effects(data, VarSpec(lags=4), InstrumentSpec(1, 0.25),
                           TransmissionOrdering.identity(
                               ("ffr", "ygap", "infl", "pcom")),
-                          "!ffr_0", BootstrapSpec(replications=500, seed=909),
-                          20)
+                          cond, BootstrapSpec(replications=500, seed=909), 20)
     return seen[0]
 
 
 class TestChunkMemory:
     def test_a_default_chunk_stays_within_its_budget(self):
-        # criterion 09's shape: about 70 draws a chunk, refitted without
-        # a regression design array
+        # criterion 09's shape: about 70 draws a chunk, each regenerated
+        # in two block buffers and refitted without a design array
         draws, peak = _first_chunk_peak(400)
         assert 60 <= draws <= 80
-        assert peak <= 3 * 2 ** 20, peak
+        assert peak <= 2 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("cond", [
+        any_horizon("ygap", range(21)),
+        f"({any_horizon('ygap', range(21))}) & "
+        f"!({any_horizon('infl', range(21))})",
+    ], ids=["21_literals", "42_literals"])
+    def test_pricing_many_literals_stays_within_the_budget(self, cond):
+        # the evaluator's solve columns and path-sum inverses, counted by
+        # _draw_bytes, take fewer draws a chunk
+        draws, peak = _first_chunk_peak(400, cond)
+        assert draws < 70
+        assert peak <= 1.1 * inf.CHUNK_BYTES, (draws, peak)
 
     def test_peak_does_not_grow_with_the_sample(self):
         # past INDEX_ROWS periods a chunk holds the same arrays at any T,

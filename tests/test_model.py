@@ -208,9 +208,17 @@ class TestLagGram:
         data = 2.0 + rng.normal(size=(3, p + n, K)).cumsum(axis=1)
         data[1:, :p] = data[0, :p]
         mu = data[0].mean(axis=0) if intercept else np.zeros(K)
-        G, got_n = _lag_gram((data[:, start : start + p + BLOCK_ROWS]
-                              for start in range(0, n, BLOCK_ROWS)),
-                             p, intercept, mu)
+
+        def blocks():  # copies: _lag_gram shifts each block in place
+            return (data[:, start : start + p + BLOCK_ROWS].copy()
+                    for start in range(0, n, BLOCK_ROWS))
+
+        G, got_n = _lag_gram(blocks(), p, intercept, mu)
+        # the lag-0 copy in a spare buffer, as the bootstrap's, changes
+        # no bit
+        spare = np.empty(3 * BLOCK_ROWS * K)
+        assert np.array_equal(_lag_gram(blocks(), p, intercept, mu, spare)[0],
+                              G)
         assert got_n == n and G.shape == (3, k + K, k + K)
         for sample, gram in zip(data, G):
             want = design_gram(sample, p, intercept, mu)
