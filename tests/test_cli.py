@@ -445,6 +445,13 @@ class TestBootstrap:
         assert main(self.boot_args(var_data, out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_negative_seed_exits_2(self, tmp_path, var_data, capsys):
+        out = tmp_path / "e.csv"
+        assert main(self.boot_args(var_data, out, seed=-1)) == 2
+        assert ("seed must be a non-negative integer, got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_chunk_size_invariance(self, tmp_path, var_data, monkeypatch):
         # all 25 draws in one chunk, then one draw per chunk
         import tca.inference as inf

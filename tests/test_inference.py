@@ -72,6 +72,25 @@ class TestBootstrapSpec:
         with pytest.raises(ValueError):
             BootstrapSpec(replications=10, seed=1, level=1.0)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.0, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # checked before any estimate, as numpy would reject it only in
+        # the first chunk
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            BootstrapSpec(replications=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(5), np.uint64(2 ** 64 - 1),
+                                      True, 2 ** 130 + 7])
+    def test_integer_seeds_that_numpy_takes_are_accepted(self, seed):
+        np.random.default_rng((seed, 0))
+        assert BootstrapSpec(replications=10, seed=seed).seed is seed
+
+    def test_draw_indices_stay_below_two_to_the_32(self):
+        # each draw's index is one entropy word of its stream
+        assert BootstrapSpec(replications=2 ** 32, seed=1)
+        with pytest.raises(ValueError, match="replications"):
+            BootstrapSpec(replications=2 ** 32 + 1, seed=1)
+
 
 class TestRegeneration:
     @pytest.mark.parametrize("K,p", [(2, 1), (3, 2), (4, 4)])
@@ -113,6 +132,74 @@ class TestRegeneration:
         monkeypatch.setattr(inf, "CHUNK_BYTES", 1)
         run(data, reps=5)
         assert sorted(calls) == ["draws", "point"]
+
+
+class TestSubstreams:
+    @staticmethod
+    def criterion_09_shape():
+        """Data of criterion 09's shape: K=4, p=4, T=400."""
+        rng = np.random.default_rng(9)
+        return simulate_var(stable_var_coefs(rng, 4, 4, radius=0.6), None,
+                            rng.normal(size=(400, 4)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 909, 2 ** 32 - 1, 2 ** 32,
+                                      2 ** 64 + 3, 2 ** 130 + 7])
+    def test_states_are_default_rng_states(self, seed):
+        # seeds of one to five entropy words, beside the draw index's one
+        states = inf._substreams(seed, range(301))
+        assert len(states) == 301
+        for r, state in enumerate(states):
+            want = np.random.default_rng((seed, r)).bit_generator.state
+            assert state == want, (seed, r)
+
+    def test_a_chunk_draws_the_pinned_indices(self):
+        # the first 8 resampling indices of draws 0, 69, 70 and 499 at
+        # criterion 09's seed and sample length (n = 396), read from the
+        # gather buffer of the first block with shocks that are their own
+        # row numbers
+        var = estimate_var_ols(self.criterion_09_shape(), 4)
+        draws = [0, 69, 70, 499]
+        shocks = np.repeat(np.arange(397.0)[:, None], 4, axis=1)
+        buffers = inf._block_buffers(len(draws), 396, 4, 4)
+        next(_regenerate(var, 909, draws, shocks=shocks, buffers=buffers))
+        width = inf._padded(inf.BLOCK_ROWS, 4)
+        step = buffers[0][: len(draws) * width * 4].reshape(-1, width, 4)
+        assert step[:, :8, 0].astype(int).tolist() == [
+            [17, 265, 246, 121, 5, 161, 311, 241],
+            [243, 318, 13, 347, 90, 38, 131, 361],
+            [230, 96, 68, 357, 106, 279, 352, 202],
+            [355, 127, 261, 173, 345, 177, 354, 137],
+        ]
+
+    def test_a_bootstrap_builds_one_pool_and_no_default_rng(self,
+                                                            monkeypatch):
+        # criterion 09 in chunks of about 70 draws: one pool of a chunk's
+        # size, re-seeded by every chunk
+        data = self.criterion_09_shape()
+        pools, seeded = [], []
+        pool, substreams = inf._pool, inf._substreams
+
+        def pool_spy(size):
+            pools.append(pool(size))
+            return pools[-1]
+
+        def substreams_spy(seed, draws):
+            seeded.append(len(draws))
+            return substreams(seed, draws)
+
+        def no_default_rng(*args, **kwargs):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(inf, "_pool", pool_spy)
+        monkeypatch.setattr(inf, "_substreams", substreams_spy)
+        monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+        bootstrap_effects(data, VarSpec(lags=4), InstrumentSpec(1, 0.25),
+                          TransmissionOrdering.identity(
+                              ("ffr", "ygap", "infl", "pcom")),
+                          "!ffr_0", BootstrapSpec(replications=500, seed=909),
+                          20)
+        assert len(pools) == 1 and len(seeded) > 1 and sum(seeded) == 500
+        assert len(pools[0]) == max(seeded)
 
 
 class TestResamplingIndices:
