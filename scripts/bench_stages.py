@@ -10,8 +10,8 @@ Workloads (``WORKLOADS``):
     identify_and_triangular, evaluate, quantiles.  The draws run the
     private kernels that ``tca.inference`` imports by name, so
     ``recursion`` is the VAR recursion of the draws and ``regenerate``
-    what is left of regeneration (seeding the generator pool, resampling
-    indices, ``np.take``); ``identify_internal_instrument``,
+    what is left of regeneration (generator set-up, resampling indices,
+    ``np.take``); ``identify_internal_instrument``,
     ``reconstruct_from_single_shock`` and ``transmission_effect`` time the
     full-sample point estimate.
 ``bootstrap_channel``
@@ -31,18 +31,15 @@ Usage::
     python scripts/bench_stages.py --label parent --src ../parent/src
     python scripts/bench_stages.py --label change
     python scripts/bench_stages.py --against ../parent/src --pairs 5
-    python scripts/bench_stages.py --against ../parent/src --workload bootstrap
 
-``--workload NAME``, repeatable, picks the workloads to run (default:
-all); they still run in the order of ``WORKLOADS``.  ``--src`` is the
-``src`` directory of the checkout to time (default: this one).  Each
-workload is run once to warm up, then ``--runs`` times whole and
-``--runs`` times with a timer around each stage function.  A stage's
-time is the self time of its calls summed over a run (its calls less the
-calls of other stages made inside them); the timers add a little to each
-call.  A stage lists the names of its functions in every tree it may
-time, so a renamed function keeps its stage: the names that a tree lacks
-are skipped, and only a stage none of whose names resolve is an error.  The
+``--src`` is the ``src`` directory of the checkout to time (default: this
+one).  Each workload is run once to warm up, then ``--runs`` times whole and ``--runs`` times
+with a timer around each stage function.  A stage's time is the self
+time of its calls summed over a run (its calls less the calls of other
+stages made inside them); the timers add a little to each call.  A
+stage lists the names of its functions in every tree it may time, so a
+renamed function keeps its stage: the names that a tree lacks are
+skipped, and only a stage none of whose names resolve is an error.  The
 median and quartiles go under ``--label`` in ``--out``, laid out as
 ``{workload: {label: {whole_s, stages_s, peak_rss_mb}}, machine}`` and
 keeping the entries of other labels.  ``peak_rss_mb`` is the process's
@@ -310,8 +307,7 @@ def compare(args):
     """The ``--against`` report: ``--pairs`` pairs of fresh processes,
     one per tree, the first of a pair alternating between them."""
     sides = {"parent": args.against, "change": args.src}
-    report = {name: {"pairs": []} for name in args.workloads}
-    chosen = [arg for name in args.workloads for arg in ("--workload", name)]
+    report = {name: {"pairs": []} for name in WORKLOADS}
     with tempfile.TemporaryDirectory() as tmp:
         for pair in range(args.pairs):
             entries = {}
@@ -319,11 +315,10 @@ def compare(args):
                 out = Path(tmp) / f"{pair}-{label}.json"
                 subprocess.run([sys.executable, __file__, "--label", label,
                                 "--src", sides[label], "--runs",
-                                str(args.runs), "--out", str(out),
-                                *chosen],
+                                str(args.runs), "--out", str(out)],
                                check=True)
                 entries[label] = json.loads(out.read_text())
-            for name in args.workloads:
+            for name in WORKLOADS:
                 report[name]["pairs"].append(
                     {label: medians(entries[label][name][label])
                      for label in sides})
@@ -346,11 +341,7 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=5)
     ap.add_argument("--runs", type=int, default=15)
     ap.add_argument("--out", default=str(ROOT / "BENCH_stages.json"))
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    dest="workloads")
     args = ap.parse_args(argv)
-    args.workloads = [name for name in WORKLOADS
-                      if args.workloads is None or name in args.workloads]
     if args.runs < 9:
         ap.error("--runs must be at least 9")
     if (args.label is None) == (args.against is None):
@@ -363,7 +354,7 @@ def main(argv=None):
     out = Path(args.out)
     if args.against is not None:
         report = compare(args)
-        for name in args.workloads:
+        for name in WORKLOADS:
             parent, change = report[name]["parent"], report[name]["change"]
             text = "  ".join(f"{metric}={parent[metric]['median'] * 1e3:.2f}"
                              f"->{change[metric]['median'] * 1e3:.2f}"
@@ -380,8 +371,7 @@ def main(argv=None):
 
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
     report = json.loads(out.read_text()) if out.is_file() else {}
-    for workload in args.workloads:
-        setup, stages = WORKLOADS[workload]
+    for workload, (setup, stages) in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:
             entry = measure(setup, stages, args.runs, workdir,
                             workload in CHUNKED)

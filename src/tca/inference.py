@@ -21,9 +21,9 @@ refit forms its Gram matrix without a regression design array and
 solves the normal equations by Cholesky.  The bands are the quantiles of
 the draw arrays themselves, scaled in place.
 Draw r resamples with the indices of ``default_rng((seed,
-r)).integers(0, n, size=n)``, drawn by a pool of generators built once
-per bootstrap and set, chunk by chunk, to the states that one stacked
-SeedSequence pass derives for the chunk's draws (:func:`_substreams`).
+r)).integers(0, n, size=n)``, drawn by one generator per chunk that is
+set to each draw's state in turn; one stacked SeedSequence pass derives
+the chunk's states (:func:`_substreams`).
 The kernels give each draw the same bits in any stack, so the bands are
 byte-identical at any chunk size.  A degenerate draw (rank-deficient
 regressors, a covariance that is not positive definite, a zero impact
@@ -32,7 +32,6 @@ response) is flagged per draw and discarded.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +116,7 @@ class BootstrapSpec:
         # a draw's index is one entropy word of its stream (_substreams)
         if not 1 <= self.replications <= 2 ** 32:
             raise ValueError("replications must be in 1..2**32")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1
-        if seed < 0:
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.level < 1.0:
@@ -276,7 +271,7 @@ def _substreams(seed: int, draws) -> list:
     each r of ``draws`` (each below 2**32): SeedSequence's mix of the
     entropy words of ``(seed, r)`` over the draw axis at once, then
     PCG64's seeding from its four 64-bit output words."""
-    seed, r = operator.index(seed), np.asarray(draws, dtype=np.uint32)
+    seed, r = int(seed), np.asarray(draws, dtype=np.uint32)
     words = [np.full_like(r, seed >> s & _U32)
              for s in range(0, max(seed.bit_length(), 1), 32)] + [r]
     hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
@@ -299,15 +294,8 @@ def _substreams(seed: int, draws) -> list:
     return states
 
 
-def _pool(size: int) -> list:
-    """Generators for :func:`_regenerate` to re-seed, one per draw of a
-    chunk."""
-    seeds = np.random.SeedSequence(0)  # each chunk overwrites the states
-    return [np.random.Generator(np.random.PCG64(seeds)) for _ in range(size)]
-
-
 def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
-                buffers=None, pool=None):
+                buffers=None):
     """The regenerated samples of the given draws, ``BLOCK_ROWS``
     periods at a time: blocks ``(len(draws), p + rows, K)`` whose first p
     rows end the block before (the data's first p rows at the start).
@@ -319,21 +307,20 @@ def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
     valid until the next one is requested, and the consumer may shift it
     in place; the first buffer is free again while it holds the block.
     Draw r's indices are ``default_rng((seed, r)).integers(0, n,
-    size=n)``, drawn ``INDEX_ROWS`` at a time from one stream by a
-    generator of ``pool`` (:func:`_pool`), set to the state that
-    :func:`_substreams` derives for the chunk in one stacked pass.
+    size=n)``, drawn ``INDEX_ROWS`` at a time from one stream by the
+    chunk's generator, set to the draw's state from :func:`_substreams`
+    before each call and read back when another window follows.
     ``maps`` are the recursion's (:func:`_var_recursion`) and ``shocks``
-    are :func:`_shocks`; these and ``pool`` are built once per bootstrap
-    by the caller, or here by default."""
+    are :func:`_shocks`; both are built once per bootstrap by the
+    caller, or here by default."""
     if shocks is None:
         shocks = _shocks(var)
     p, K = var.p, var.K
     n = shocks.shape[0] - 1
     C = len(draws)
     g, out = _block_buffers(C, n, K, p) if buffers is None else buffers
-    pool = _pool(C) if pool is None else pool
-    for rng, state in zip(pool, _substreams(seed, draws)):
-        rng.bit_generator.state = state
+    rng = np.random.Generator(np.random.PCG64(0))  # reset for each draw
+    states = _substreams(seed, draws)
     # an index past the sample picks the zero row that pads a block
     idx = np.full((C, _padded(min(n, INDEX_ROWS), K)), n, dtype=np.int32)
     rows = var.data[:p]
@@ -341,8 +328,11 @@ def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
         at = start % INDEX_ROWS
         if at == 0:
             size = min(INDEX_ROWS, n - start)
-            for row, rng in zip(idx, pool):
+            for c, row in enumerate(idx):
+                rng.bit_generator.state = states[c]
                 row[:size] = rng.integers(0, n, size=size, dtype=np.int32)
+                if start + size < n:
+                    states[c] = rng.bit_generator.state
             idx[:, size:] = n
         r = min(BLOCK_ROWS, n - start)
         width = _padded(r, K)
@@ -365,17 +355,16 @@ def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
 
 def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
                   h: int, scale_override, seed: int, draws, maps=None,
-                  shocks=None, pool=None):
+                  shocks=None):
     """Total and channel effects ``(C, (h+1)K)`` of the given bootstrap
     draws, refitted and priced as one stack, and their discard codes.
-    ``maps``, ``shocks`` and ``pool`` are :func:`_regenerate`'s."""
+    ``maps`` and ``shocks`` are :func:`_regenerate`'s."""
     p, K = var.p, var.K
     intercept = var.intercept is not None
     # the rows are shifted by the data's mean, as in estimate_var_ols
     mu = var.data.mean(axis=0) if intercept else np.zeros(K)
     buffers = _block_buffers(len(draws), var.data.shape[0] - p, K, p)
-    G, n = _lag_gram(_regenerate(var, seed, draws, maps, shocks, buffers,
-                                 pool),
+    G, n = _lag_gram(_regenerate(var, seed, draws, maps, shocks, buffers),
                      p, intercept, mu, spare=buffers[0])
     del buffers  # neither the refit nor the pricing needs them
     k = G.shape[-1] - K
@@ -430,7 +419,6 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     # its residuals
     maps = _block_maps(var.coefs, K, _step(K)) if var.p else None
     shocks = _shocks(var)
-    pool = _pool(min(size, R))
     total = np.empty((R, n))
     channel = np.empty((R, n))
     code = np.empty(R, dtype=int)
@@ -439,8 +427,7 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
         total[start:stop], channel[start:stop], code[start:stop] = (
             _draw_effects(var, ident, ordering.dest, cond.root, h, override,
                           spec.seed, range(start, stop), maps=maps,
-                          shocks=shocks, pool=pool))
-    del pool
+                          shocks=shocks))
 
     counts = np.bincount(code, minlength=len(_DISCARDS) + 1)[1:]
     discarded_by = {cls.__name__: int(c) for cls, c in zip(_DISCARDS, counts)

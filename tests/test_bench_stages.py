@@ -1,8 +1,8 @@
 """Smoke test of scripts/bench_stages.py: every stage of every workload is
 timed, a stage resolves while any of its names does, the timers leave
 every binding as they found it, a bootstrap workload reports its first
-chunk's traced peak, a comparison in pairs of processes writes each
-pair's medians and their spread, and ``--workload`` picks the workloads."""
+chunk's traced peak, and a comparison in pairs of processes writes each
+pair's medians and their spread."""
 
 import importlib.util
 import json
@@ -130,27 +130,3 @@ def test_one_pair_against_a_tree(bench, tmp_path, monkeypatch):
             assert spread["n"] == 1
             assert spread["min"] == spread["median"] == spread["max"]
             assert spread["median"] == pair[name] > 0
-
-
-def test_a_pair_runs_the_chosen_workloads(bench, tmp_path, monkeypatch):
-    # a repeated --workload, passed on to both processes of the pair, runs
-    # those workloads alone
-    calls = []
-
-    def run_in_process(cmd, check):
-        calls.append(cmd)
-        bench.main(cmd[2:])
-
-    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run_in_process))
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    out = tmp_path / "pairs.json"
-    bench.main(["--against", str(ROOT / "src"), "--pairs", "1", "--runs",
-                "9", "--workload", "cli_io", "--workload", "cli_io",
-                "--out", str(out)])
-    assert sorted(json.loads(out.read_text())) == ["cli_io", "comparison",
-                                                   "machine"]
-    assert len(calls) == 2
-    assert all(cmd[cmd.index("--workload"):] == ["--workload", "cli_io"]
-               for cmd in calls)
-    with pytest.raises(SystemExit):
-        bench.main(["--label", "x", "--workload", "no_such_workload"])

@@ -171,26 +171,21 @@ class TestSubstreams:
             [355, 127, 261, 173, 345, 177, 354, 137],
         ]
 
-    def test_a_bootstrap_builds_one_pool_and_no_default_rng(self,
-                                                            monkeypatch):
-        # criterion 09 in chunks of about 70 draws: one pool of a chunk's
-        # size, re-seeded by every chunk
+    def test_a_bootstrap_seeds_each_draw_once_and_no_default_rng(
+            self, monkeypatch):
+        # criterion 09 in chunks of about 70 draws: each chunk derives its
+        # draws' states in one pass, and no draw builds its own generator
         data = self.criterion_09_shape()
-        pools, seeded = [], []
-        pool, substreams = inf._pool, inf._substreams
-
-        def pool_spy(size):
-            pools.append(pool(size))
-            return pools[-1]
+        seeded = []
+        substreams = inf._substreams
 
         def substreams_spy(seed, draws):
-            seeded.append(len(draws))
+            seeded.append(list(draws))
             return substreams(seed, draws)
 
         def no_default_rng(*args, **kwargs):
             raise AssertionError("default_rng called")
 
-        monkeypatch.setattr(inf, "_pool", pool_spy)
         monkeypatch.setattr(inf, "_substreams", substreams_spy)
         monkeypatch.setattr(np.random, "default_rng", no_default_rng)
         bootstrap_effects(data, VarSpec(lags=4), InstrumentSpec(1, 0.25),
@@ -198,8 +193,7 @@ class TestSubstreams:
                               ("ffr", "ygap", "infl", "pcom")),
                           "!ffr_0", BootstrapSpec(replications=500, seed=909),
                           20)
-        assert len(pools) == 1 and len(seeded) > 1 and sum(seeded) == 500
-        assert len(pools[0]) == max(seeded)
+        assert len(seeded) > 1 and sum(seeded, []) == list(range(500))
 
 
 class TestResamplingIndices:
