@@ -33,8 +33,8 @@ from .errors import (
     TermExplosionError,
     UnknownVariableError,
 )
-from .linalg import (MEMORY_BUDGET, as_matrix, solve_unit_lower,
-                     unit_lower_inverse)
+from .linalg import (MEMORY_BUDGET, _block_solve, _check_blocks, as_matrix,
+                     solve_unit_lower, unit_lower_inverse)
 from .system import SystemsForm
 
 __all__ = [
@@ -497,7 +497,9 @@ def _effects(B_blocks, col, root):
     Leading axes batch systems: ``B_blocks`` is ``(..., L+1, K, K)`` and
     ``col`` ``(..., n)``, and so are both results.  Every system takes
     the same plan: the solve, the inverse and ``g`` run over the batch,
-    the forward pass once per system.
+    the forward pass once per system.  The blocks are not checked here:
+    they must be as :func:`~tca.linalg.solve_unit_lower` takes them,
+    which :func:`transmission_effect` checks once per system.
     """
     try:  # hashing the root for the cache and building it both recurse
         lits, steps, column, accept = _plan(root, TERM_CAP)
@@ -517,7 +519,7 @@ def _effects(B_blocks, col, root):
     rhs = np.zeros(col.shape + (m + 1,))
     rhs[..., 0] = col
     rhs[..., lits, np.arange(1, m + 1)] = 1.0
-    Z = solve_unit_lower(B_blocks, rhs)
+    Z = _block_solve(B_blocks, rhs)
     del rhs  # the solve's m + 1 columns are its result's alone from here
     total, paths = Z[..., 0], Z[..., 1:]
     at_lits = np.take(total, lits, axis=-1)
@@ -576,6 +578,8 @@ def transmission_effect(system: SystemsForm, cond, shock: int | None = None,
     exceeds ``TERM_CAP``.
     """
     col = system.shock_column(shock)
+    # the one check of the blocks; the evaluator's solves run unchecked
+    _check_blocks(np.asarray(system.B_blocks, dtype=float), col)
     labels = system.ordering.labels
     if isinstance(cond, str):
         cond = parse_condition(cond, labels, system.K, system.h)

@@ -19,7 +19,7 @@ and regenerated into another, then shifted in place by the full-sample
 mean and added to its draws' lagged cross-products, from which each
 refit forms its Gram matrix without a regression design array and
 solves the normal equations by Cholesky.  The bands are the quantiles of
-the draw arrays themselves, scaled in place.
+the draw arrays themselves, scaled and sorted in place.
 Draw r resamples with the indices of ``default_rng((seed,
 r)).integers(0, n, size=n)``, drawn by one generator per chunk that is
 set to each draw's state in turn; one stacked SeedSequence pass derives
@@ -76,11 +76,15 @@ MAX_DISCARD_SHARE = 0.05
 
 #: Bytes of the working arrays of one chunk of bootstrap draws, 1.875
 #: MiB: at :func:`_draw_bytes` per draw, the most that any phase of a
-#: draw holds at once.  Criterion 09's chunks are of 70 draws.
+#: draw holds at once.  Criterion 09's chunks are of 122 draws.
 CHUNK_BYTES = 15 * 2 ** 17
 
-#: Resampling indices per call of a draw's generator, each call a fixed cost.
-INDEX_ROWS = 8 * BLOCK_ROWS
+#: Resampling indices per call of a draw's generator, a whole number of
+#: ``BLOCK_ROWS`` blocks.  Each call costs a fixed time, and each index
+#: 4 bytes of every draw of a chunk.  On 500-draw bootstraps of 2,000 and
+#: 5,000 periods, 1,024 and 2,048 timed within 4% of each other, and
+#: 512, 1,536 and 4,096 slower.
+INDEX_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -198,15 +202,16 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
 def _draw_bytes(n: int, K: int, p: int, h: int = 0, m: int = 0) -> int:
     """Bytes that one bootstrap draw holds at once in a chunk, the most
     of its three phases, for n regression rows, K variables and p lags,
-    priced on horizons 0..h by a plan of m literals.
+    priced on horizons 0..h by a plan of m literals: a little above the
+    ``tracemalloc`` peak per draw of a chunk.
 
     - Regeneration: the two block buffers of :func:`_regenerate`, of r
       = ``min(n, BLOCK_ROWS)`` periods padded to whole recursion steps,
-      and the p + 1 lag products; beside them, a block of int32
-      resampling indices, their int64 copy in ``np.take`` and the draw's
-      generator, or, after the last block, the Gram matrix's assembly,
-      about three arrays of its size.
-    - Refit: about five arrays of the Gram matrix's size.
+      and the p + 1 lag products; beside them, a window of int32
+      resampling indices, their int64 copy in ``np.take`` and the
+      draw's generator state, or, after the last block, the Gram
+      matrix's assembly, about two arrays of its size.
+    - Refit: about four and a half arrays of the Gram matrix's size.
     - Pricing: about three of those (the Gram matrix, the coefficients,
       the triangular form) and the evaluator's ``(h+1) K (m+1)`` solve
       values, beside the solve's right-hand side or the three ``m
@@ -217,9 +222,9 @@ def _draw_bytes(n: int, K: int, p: int, h: int = 0, m: int = 0) -> int:
     gram = 8 * (1 + (p + 1) * K) ** 2  # with an intercept
     values = (h + 1) * K * (m + 1)
     regenerate = 8 * K * (2 * r + p) + 8 * (p + 1) * K * K + max(
-        4 * _padded(min(n, INDEX_ROWS), K) + 8 * r + 2 ** 11, 3 * gram)
+        4 * _padded(min(n, INDEX_ROWS), K) + 8 * r + 2 ** 11, 2 * gram)
     price = 3 * gram + 8 * (values + max(values, 3 * m * (m + 1)))
-    return max(regenerate, 5 * gram, price)
+    return max(regenerate, 9 * gram // 2, price)
 
 
 def _padded(rows: int, K: int) -> int:
@@ -381,6 +386,27 @@ def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
     return total, channel, np.where(full, code, _RANK)
 
 
+def _percentiles(x, q) -> np.ndarray:
+    """``np.quantile(x, q, axis=0)`` for draws ``x`` ``(R, ...)`` and
+    levels ``q``, bit for bit, with ``x`` sorted in place: numpy's
+    default linear rule reads the sorted draws at ``(R - 1) q``, past the
+    last one at the last, and runs its ``_lerp`` from the far side where
+    the weight t >= 0.5.  A column that holds a NaN gets NaN.  A sort
+    and numpy's partition may order 0.0 and -0.0 differently, so only a
+    column that mixes the two may get a zero of the other sign."""
+    x.sort(axis=0)
+    at = (len(x) - 1) * np.asarray(q, dtype=float)
+    lo = np.where(at >= len(x) - 1, -1, np.floor(at)).astype(np.intp)
+    hi = np.where(lo < 0, -1, lo + 1)
+    t = (at - lo).reshape(-1, *(1,) * (x.ndim - 1))
+    a, b = x[lo], x[hi]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    out[:, np.isnan(x[-1])] = np.nan
+    return out
+
+
 def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
                       ordering: TransmissionOrdering, cond,
                       spec: BootstrapSpec, h: int,
@@ -449,9 +475,8 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     lower, upper, point = {}, {}, {}
     for k, x in zip(_KINDS, (total, channel, complement)):
         x *= xi
-        # the draws are not needed again, so the quantiles may sort them
-        lower[k], upper[k] = np.quantile(x, q, axis=0, overwrite_input=True
-                                         ).reshape(2, h + 1, K)
+        # the draws are not needed again, so the bands may sort them
+        lower[k], upper[k] = _percentiles(x, q).reshape(2, h + 1, K)
         point[k] = getattr(table, k)
     return EffectBands(
         shock_label=table.shock_label,

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
-__all__ = ["as_matrix", "cholesky_lower", "ql_decompose", "solve_unit_lower",
-           "unit_lower_inverse"]
+__all__ = ["as_matrix", "cholesky_lower", "cholesky_sweep", "ql_decompose",
+           "solve_unit_lower", "unit_lower_inverse"]
 
 #: Relative diagonal tolerance below which a QL factor counts as singular.
 QL_SINGULAR_RTOL = 1e-12
@@ -86,26 +86,47 @@ def ql_decompose(A):
 def cholesky_lower(S):
     """Lower Cholesky factors of a stack of symmetric matrices.
 
-    ``S`` is ``(..., K, K)``.  The factors are built column by column
-    across the stack, in the order of LAPACK's unblocked ``potf2``, so
-    that one matrix that is not positive definite stops nothing else.
-    Returns ``(P, ok)``: ``ok`` marks the positive-definite matrices,
-    and the factor of every other one is the identity.
+    Returns ``(P, ok)`` of :func:`cholesky_sweep`: ``ok`` marks the
+    positive-definite matrices, and the factor of every other one is the
+    identity.
+    """
+    P, _, ok = cholesky_sweep(S)
+    return P, ok
+
+
+def cholesky_sweep(S):
+    """Lower Cholesky factors of a stack of symmetric matrices, and their
+    inverses.
+
+    ``S`` is ``(..., K, K)``.  The factor of ``S`` bordered below by the
+    identity, ``[S; I] = [P; P^-T] P'``, is built column by column across
+    the stack, in the order of LAPACK's unblocked ``potf2``, so that one
+    matrix that is not positive definite stops nothing else.  Column j
+    takes one product per matrix, of a shape fixed by j: its diagonal
+    entry, the entries of ``P`` below it, and the first j + 1 entries of
+    its ``P^-T`` part, which are row j of ``P^-1`` (the rest are 0).  So
+    a matrix gets the same bits alone or in any stack, and the upper
+    triangles of ``P`` and ``P^-1`` are exactly 0.  Returns ``(P, P^-1,
+    ok)``: ``ok`` marks the positive-definite matrices, and both factors
+    of every other one are the identity.
     """
     S = np.asarray(S, dtype=float)
     K = S.shape[-1]
-    P = np.zeros(S.shape)
+    F = np.zeros(S.shape[:-2] + (2 * K, K))  # factored in place
+    F[..., :K, :] = np.tril(S)
+    F[..., range(K, 2 * K), range(K)] = 1.0
     ok = np.ones(S.shape[:-2], dtype=bool)
     for j in range(K):
-        row = np.swapaxes(P[..., j : j + 1, :j], -1, -2)  # (..., j, 1)
-        d = S[..., j, j] - (np.swapaxes(row, -1, -2) @ row)[..., 0, 0]
-        ok &= d > 0.0
-        root = np.sqrt(np.where(ok, d, 1.0))
-        below = S[..., j + 1 :, j] - (P[..., j + 1 :, :j] @ row)[..., 0]
-        P[..., j + 1 :, j] = below / root[..., None]
-        P[..., j, j] = root
-    P[~ok] = np.eye(K)
-    return P, ok
+        rows = F[..., j : K + j + 1, :]
+        first = np.swapaxes(rows[..., :1, :j], -1, -2)  # (..., j, 1)
+        col = rows[..., j] - (rows[..., :j] @ first)[..., 0]
+        ok &= col[..., 0] > 0.0
+        root = np.sqrt(np.where(ok, col[..., 0], 1.0))
+        rows[..., 1:, j] = col[..., 1:] / root[..., None]
+        rows[..., 0, j] = root
+    P, inv = F[..., :K, :], np.swapaxes(F[..., K:, :], -1, -2).copy()
+    P[~ok] = inv[~ok] = np.eye(K)
+    return P, inv, ok
 
 
 def unit_lower_inverse(M) -> np.ndarray:
@@ -142,6 +163,14 @@ def solve_unit_lower(B_blocks, rhs) -> np.ndarray:
     """
     blocks = np.asarray(B_blocks, dtype=float)
     b = np.asarray(rhs, dtype=float)
+    _check_blocks(blocks, b)
+    return _block_solve(blocks, b)
+
+
+def _check_blocks(blocks, b) -> None:
+    """Raise :class:`DimensionMismatchError` unless the float arrays
+    ``blocks`` and ``b`` are lag blocks and right-hand sides that
+    :func:`solve_unit_lower` takes."""
     K = blocks.shape[-1]
     batch = blocks.shape[:-3]
     if blocks.ndim < 3 or blocks.shape[-2] != K or K == 0:
@@ -159,6 +188,13 @@ def solve_unit_lower(B_blocks, rhs) -> np.ndarray:
         )
     if np.any(np.triu(blocks[..., 0, :, :]) != 0.0):
         raise DimensionMismatchError("B_0 must be strictly lower-triangular")
+
+
+def _block_solve(blocks, b) -> np.ndarray:
+    """:func:`solve_unit_lower` for float arrays of the shapes it checks,
+    unchecked: the kernel of a caller that built ``blocks`` itself."""
+    K, nb = blocks.shape[-1], blocks.ndim - 3
+    batch = blocks.shape[:-3]
     H = b.shape[nb] // K
     inv = unit_lower_inverse(np.eye(K) - blocks[..., 0, :, :])
     X = inv[..., None, :, :] @ b.reshape(*batch, H, K, -1)

@@ -7,10 +7,11 @@ and safe to share across threads.
 
 Every least-squares fit, the bootstrap refits included, solves the
 normal equations (:func:`_fit`): a Gram matrix per sample, factored by
-Cholesky and inverted once, with the rank rule of ``RANK_TESTS``.  A
-VAR's Gram matrix, for the point estimate and every bootstrap draw, is
-summed from the p+1 lagged cross-products of its sample, ``BLOCK_ROWS``
-periods at a time, with no regression design array (:func:`_lag_gram`).
+Cholesky, whose column sweep also inverts the factor, with the rank rule
+of ``RANK_TESTS``.  A VAR's Gram matrix, for the point estimate and
+every bootstrap draw, is summed from the p+1 lagged cross-products of
+its sample, ``BLOCK_ROWS`` periods at a time, with no regression design
+array (:func:`_lag_gram`).
 With an intercept, the rows are first shifted by the sample mean, so
 that the Gram matrix stays well conditioned.  The instrument's impact
 column is read off the covariance.
@@ -31,7 +32,7 @@ from .errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from .linalg import as_matrix, cholesky_lower, unit_lower_inverse
+from .linalg import as_matrix, cholesky_lower, cholesky_sweep
 
 __all__ = [
     "VarmaModel",
@@ -48,7 +49,7 @@ __all__ = [
 #: Periods of a VAR's sample that one step of its Gram matrix
 #: (:func:`_lag_gram`) takes at a time, so that a fit's working memory
 #: does not grow with the sample.
-BLOCK_ROWS = 256
+BLOCK_ROWS = 128
 
 #: The rank rule of a least-squares fit of n rows on k regressors, in the
 #: order :func:`_fit` applies it: the fit is full rank when it passes all
@@ -303,8 +304,10 @@ def _lag_gram(blocks, p: int, intercept: bool, mu, spare=None) -> tuple:
                           axis=1)
     lag = np.r_[1 : p + 1, 0]
     G = np.empty((C, k + K, k + K))
-    G[:, c:, c:].reshape(C, p + 1, K, p + 1, K)[:] = gaps[
-        :, p + lag[None, :] - lag[:, None]].transpose(0, 1, 3, 2, 4)
+    grid = G[:, c:, c:].reshape(C, p + 1, K, p + 1, K)
+    for i in range(p + 1):  # a block row at a time, to hold no 5-D copy
+        grid[:, i] = gaps[:, p + lag - lag[i]].transpose(0, 2, 1, 3)
+    del gaps, lagged  # freed before the edge products
     if intercept:
         G[:, 0, 0] = n
         G[:, 0, 1:] = G[:, 1:, 0] = np.tile(sums, p + 1)
@@ -328,12 +331,11 @@ def _fit(G, n: int, k: int) -> tuple:
     + K)``.
 
     ``G`` is equilibrated, ``D^-1 G D^-1`` with ``D`` the column norms,
-    and only its X block is factored, ``P P'``.  ``P^-1`` is the one
-    triangular inverse, of ``P`` scaled to a unit diagonal
-    (:func:`~tca.linalg.unit_lower_inverse`); the rest are products: ``R
-    = P^-1 G_xy``, the coefficients ``P^-T R`` and the residual
-    cross-product, the Schur complement ``G_yy - R'R``.  Each LAPACK call
-    and product is one per sample, so a sample gets the same bits in any
+    and only its X block is factored, ``P P'``, by a column sweep that
+    also makes ``P^-1`` (:func:`~tca.linalg.cholesky_sweep`); the rest
+    are products: ``R = P^-1 G_xy``, the coefficients ``P^-T R`` and the
+    residual cross-product, the Schur complement ``G_yy - R'R``.  Each
+    product is one per sample, so a sample gets the same bits in any
     stack.
 
     The fit is full rank when it passes every test of ``RANK_TESTS``; a
@@ -350,9 +352,7 @@ def _fit(G, n: int, k: int) -> tuple:
     zero = np.any(diag[..., :k] <= 0.0, axis=-1)
     d = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     G = G / (d[..., :, None] * d[..., None, :])
-    P, pd = cholesky_lower(G[..., :k, :k])
-    pivots = np.diagonal(P, axis1=-2, axis2=-1)
-    inv = unit_lower_inverse(P / pivots[..., None, :]) / pivots[..., :, None]
+    inv, pd = cholesky_sweep(G[..., :k, :k])[1:]  # P itself is not kept
     bounded = (np.sqrt(k * np.finfo(float).eps * max(n, k))
                * np.sqrt(np.sum(inv * inv, axis=(-2, -1))) < 1.0)
     R = inv @ G[..., :k, k:]

@@ -23,8 +23,8 @@ from .errors import (
     InconsistentNormalizationError,
     NotPositiveDefiniteError,
 )
-from .linalg import (MEMORY_BUDGET, as_matrix, cholesky_lower, ql_decompose,
-                     solve_unit_lower, unit_lower_inverse)
+from .linalg import (MEMORY_BUDGET, as_matrix, cholesky_sweep, ql_decompose,
+                     solve_unit_lower)
 from .model import ReducedVar, VarmaModel
 
 __all__ = [
@@ -215,7 +215,8 @@ def _reduced_form(sigma_u, coefs, dest, h: int):
 
     ``sigma_u`` is ``(..., K, K)`` and ``coefs`` ``(..., p, K, K)``, in
     data order; ``dest`` is the ordering's permutation.  With ``P`` the
-    Cholesky factor of a permuted covariance, ``L = P^{-1}`` and ``D =
+    Cholesky factor of a permuted covariance, ``L = P^{-1}`` (both from
+    one column sweep, :func:`~tca.linalg.cholesky_sweep`) and ``D =
     diag(P)``, ``D L`` is the unit lower-triangular inverse of ``P
     D^{-1}``; ``B_blocks`` stacks ``I - D L`` and the lag blocks ``D L
     A_i`` for ``i <= h`` (permuted), and the time-0 ``Omega`` block of a
@@ -224,11 +225,12 @@ def _reduced_form(sigma_u, coefs, dest, h: int):
     covariances; the others are built from the identity.
     """
     rows, cols = np.ix_(dest, dest)
-    P, ok = cholesky_lower(sigma_u[..., rows, cols])
+    P, inv, ok = cholesky_sweep(sigma_u[..., rows, cols])
     d = np.diagonal(P, axis1=-2, axis2=-1)
-    DL = unit_lower_inverse(P / d[..., None, :])
-    b_diag = -DL
     K = len(dest)
+    DL = d[..., :, None] * inv
+    DL[..., range(K), range(K)] = 1.0  # d_i (1 / d_i) may round off 1
+    b_diag = -DL
     b_diag[..., range(K), range(K)] = 0.0
     lags = DL[..., None, :, :] @ coefs[..., :h, rows, cols]
     return np.concatenate([b_diag[..., None, :, :], lags], axis=-3), DL, d, ok

@@ -325,6 +325,19 @@ class TestTransmissionEffect:
         assert abs(table.cell("complement", 3, 0) - direct) <= 1e-10
         assert abs(table.cell("total", 3, 0) - total) <= 1e-10
 
+    def test_a_system_with_ill_formed_blocks_is_refused(self):
+        # the evaluator's solves run unchecked, so the public entry
+        # checks a system's blocks once
+        import dataclasses
+
+        sf = three_var_sf(0.2, 0.5, 0.8, 1.5, h=2)
+        upper = sf.B_blocks.copy()
+        upper[0, 0, 2] = 0.3  # B_0 no longer strictly lower-triangular
+        for bad in (upper, sf.B_blocks[:, :2]):
+            with pytest.raises(DimensionMismatchError):
+                transmission_effect(dataclasses.replace(sf, B_blocks=bad),
+                                    "pi_0", shock=1)
+
     def test_true_condition(self, rng):
         m = random_varma(rng, K=3, ell=1)
         sf = make_systems_form(m, random_ordering(rng, m.var_names), 1)

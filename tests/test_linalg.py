@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from scipy.linalg import solve_triangular
 
 from oracles import dense_blocks, dense_solve
 from tca.errors import DimensionMismatchError, SingularMatrixError
-from tca.linalg import (cholesky_lower, ql_decompose, solve_unit_lower,
-                         unit_lower_inverse)
+from tca.linalg import (cholesky_lower, cholesky_sweep, ql_decompose,
+                         solve_unit_lower, unit_lower_inverse)
 
 
 class TestQlDecompose:
@@ -181,6 +182,64 @@ class TestStackedFactors:
                 # the same bits alone as in the stack
                 assert X[i].tobytes() == unit_lower_inverse(M[i]).tobytes()
             assert np.allclose(M @ X, np.eye(m), atol=1e-12)
+
+
+class TestCholeskySweep:
+    @staticmethod
+    def gram(rng, batch, k):
+        X = rng.normal(size=(*batch, 3 * k, k))
+        return np.swapaxes(X, -1, -2) @ X
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 17, 41])
+    def test_inverse_is_the_unit_factors_triangular_inverse(self, rng, k):
+        S = self.gram(rng, (20,), k)
+        P, inv, ok = cholesky_sweep(S)
+        assert ok.all()
+        assert np.array_equal(P, cholesky_lower(S)[0])
+        assert np.all(np.triu(P, 1) == 0.0) and np.all(np.triu(inv, 1) == 0.0)
+        d = np.diagonal(P, axis1=-2, axis2=-1)
+        assert np.array_equal(np.diagonal(inv, axis1=-2, axis2=-1), 1.0 / d)
+        want = unit_lower_inverse(P / d[..., None, :])
+        got = inv * d[..., :, None]  # the inverse of the unit factor
+        for i in range(len(S)):
+            assert np.max(np.abs(got[i] - want[i])) <= 1e-14 * np.max(
+                np.abs(want[i])), i
+            assert np.allclose(P[i], np.linalg.cholesky(S[i]), rtol=1e-13,
+                               atol=1e-13)
+
+    @pytest.mark.parametrize("k", [4, 17])
+    def test_a_matrix_gets_the_same_bits_alone_as_in_a_stack(self, rng, k):
+        S = self.gram(rng, (70,), k)
+        P, inv, ok = cholesky_sweep(S)
+        for i in range(70):
+            P_i, inv_i, ok_i = cholesky_sweep(S[i])
+            assert ok_i and ok[i]
+            assert P_i.tobytes() == P[i].tobytes()
+            assert inv_i.tobytes() == inv[i].tobytes()
+        # and in a stack of stacks
+        P2, inv2, _ = cholesky_sweep(S.reshape(7, 10, k, k))
+        assert P2.reshape(P.shape).tobytes() == P.tobytes()
+        assert inv2.reshape(inv.shape).tobytes() == inv.tobytes()
+
+    def test_a_member_that_is_not_positive_definite_gets_identities(self, rng):
+        S = self.gram(rng, (6,), 5)
+        S[1, 4, 4] = -1.0  # its last pivot is negative
+        S[3] = -S[3]  # its first
+        S[4, 2, 2] = 0.0  # its third pivot is not positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P, inv, ok = cholesky_sweep(S)
+        assert ok.tolist() == [True, False, True, False, False, True]
+        for i in (1, 3, 4):
+            assert np.array_equal(P[i], np.eye(5))
+            assert np.array_equal(inv[i], np.eye(5))
+        for i in (0, 2, 5):  # the others as alone
+            assert P[i].tobytes() == cholesky_sweep(S[i])[0].tobytes()
+            assert inv[i].tobytes() == cholesky_sweep(S[i])[1].tobytes()
+
+    def test_empty_matrices(self):
+        P, inv, ok = cholesky_sweep(np.zeros((3, 0, 0)))
+        assert P.shape == inv.shape == (3, 0, 0) and ok.all()
 
 
 def test_package_imports_without_scipy():
