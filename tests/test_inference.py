@@ -210,6 +210,7 @@ class TestResamplingIndices:
             assert np.array_equal(np.concatenate(blocks), whole)
 
     @pytest.mark.parametrize("n", [2 * inf.BLOCK_ROWS + 3,
+                                   4 * inf.BLOCK_ROWS + 3,
                                    inf.INDEX_ROWS + 3, 4999])
     def test_long_samples_are_simulate_var_on_one_call_indices(self, n):
         rng = np.random.default_rng(n)
