@@ -48,7 +48,9 @@ workloads run in the order of ``WORKLOADS``, so the first one's is its
 own and a later one's covers the ones before it.  A bootstrap workload
 (``CHUNKED``) also reports ``first_chunk_mb``, the ``tracemalloc`` peak
 of its first chunk of draws (``tca.inference._draw_effects``), in MiB
-as ``peak_rss_mb``.
+as ``peak_rss_mb``; the first chunks are traced in a further run of
+each once every workload's ``peak_rss_mb`` is read, since tracing
+raises the process's peak.
 
 ``--against SRC`` compares ``--src`` (label ``change``) with ``SRC``
 (label ``parent``) in ``--pairs`` pairs of fresh processes, one of each,
@@ -373,10 +375,16 @@ def main(argv=None):
 
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT)]
     report = json.loads(out.read_text()) if out.is_file() else {}
+    entries = {}
     for workload, (setup, stages) in WORKLOADS.items():
         with tempfile.TemporaryDirectory() as workdir:
-            entry = measure(setup, stages, args.runs, workdir,
-                            workload in CHUNKED)
+            entries[workload] = measure(setup, stages, args.runs, workdir)
+    # traced only after every peak_rss_mb, which tracing would raise
+    for workload in (w for w in WORKLOADS if w in CHUNKED):
+        with tempfile.TemporaryDirectory() as workdir:
+            entries[workload]["first_chunk_mb"] = first_chunk_mb(
+                WORKLOADS[workload][0](workdir))
+    for workload, entry in entries.items():
         report.setdefault(workload, {})[args.label] = entry
         stage_text = "  ".join(f"{s}={v['median'] * 1e3:.2f}"
                                for s, v in entry["stages_s"].items())

@@ -496,8 +496,9 @@ def _effects(B_blocks, col, root):
 
     Leading axes batch systems: ``B_blocks`` is ``(..., L+1, K, K)`` and
     ``col`` ``(..., n)``, and so are both results.  Every system takes
-    the same plan: the solve, the inverse and ``g`` run over the batch,
-    the forward pass once per system.  The blocks are not checked here:
+    the same plan: the solve, the inverse, ``g`` and the sums of the
+    accepting states run over the batch, the plan's steps once per
+    system.  The blocks are not checked here:
     they must be as :func:`~tca.linalg.solve_unit_lower` takes them,
     which :func:`transmission_effect` checks once per system.
     """
@@ -530,16 +531,23 @@ def _effects(B_blocks, col, root):
     inv = unit_lower_inverse(np.take(paths, lits, axis=-2))
     g = np.concatenate([inv @ at_lits[..., None], np.eye(m) - inv], axis=-1)
 
-    w = np.empty(col.shape[:-1] + (m + 1,))
-    flat_w = w.reshape(-1, m + 1)
-    flat_g = g.reshape(len(flat_w), m, m + 1)
-    for r in range(len(flat_w)):
-        g_r = flat_g[r].tolist()  # one system's floats at a time
-        amp = [1.0] + [0.0] * (len(column) - 1)
-        for s, target, k, c in steps:
-            amp[target] += amp[s] * g_r[k][c]
-        flat_w[r] = np.bincount(column, weights=np.where(accept, amp, 0.0),
-                                minlength=m + 1)
+    R = int(np.prod(col.shape[:-1]))
+    flat_g = g.reshape(R, m, m + 1)
+    amp = np.zeros((R, len(column)))
+    amp[:, 0] = 1.0
+    if steps:
+        for r in range(R):
+            g_r = flat_g[r].tolist()  # one system's floats at a time
+            a = amp[r].tolist()
+            for s, target, k, c in steps:
+                a[target] += a[s] * g_r[k][c]
+            amp[r] = a
+    # each system's accepting states, summed in state order from 0 as
+    # one bincount over the batch; a sum never holds -0.0, so leaving
+    # out the other states' zeros changes no bit
+    where = (m + 1) * np.arange(R)[:, None] + column[accept]
+    w = np.bincount(where.reshape(-1), weights=amp[:, accept].reshape(-1),
+                    minlength=R * (m + 1)).reshape(col.shape[:-1] + (m + 1,))
     # w[0] weighs the paths that visit no literal, w[1 + k] those whose
     # last literal is k; the paths from k that visit no further literal
     # are the columns paths @ inv

@@ -21,9 +21,10 @@ refit forms its Gram matrix without a regression design array and
 solves the normal equations by Cholesky.  The bands are the quantiles of
 the draw arrays themselves, scaled and sorted in place.
 Draw r resamples with the indices of ``default_rng((seed,
-r)).integers(0, n, size=n)``, drawn by one generator per chunk that is
-set to each draw's state in turn; one stacked SeedSequence pass derives
-the chunk's states (:func:`_substreams`).
+r)).integers(0, n, size=n)``: one stacked SeedSequence pass derives the
+chunk's states (:func:`_substreams`), one call per draw takes its raw
+words, and numpy's own bounded rule maps the whole chunk's words to
+indices at once (:func:`_indices`).
 The kernels give each draw the same bits in any stack, so the bands are
 byte-identical at any chunk size.  A degenerate draw (rank-deficient
 regressors, a covariance that is not positive definite, a zero impact
@@ -76,15 +77,21 @@ MAX_DISCARD_SHARE = 0.05
 
 #: Bytes of the working arrays of one chunk of bootstrap draws, 1.875
 #: MiB: at :func:`_draw_bytes` per draw, the most that any phase of a
-#: draw holds at once.  Criterion 09's chunks are of 122 draws.
+#: draw holds at once.  Criterion 09's chunks are of 167 draws.
 CHUNK_BYTES = 15 * 2 ** 17
 
 #: Resampling indices per call of a draw's generator, a whole number of
 #: ``BLOCK_ROWS`` blocks.  Each call costs a fixed time, and each index
-#: 4 bytes of every draw of a chunk.  On 500-draw bootstraps of 2,000 and
+#: up to 4 bytes of every draw of a chunk.  On 500-draw bootstraps of 2,000 and
 #: 5,000 periods, 1,024 and 2,048 timed within 4% of each other, and
-#: 512, 1,536 and 4,096 slower.
+#: 512, 1,536 and 4,096 slower.  It is even, so that a window ends on a
+#: whole 64-bit word of its stream and carries no half word to the next.
 INDEX_ROWS = 2048
+assert INDEX_ROWS % BLOCK_ROWS == 0 and INDEX_ROWS % 2 == 0
+
+#: Resampling words that Lemire's rule (:func:`_indices`) maps at a time:
+#: 64 KiB of their 64-bit products.
+_LEMIRE_WORDS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -202,29 +209,45 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
 def _draw_bytes(n: int, K: int, p: int, h: int = 0, m: int = 0) -> int:
     """Bytes that one bootstrap draw holds at once in a chunk, the most
     of its three phases, for n regression rows, K variables and p lags,
-    priced on horizons 0..h by a plan of m literals: a little above the
-    ``tracemalloc`` peak per draw of a chunk.
+    priced on horizons 0..h by a plan of m literals: about the
+    ``tracemalloc`` peak per draw of a chunk, a little above it or
+    within 2% below on shapes of K = 1..20, p = 0..6, n up to 20,000 and
+    up to 42 literals.
 
     - Regeneration: the two block buffers of :func:`_regenerate`, of r
       = ``min(n, BLOCK_ROWS)`` periods padded to whole recursion steps,
-      and the p + 1 lag products; beside them, a window of int32
-      resampling indices, their int64 copy in ``np.take`` and the
-      draw's generator state, or, after the last block, the Gram
-      matrix's assembly, about two arrays of its size.
-    - Refit: about four and a half arrays of the Gram matrix's size.
-    - Pricing: about three of those (the Gram matrix, the coefficients,
-      the triangular form) and the evaluator's ``(h+1) K (m+1)`` solve
-      values, beside the solve's right-hand side or the three ``m
-      (m+1)`` arrays of the path-sum inverse
+      and a window of resampling indices in the smallest integer type
+      that holds n.  Beside them, while a window is drawn, the draws'
+      generator states (about 0.5 KB each, and as much again read back
+      when another window follows) and the temporaries of Lemire's
+      rule; or, while a block is read, the p + 1 lag products, the
+      column sums, the states kept for the next window, and the larger
+      of a recursion step's product and a lag product, each with
+      numpy's buffers for a strided sum.
+    - Refit: the Gram matrix, the sweep's factor bordered by the
+      identity and the inverse of the factor, three arrays of the
+      regressor block's size, and the sweep's column temporaries
+      (:func:`~tca.model._fit`).  The Gram matrix's assembly, after the
+      last block has freed the block buffers, holds less.
+    - Pricing: about two arrays of the Gram matrix's size (the
+      coefficients, the triangular form) and the evaluator's ``(h+1) K
+      (m+1)`` solve values, beside the solve's right-hand side or the
+      three ``m (m+1)`` arrays of the path-sum inverse
       (:func:`~tca.condition._effects`).
     """
     r = _padded(min(n, BLOCK_ROWS), K)
-    gram = 8 * (1 + (p + 1) * K) ** 2  # with an intercept
+    k = 1 + p * K  # regressors, with an intercept
+    gram = 8 * (k + K) ** 2
     values = (h + 1) * K * (m + 1)
-    regenerate = 8 * K * (2 * r + p) + 8 * (p + 1) * K * K + max(
-        4 * _padded(min(n, INDEX_ROWS), K) + 8 * r + 2 ** 11, 2 * gram)
-    price = 3 * gram + 8 * (values + max(values, 3 * m * (m + 1)))
-    return max(regenerate, 9 * gram // 2, price)
+    index = np.min_scalar_type(n).itemsize * _padded(min(n, INDEX_ROWS), K)
+    states = 2 ** 10 if n > INDEX_ROWS else 0  # kept for the next window
+    window = 2 ** 10 + 2 * states
+    block = (states + 8 * (p + 1) * K * (K + 1) + 2 ** 8
+             + 24 * K * max(_step(K), K))
+    regenerate = 8 * K * (2 * r + p) + index + max(window, block)
+    refit = gram + 24 * k * k + 64 * (k + 1)
+    price = 2 * gram + 8 * (values + max(values, 3 * m * (m + 1)))
+    return max(regenerate, refit, price)
 
 
 def _padded(rows: int, K: int) -> int:
@@ -247,12 +270,13 @@ def _shocks(var: ReducedVar) -> np.ndarray:
     return shocks
 
 
-def _block_buffers(draws: int, n: int, K: int, p: int) -> tuple:
+def _block_buffers(draws: int, n: int, K: int, p: int) -> list:
     """The two flat buffers of :func:`_regenerate` for ``draws`` samples
     of n regression rows: a block's resampled shocks, the recursion's
-    input, and its ``p + r`` regenerated rows."""
+    input, and its ``p + r`` regenerated rows.  A list, which
+    :func:`~tca.model._lag_gram` empties after the last block."""
     r = _padded(min(n, BLOCK_ROWS), K)
-    return np.empty(draws * r * K), np.empty(draws * (p + r) * K)
+    return [np.empty(draws * r * K), np.empty(draws * (p + r) * K)]
 
 
 _U32 = 0xFFFFFFFF
@@ -299,6 +323,61 @@ def _substreams(seed: int, draws) -> list:
     return states
 
 
+def _indices(states: list, n: int, size: int, out=None,
+             more: bool = False) -> np.ndarray:
+    """The next ``size`` resampling indices below n of each PCG64 state
+    of ``states``, as ``Generator.integers(0, n, size)`` draws them, in
+    the rows of ``out`` (``(len(states), >= size)``, of an integer type
+    that holds n; the smallest such by default), which is returned.
+    With ``more``, each state is replaced by its stream's state after
+    them.
+
+    numpy maps each 32-bit word u of a stream to ``u n >> 32`` and
+    rejects u where ``u n mod 2**32`` falls below ``2**32 mod n``
+    (Lemire's rule); a word of PCG64's 64-bit output gives its low half
+    first.  So each draw takes its ``ceil(size / 2)`` raw words in one
+    call, and the rule maps the words of ``_LEMIRE_WORDS // size`` draws
+    at a time.  A draw whose words hold a rejected one, or whose state
+    holds a spare half word, draws again with ``integers`` from its
+    state, which is exact."""
+    C = len(states)
+    if out is None:
+        out = np.empty((C, size), dtype=np.min_scalar_type(n))
+    bits = np.random.PCG64(0)  # set to each draw's state in turn
+    half = -(-size // 2)
+    group = max(1, _LEMIRE_WORDS // size)
+    words = np.empty((min(group, C), half), dtype="<u8")
+    u = words.view("<u4")[:, :size]
+    threshold = 2 ** 32 % n
+    # rejection is rare: a draw of size words has one with probability
+    # about size (2**32 mod n) / 2**32
+    redo = np.array([state["has_uint32"] for state in states], dtype=bool)
+    after = list(states)
+    for lo in range(0, C, group):
+        hi = min(C, lo + group)
+        for c in range(lo, hi):
+            bits.state = states[c]
+            words[c - lo] = bits.random_raw(half)
+            if more:
+                after[c] = bits.state
+        x = u[: hi - lo]
+        if threshold:  # uint32 products wrap to their low words
+            redo[lo:hi] |= np.any(x * np.uint32(n) < threshold, axis=1)
+        m = x.astype(np.uint64)
+        m *= n
+        m >>= 32
+        out[lo:hi, :size] = m
+    if redo.any():
+        rng = np.random.Generator(bits)
+        for c in np.flatnonzero(redo):
+            bits.state = states[c]
+            out[c, :size] = rng.integers(0, n, size=size)
+            after[c] = bits.state
+    if more:
+        states[:] = after
+    return out
+
+
 def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
                 buffers=None):
     """The regenerated samples of the given draws, ``BLOCK_ROWS``
@@ -311,10 +390,15 @@ def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
     recursion writes its rows into the second.  So a yielded block is
     valid until the next one is requested, and the consumer may shift it
     in place; the first buffer is free again while it holds the block.
+    A block that is not a whole number of the recursion's steps keeps
+    its padding rows: it is a view of each sample's first ``p + rows``
+    rows, which are contiguous, so no sample is moved.
     Draw r's indices are ``default_rng((seed, r)).integers(0, n,
-    size=n)``, drawn ``INDEX_ROWS`` at a time from one stream by the
-    chunk's generator, set to the draw's state from :func:`_substreams`
-    before each call and read back when another window follows.
+    size=n)``, drawn ``INDEX_ROWS`` at a time from the draw's state
+    (:func:`_substreams`, :func:`_indices`), which is read back only
+    while another window follows and dropped after the last.  Each
+    block's indices are widened to numpy's index type in the second
+    buffer, free until the recursion, so that ``np.take`` copies none.
     ``maps`` are the recursion's (:func:`_var_recursion`) and ``shocks``
     are :func:`_shocks`; both are built once per bootstrap by the
     caller, or here by default."""
@@ -324,36 +408,30 @@ def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
     n = shocks.shape[0] - 1
     C = len(draws)
     g, out = _block_buffers(C, n, K, p) if buffers is None else buffers
-    rng = np.random.Generator(np.random.PCG64(0))  # reset for each draw
     states = _substreams(seed, draws)
-    # an index past the sample picks the zero row that pads a block
-    idx = np.full((C, _padded(min(n, INDEX_ROWS), K)), n, dtype=np.int32)
+    idx = np.empty((C, _padded(min(n, INDEX_ROWS), K)),
+                   dtype=np.min_scalar_type(n))
     rows = var.data[:p]
     for start in range(0, n, BLOCK_ROWS):
         at = start % INDEX_ROWS
         if at == 0:
             size = min(INDEX_ROWS, n - start)
-            for c, row in enumerate(idx):
-                rng.bit_generator.state = states[c]
-                row[:size] = rng.integers(0, n, size=size, dtype=np.int32)
-                if start + size < n:
-                    states[c] = rng.bit_generator.state
+            more = start + size < n
+            _indices(states, n, size, idx, more)
+            if not more:
+                del states
+            # an index past the sample picks the zero row that pads a block
             idx[:, size:] = n
         r = min(BLOCK_ROWS, n - start)
         width = _padded(r, K)
         step = g[: C * width * K].reshape(C, width, K)
+        # numpy's index type in out, free until the recursion
+        take = out.view(np.intp)[: C * width].reshape(C, width)
+        take[:] = idx[:, at : at + width]
         # "clip" lets numpy gather into out directly; no index is outside
-        np.take(shocks, idx[:, at : at + width], axis=0, out=step,
-                mode="clip")
+        np.take(shocks, take, axis=0, out=step, mode="clip")
         _var_recursion(var.coefs, None, step, rows, maps, out)
-        span = (p + r) * K
-        if width > r:
-            # the samples end to end without their padding, one at a time,
-            # since numpy copies a strided operand of an in-place operation
-            for c in range(1, C):
-                padded = c * (p + width) * K
-                out[c * span : (c + 1) * span] = out[padded : padded + span]
-        block = out[: C * span].reshape(C, p + r, K)
+        block = out[: C * (p + width) * K].reshape(C, p + width, K)[:, : p + r]
         rows = block[:, r:].copy()  # before the consumer shifts the block
         yield block
 
@@ -369,11 +447,13 @@ def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
     # the rows are shifted by the data's mean, as in estimate_var_ols
     mu = var.data.mean(axis=0) if intercept else np.zeros(K)
     buffers = _block_buffers(len(draws), var.data.shape[0] - p, K, p)
+    # _lag_gram empties the list, so the buffers are freed before the
+    # Gram assembly
     G, n = _lag_gram(_regenerate(var, seed, draws, maps, shocks, buffers),
-                     p, intercept, mu, spare=buffers[0])
-    del buffers  # neither the refit nor the pricing needs them
+                     p, intercept, mu, spare=buffers)
     k = G.shape[-1] - K
     coef, ssr, failed = _fit(G, n, k)
+    del G  # equilibrated in place, and not needed to price
     full = failed == 0
     # a rank-deficient draw goes on as a white-noise VAR, so that every
     # later stacked call sees finite, well-posed inputs

@@ -113,7 +113,7 @@ def cholesky_sweep(S):
     S = np.asarray(S, dtype=float)
     K = S.shape[-1]
     F = np.zeros(S.shape[:-2] + (2 * K, K))  # factored in place
-    F[..., :K, :] = np.tril(S)
+    F[..., :K, :] = S  # the sweep reads only the lower triangle
     F[..., range(K, 2 * K), range(K)] = 1.0
     ok = np.ones(S.shape[:-2], dtype=bool)
     for j in range(K):
@@ -125,6 +125,8 @@ def cholesky_sweep(S):
         rows[..., 1:, j] = col[..., 1:] / root[..., None]
         rows[..., 0, j] = root
     P, inv = F[..., :K, :], np.swapaxes(F[..., K:, :], -1, -2).copy()
+    above = np.triu_indices(K, 1)
+    P[..., above[0], above[1]] = 0.0
     P[~ok] = inv[~ok] = np.eye(K)
     return P, inv, ok
 

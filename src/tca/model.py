@@ -266,20 +266,28 @@ def _lag_gram(blocks, p: int, intercept: bool, mu, spare=None) -> tuple:
 
     Each block is shifted by ``mu`` in place, so it must be writable and
     no longer needed by its producer, except its last block, which the
-    Gram matrix reads until it is made.  The lag-0 product takes a copy
-    of a block's targets: into ``spare``, a flat buffer of at least ``C
-    r K`` floats free while the block is read, when given.
+    Gram matrix reads until it is made.  A block may be a view whose
+    samples lie apart in their buffer, as long as each sample's rows are
+    contiguous.  The lag-0 product takes a copy of a block's targets:
+    into ``spare``, a flat buffer of at least ``C r K`` floats free while
+    the block is read, when given, or the first entry of ``spare`` when
+    it is a list (:func:`~tca.inference._block_buffers`).  Such a list is
+    emptied once the last p rows are copied, so that no block buffer is
+    held here, nor by a caller that holds them only through it, while
+    the Gram matrix is assembled.
 
     A diagonal entry is then a difference of sums of squares: one that
     is not positive, or within the rounding of those sums, ``n eps``,
     is set to 0, which marks a zero column.
     """
     K = len(mu)
+    held = spare if isinstance(spare, list) else [spare]
     n, lagged = 0, None
     for rows in blocks:
         C, L = rows.shape[:2]
         # one flat subtraction: broadcasting mu over an axis of length K
-        # costs several times more
+        # costs several times more.  The reshape is a view, also of a
+        # block whose samples lie apart
         z = rows.reshape(C, L * K)
         z -= np.tile(mu, L)
         z = z.reshape(C, L, K)
@@ -290,7 +298,7 @@ def _lag_gram(blocks, p: int, intercept: bool, mu, spare=None) -> tuple:
         y = z[:, p:]
         yt = np.swapaxes(y, 1, 2)
         # a copy: the product of two views of one buffer is much slower
-        y0 = np.empty(y.size) if spare is None else spare[: y.size]
+        y0 = np.empty(y.size) if held[0] is None else held[0][: y.size]
         y0 = y0.reshape(y.shape)
         y0[:] = y
         lagged[:, 0] += yt @ y0
@@ -298,6 +306,9 @@ def _lag_gram(blocks, p: int, intercept: bool, mu, spare=None) -> tuple:
             lagged[:, d] += yt @ z[:, p - d : L - d]
         sums += np.ones(L - p) @ y
         n += L - p
+    last = z[:, L - p :].copy()
+    held.clear()
+    del rows, z, y, yt, y0, spare
     c, k = int(intercept), int(intercept) + K * p
     # blocks of lag gap j - i = -p..p, the target (lag 0) last
     gaps = np.concatenate([np.swapaxes(lagged[:, :0:-1], -1, -2), lagged],
@@ -312,8 +323,7 @@ def _lag_gram(blocks, p: int, intercept: bool, mu, spare=None) -> tuple:
         G[:, 0, 0] = n
         G[:, 0, 1:] = G[:, 1:, 0] = np.tile(sums, p + 1)
     if p:
-        head, tail = _edge_rows(head, intercept), _edge_rows(z[:, L - p :],
-                                                            intercept)
+        head, tail = _edge_rows(head, intercept), _edge_rows(last, intercept)
         G[:, :k, :k] += np.swapaxes(head, -1, -2) @ head
         tail = np.swapaxes(tail, -1, -2) @ tail
         G[:, :k, :k] -= tail
@@ -330,10 +340,10 @@ def _fit(G, n: int, k: int) -> tuple:
     given by their Gram matrices ``G = [X | Y]'[X | Y]``, ``(..., k + K, k
     + K)``.
 
-    ``G`` is equilibrated, ``D^-1 G D^-1`` with ``D`` the column norms,
-    and only its X block is factored, ``P P'``, by a column sweep that
-    also makes ``P^-1`` (:func:`~tca.linalg.cholesky_sweep`); the rest
-    are products: ``R = P^-1 G_xy``, the coefficients ``P^-T R`` and the
+    ``G`` is equilibrated in place, ``D^-1 G D^-1`` with ``D`` the
+    column norms, and only its X block is factored, ``P P'``, by a
+    column sweep that also makes ``P^-1``
+    (:func:`~tca.linalg.cholesky_sweep`); the rest are products: ``R = P^-1 G_xy``, the coefficients ``P^-T R`` and the
     residual cross-product, the Schur complement ``G_yy - R'R``.  Each
     product is one per sample, so a sample gets the same bits in any
     stack.
@@ -351,7 +361,7 @@ def _fit(G, n: int, k: int) -> tuple:
     diag = np.diagonal(G, axis1=-2, axis2=-1)
     zero = np.any(diag[..., :k] <= 0.0, axis=-1)
     d = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    G = G / (d[..., :, None] * d[..., None, :])
+    G /= d[..., :, None] * d[..., None, :]  # in place: the caller's G
     inv, pd = cholesky_sweep(G[..., :k, :k])[1:]  # P itself is not kept
     bounded = (np.sqrt(k * np.finfo(float).eps * max(n, k))
                * np.sqrt(np.sum(inv * inv, axis=(-2, -1))) < 1.0)

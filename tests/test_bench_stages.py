@@ -130,3 +130,33 @@ def test_one_pair_against_a_tree(bench, tmp_path, monkeypatch):
             assert spread["n"] == 1
             assert spread["min"] == spread["median"] == spread["max"]
             assert spread["median"] == pair[name] > 0
+
+
+def test_first_chunks_are_traced_after_the_last_peak_reading(bench, tmp_path,
+                                                             monkeypatch):
+    # a traced chunk raises the process's peak RSS, so every workload's
+    # peak_rss_mb is read before any first chunk is traced; two stand-in
+    # workloads whose run is one chunk keep the test short
+    import tca.inference
+
+    events = []
+    getrusage, start = bench.resource.getrusage, bench.tracemalloc.start
+
+    def workload(workdir):
+        return lambda: tca.inference._draw_effects()
+
+    monkeypatch.setattr(tca.inference, "_draw_effects", lambda: None)
+    monkeypatch.setattr(bench, "WORKLOADS", {"a": (workload, {}),
+                                             "b": (workload, {})})
+    monkeypatch.setattr(bench, "CHUNKED", ("a", "b"))
+    monkeypatch.setattr(bench.resource, "getrusage",
+                        lambda who: events.append("rss") or getrusage(who))
+    monkeypatch.setattr(bench.tracemalloc, "start",
+                        lambda *a: events.append("trace") or start(*a))
+    out = tmp_path / "stages.json"
+    bench.main(["--label", "x", "--runs", "9", "--out", str(out)])
+    assert events == ["rss", "rss", "trace", "trace"]
+    report = json.loads(out.read_text())
+    for name in ("a", "b"):
+        assert report[name]["x"]["first_chunk_mb"] >= 0
+        assert report[name]["x"]["peak_rss_mb"] > 0

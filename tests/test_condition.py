@@ -632,6 +632,41 @@ class TestTransmissionEffect:
         assert table.cell("channel", 2, 0) == 0.0
 
 
+class TestBatchedEvaluator:
+    @pytest.mark.parametrize("kind", ["no_steps", "any_horizon", "random"])
+    def test_a_batch_is_the_stack_of_single_systems(self, rng, kind):
+        # a (2, 3) batch of random systems priced at once against each
+        # priced alone, bit for bit: the accepting states' sums of the
+        # batch come from one bincount, the plan's steps run per system
+        from tca.condition import TERM_CAP, _effects, _plan
+
+        K, L, h = 3, 2, 4
+        n = (h + 1) * K
+        for _ in range(4):
+            blocks = rng.normal(scale=0.4, size=(2, 3, L + 1, K, K))
+            blocks[..., 0, :, :] = np.tril(blocks[..., 0, :, :], -1)
+            col = rng.normal(size=(2, 3, n))
+            if kind == "no_steps":
+                root = Not(Var(int(rng.integers(1, n + 1))))
+            elif kind == "any_horizon":
+                root = parse_condition(any_horizon("pi", range(h + 1)),
+                                       LABELS3, K, h).root
+            else:
+                root = random_condition(rng, n, 5)
+            steps = _plan(root, TERM_CAP)[1]
+            if kind == "no_steps":
+                assert not steps
+            elif kind == "any_horizon":
+                assert steps
+            total, channel = _effects(blocks, col, root)
+            assert total.shape == channel.shape == (2, 3, n)
+            for i in range(2):
+                for j in range(3):
+                    one = _effects(blocks[i, j], col[i, j], root)
+                    assert one[0].tobytes() == total[i, j].tobytes()
+                    assert one[1].tobytes() == channel[i, j].tobytes()
+
+
 class TestEffectFromIrfs:
     def test_recursive_indirect_effect_from_irf_product(self):
         a2, a3, a4 = 0.5, 0.8, 1.5
