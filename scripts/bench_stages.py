@@ -41,8 +41,12 @@ stage lists the names of its functions in every tree it may time, so a
 renamed function keeps its stage: the names that a tree lacks are
 skipped, and only a stage none of whose names resolve is an error.  The
 median and quartiles go under ``--label`` in ``--out``, laid out as
-``{workload: {label: {whole_s, stages_s, peak_rss_mb}}, machine}`` and
-keeping the entries of other labels.  ``peak_rss_mb`` is the process's
+``{workload: {label: {whole_s, stages_s, minor_faults, user_s, system_s,
+peak_rss_mb}}, machine}`` and keeping the entries of other labels.
+``minor_faults``, ``user_s`` and ``system_s`` are the minor page faults
+and the user and system CPU seconds of one whole run, the change in the
+process's ``getrusage`` over the ``--runs`` whole runs divided by their
+number.  ``peak_rss_mb`` is the process's
 peak resident set size (``ru_maxrss``) once the workload has run; the
 workloads run in the order of ``WORKLOADS``, so the first one's is its
 own and a later one's covers the ones before it.  A bootstrap workload
@@ -59,8 +63,8 @@ move between processes on a shared machine, so one pair cannot resolve
 a small change; ``--out`` then gets, per workload, each pair's medians
 under ``pairs`` and, under ``parent`` and ``change``, the median,
 quartiles and range of the pair medians (and of each process's
-``peak_rss_mb``), beside ``comparison`` (the pair and run counts) and
-``machine``.
+counters and ``peak_rss_mb``), beside ``comparison`` (the pair and run
+counts) and ``machine``.
 """
 
 from __future__ import annotations
@@ -268,6 +272,12 @@ def first_chunk_mb(run):
     return peaks[0]
 
 
+#: Per-run means over the whole runs, from ``getrusage`` before and
+#: after them: minor page faults and user and system CPU seconds.
+COUNTERS = {"minor_faults": "ru_minflt", "user_s": "ru_utime",
+            "system_s": "ru_stime"}
+
+
 def summary(values):
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
@@ -279,10 +289,12 @@ def measure(setup, stages, runs, workdir, chunked=False):
     run = setup(workdir)
     run()  # warm-up: imports, caches, first allocations
     whole = []
+    before = resource.getrusage(resource.RUSAGE_SELF)
     for _ in range(runs):
         t0 = time.perf_counter()
         run()
         whole.append(time.perf_counter() - t0)
+    after = resource.getrusage(resource.RUSAGE_SELF)
     by_stage = {stage: [] for stage in stages}
     for _ in range(runs):
         with installed(stages) as timers:
@@ -291,6 +303,8 @@ def measure(setup, stages, runs, workdir, chunked=False):
             by_stage[stage].append(value)
     entry = {"whole_s": summary(whole),
              "stages_s": {s: summary(v) for s, v in by_stage.items()},
+             **{key: (getattr(after, field) - getattr(before, field)) / runs
+                for key, field in COUNTERS.items()},
              "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
              / 1024}
     if chunked:  # after peak_rss_mb, which tracing would inflate
@@ -300,11 +314,12 @@ def measure(setup, stages, runs, workdir, chunked=False):
 
 def medians(entry):
     """The median of the whole run and of each stage, by name, the
-    process's peak RSS and, of a bootstrap, its first chunk's peak."""
+    counters of a run, the process's peak RSS and, of a bootstrap, its
+    first chunk's peak."""
     return {"whole_s": entry["whole_s"]["median"],
             **{stage: v["median"] for stage, v in entry["stages_s"].items()},
-            **{key: entry[key] for key in ("peak_rss_mb", "first_chunk_mb")
-               if key in entry}}
+            **{key: entry[key] for key in (*COUNTERS, "peak_rss_mb",
+                                           "first_chunk_mb") if key in entry}}
 
 
 def compare(args):
@@ -367,8 +382,11 @@ def main(argv=None):
                 f"{key}={parent[key]['median']:.2f}->"
                 f"{change[key]['median']:.2f}"
                 for key in ("peak_rss_mb", "first_chunk_mb") if key in parent)
+            counters = "  ".join(
+                f"{key}={parent[key]['median']:.4g}->"
+                f"{change[key]['median']:.4g}" for key in COUNTERS)
             print(f"{name} parent->change, median of {args.pairs} pair "
-                  f"medians, ms: {text}  {memory}")
+                  f"medians, ms: {text}  {memory}  per run: {counters}")
         report["machine"] = machine
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         return
@@ -390,6 +408,8 @@ def main(argv=None):
                                for s, v in entry["stages_s"].items())
         memory = "  ".join(f"{key}={entry[key]:.2f}" for key in
                            ("peak_rss_mb", "first_chunk_mb") if key in entry)
+        memory += "  per run: " + "  ".join(f"{key}={entry[key]:.4g}"
+                                            for key in COUNTERS)
         print(f"{workload} {args.label}: whole="
               f"{entry['whole_s']['median'] * 1e3:.2f} ms (median of "
               f"{args.runs})  ms: {stage_text}  {memory}")

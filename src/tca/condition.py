@@ -34,6 +34,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .linalg import (MEMORY_BUDGET, _block_solve, _check_blocks, as_matrix,
+                     scope, take,
                      solve_unit_lower, unit_lower_inverse)
 from .system import SystemsForm
 
@@ -490,7 +491,7 @@ def _plan(root, cap: int):
             np.array(column), np.array(cursor) == 1)
 
 
-def _effects(B_blocks, col, root):
+def _effects(B_blocks, col, root, workspace=None):
     """Total and channel effects of the shock column ``col`` on every
     system index, for ``B`` given by its lag blocks.
 
@@ -500,7 +501,9 @@ def _effects(B_blocks, col, root):
     accepting states run over the batch, the plan's steps once per
     system.  The blocks are not checked here:
     they must be as :func:`~tca.linalg.solve_unit_lower` takes them,
-    which :func:`transmission_effect` checks once per system.
+    which :func:`transmission_effect` checks once per system.  Both
+    results are taken held from ``workspace``, the total as part of the
+    solve.
     """
     try:  # hashing the root for the cache and building it both recurse
         lits, steps, column, accept = _plan(root, TERM_CAP)
@@ -517,31 +520,40 @@ def _effects(B_blocks, col, root):
             f"bytes of solve columns, over the {MEMORY_BUDGET}-byte budget"
         )
     # every path from the shock and from each literal
-    rhs = np.zeros(col.shape + (m + 1,))
-    rhs[..., 0] = col
-    rhs[..., lits, np.arange(1, m + 1)] = 1.0
-    Z = _block_solve(B_blocks, rhs)
-    del rhs  # the solve's m + 1 columns are its result's alone from here
+    with scope(workspace):
+        rhs = take(workspace, col.shape + (m + 1,))
+        rhs.fill(0.0)
+        rhs[..., 0] = col
+        rhs[..., lits, np.arange(1, m + 1)] = 1.0
+        Z = _block_solve(B_blocks, rhs, workspace)
     total, paths = Z[..., 0], Z[..., 1:]
-    at_lits = np.take(total, lits, axis=-1)
-    # between, the paths' rows at the literals, is unit lower-triangular,
-    # and a path that visits literals splits at its first one; so its
-    # inverse gives g[k][0] (the shock into literal k) and g[k][1 + a]
-    # (literal a into k), each path visiting no other literal
-    inv = unit_lower_inverse(np.take(paths, lits, axis=-2))
-    g = np.concatenate([inv @ at_lits[..., None], np.eye(m) - inv], axis=-1)
-
     R = int(np.prod(col.shape[:-1]))
-    flat_g = g.reshape(R, m, m + 1)
-    amp = np.zeros((R, len(column)))
-    amp[:, 0] = 1.0
-    if steps:
-        for r in range(R):
-            g_r = flat_g[r].tolist()  # one system's floats at a time
-            a = amp[r].tolist()
-            for s, target, k, c in steps:
-                a[target] += a[s] * g_r[k][c]
-            amp[r] = a
+    with scope(workspace):
+        # the solve's rows at the literals, taken from the contiguous Z,
+        # which np.take does not copy
+        at = np.take(Z, lits, axis=-2, mode="clip",
+                     out=take(workspace, col.shape[:-1] + (m, m + 1)))
+        at_lits = at[..., 0].copy()
+        # between, the paths' rows at the literals, is unit
+        # lower-triangular, and a path that visits literals splits at its
+        # first one; so its inverse gives g[k][0] (the shock into literal
+        # k) and g[k][1 + a] (literal a into k), each path visiting no
+        # other literal
+        inv = unit_lower_inverse(at[..., 1:])
+        g = take(workspace, col.shape[:-1] + (m, m + 1))
+        np.matmul(inv, at_lits[..., None], out=g[..., :1])
+        np.subtract(np.eye(m), inv, out=g[..., 1:])
+
+        flat_g = g.reshape(R, m, m + 1)
+        amp = np.zeros((R, len(column)))
+        amp[:, 0] = 1.0
+        if steps:
+            for r in range(R):
+                g_r = flat_g[r].tolist()  # one system's floats at a time
+                a = amp[r].tolist()
+                for s, target, k, c in steps:
+                    a[target] += a[s] * g_r[k][c]
+                amp[r] = a
     # each system's accepting states, summed in state order from 0 as
     # one bincount over the batch; a sum never holds -0.0, so leaving
     # out the other states' zeros changes no bit
@@ -552,7 +564,11 @@ def _effects(B_blocks, col, root):
     # last literal is k; the paths from k that visit no further literal
     # are the columns paths @ inv
     rest = w[..., 1:] - w[..., :1] * at_lits
-    channel = w[..., :1] * total + (paths @ (inv @ rest[..., None]))[..., 0]
+    channel = np.multiply(w[..., :1], total,
+                          out=take(workspace, total.shape, held=True))
+    with scope(workspace):
+        channel += np.matmul(paths, inv @ rest[..., None],
+                             out=take(workspace, total.shape + (1,)))[..., 0]
     channel[..., lits] = w[..., 1:]
     return total, channel
 

@@ -12,14 +12,17 @@ condition.  Draws run in chunks of at most ``CHUNK_BYTES`` of working
 arrays, counted by the phase of a draw that holds the most
 (:func:`_draw_bytes`), on one thread: each step of a chunk is one
 stacked numpy or LAPACK call over its draws, and on a stack of one these
-kernels give the point estimate's bits.  A chunk is resampled,
+kernels give the point estimate's bits.  A chunk's large arrays are
+carved from one workspace per bootstrap (:class:`_Resampling`), which
+the first chunk allocates and later chunks reuse, so that a chunk
+allocates only small arrays of its own.  A chunk is resampled,
 regenerated and refitted in blocks, so its memory does not grow with the
-sample length: each block's shocks are gathered into one reused buffer
-and regenerated into another, then shifted in place by the full-sample
-mean and added to its draws' lagged cross-products, from which each
-refit forms its Gram matrix without a regression design array and
-solves the normal equations by Cholesky.  The bands are the quantiles of
-the draw arrays themselves, scaled and sorted in place.
+sample length: each block's shocks are gathered and regenerated in the
+workspace, then shifted in place by the full-sample mean and added to
+its draws' lagged cross-products, from which each refit forms its Gram
+matrix without a regression design array and solves the normal
+equations by Cholesky.  The bands are the quantiles of the draw arrays
+themselves, scaled and sorted in place.
 Draw r resamples with the indices of ``default_rng((seed,
 r)).integers(0, n, size=n)``: one stacked SeedSequence pass derives the
 chunk's states (:func:`_substreams`), one call per draw takes its raw
@@ -33,6 +36,7 @@ response) is flagged per draw and discarded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +50,7 @@ from .errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from .linalg import as_matrix
+from .linalg import Workspace, as_matrix, scope, take
 from .model import (BLOCK_ROWS, ReducedVar, _block_maps, _fit,
                     _instrument_impact, _lag_gram, _split_coefficients,
                     _step, _var_recursion, estimate_var_ols,
@@ -180,7 +184,7 @@ def point_effects(var: ReducedVar, ident: InstrumentSpec,
 
 
 def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
-           scale_override):
+           scale_override, workspace=None):
     """Identify the shock and price the condition ``root`` for reduced-form
     VARs, unchecked: the stacked form of :func:`point_effects` that the
     bootstrap draws run.
@@ -190,17 +194,20 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
     the ``(..., (h+1)K)`` effects, the normalisation factors and the
     discard codes (0 for a usable VAR, else ``1 +`` the index of its
     ``_DISCARDS`` class).  ``scale_override``, when given, replaces every
-    normalisation factor (a frozen normalisation).
+    normalisation factor (a frozen normalisation).  The triangular form
+    and the effects are taken held from ``workspace``.
     """
     raw, scale, nonzero = _instrument_impact(sigma_u, ident.normalize_on,
                                              ident.impact)
     if scale_override is not None:
         scale = np.full_like(scale, scale_override)
-    B_blocks, DL, _, ok = _reduced_form(sigma_u, coefs, dest, h)
+    B_blocks, DL, _, ok = _reduced_form(sigma_u, coefs, dest, h, workspace)
     K = raw.shape[-1]
-    col = np.zeros(raw.shape[:-1] + ((h + 1) * K,))
-    col[..., :K] = (DL @ (raw[..., dest] * scale[..., None])[..., None])[..., 0]
-    total, channel = _effects(B_blocks, col, root)
+    with scope(workspace):
+        col = take(workspace, raw.shape[:-1] + ((h + 1) * K,))
+        col.fill(0.0)
+        col[..., :K] = (DL @ (raw[..., dest] * scale[..., None])[..., None])[..., 0]
+        total, channel = _effects(B_blocks, col, root, workspace)
     # one verdict on positive definiteness, ok, from the triangular form
     code = np.select([~ok, ~nonzero], [_NOT_PD, _ZERO_IMPACT], 0)
     return total, channel, scale, code
@@ -210,9 +217,13 @@ def _draw_bytes(n: int, K: int, p: int, h: int = 0, m: int = 0) -> int:
     """Bytes that one bootstrap draw holds at once in a chunk, the most
     of its three phases, for n regression rows, K variables and p lags,
     priced on horizons 0..h by a plan of m literals: about the
-    ``tracemalloc`` peak per draw of a chunk, a little above it or
-    within 2% below on shapes of K = 1..20, p = 0..6, n up to 20,000 and
-    up to 42 literals.
+    ``tracemalloc`` peak per draw of a chunk before its arrays came from
+    one workspace, a little above it or within 2% below on shapes of K =
+    1..20, p = 0..6, n up to 20,000 and up to 42 literals.  It sets how
+    many draws a chunk takes; :func:`_workspace_floats` sizes the
+    workspace that their large arrays come from, and the small ones,
+    numpy's iteration buffers and the generator states are allocated
+    beside it.
 
     - Regeneration: the two block buffers of :func:`_regenerate`, of r
       = ``min(n, BLOCK_ROWS)`` periods padded to whole recursion steps,
@@ -228,7 +239,7 @@ def _draw_bytes(n: int, K: int, p: int, h: int = 0, m: int = 0) -> int:
       identity and the inverse of the factor, three arrays of the
       regressor block's size, and the sweep's column temporaries
       (:func:`~tca.model._fit`).  The Gram matrix's assembly, after the
-      last block has freed the block buffers, holds less.
+      last block, holds less.
     - Pricing: about two arrays of the Gram matrix's size (the
       coefficients, the triangular form) and the evaluator's ``(h+1) K
       (m+1)`` solve values, beside the solve's right-hand side or the
@@ -270,13 +281,85 @@ def _shocks(var: ReducedVar) -> np.ndarray:
     return shocks
 
 
-def _block_buffers(draws: int, n: int, K: int, p: int) -> list:
-    """The two flat buffers of :func:`_regenerate` for ``draws`` samples
-    of n regression rows: a block's resampled shocks, the recursion's
-    input, and its ``p + r`` regenerated rows.  A list, which
-    :func:`~tca.model._lag_gram` empties after the last block."""
-    r = _padded(min(n, BLOCK_ROWS), K)
-    return [np.empty(draws * r * K), np.empty(draws * (p + r) * K)]
+def _workspace_floats(C: int, n: int, K: int, p: int, h: int, m: int,
+                      intercept: bool) -> int:
+    """Floats of the workspace of a chunk of C draws (:class:`_Resampling`),
+    for n regression rows, K variables and p lags, priced on horizons
+    0..h by a plan of m literals: the most that the arrays of one phase
+    hold at once, each in whole 64-byte lines.
+
+    - Regeneration (:func:`_regenerate`, :func:`~tca.model._lag_gram`):
+      held, the index window, the carried p rows and a block of
+      recursion output; low, the lagged products, their sums and the
+      last p rows, beside a block's gathered shocks with its indices or
+      the recursion's two step rows, or the lag-0 copy (a copy of a
+      padded block), or Lemire's temporaries (:func:`_indices`).
+    - Gram assembly: held, ``G``; low, the lagged products beside the
+      lag-gap stack, or the tail edge rows, their product and a copy of
+      the lag block.
+    - Refit (:func:`~tca.model._fit`): ``G`` beside its equilibration, or
+      the sweep's bordered factor, its inverse and ``R``.
+    - Pricing (:func:`_price`): the lag matrices and the triangular form,
+      beside the sweep of the covariances, or the shock column and the
+      solve with its right-hand side and lag row, with the path-sum
+      inverse's input and ``g``, or with the channel and a product.
+    """
+    def f(*dims, itemsize=8):
+        return -(-math.prod(dims) * itemsize // 64) * 8
+
+    r = min(n, BLOCK_ROWS)  # the rows of the widest block
+    w, last = _padded(r, K), n - (-(-n // BLOCK_ROWS) - 1) * BLOCK_ROWS
+    k = int(intercept) + p * K
+    size = min(n, INDEX_ROWS)
+    group = min(C, max(1, _LEMIRE_WORDS // size))
+    lemire = f(group, -(-size // 2)) + f(group, size, itemsize=4) + f(group, size)
+    index = f(C, _padded(size, K), itemsize=np.min_scalar_type(n).itemsize)
+    block = f(C, w, K) + max(f(C, w), 2 * f(C, _step(K), K) if p else 0)
+    copy = f(C, r, K)
+    if _padded(last, K) > last:  # a padded last block is shifted in a copy
+        copy = max(copy, f(C, p + last, K))
+    kept = f(C, p + 1, K, K) + f(C, K) + f(C, p, K)
+    regenerate = (index + f(C, p, K) + f(C, p + w, K) + kept
+                  + max(lemire, block, copy))
+    gram = f(C, k + K, k + K)
+    assemble = gram + kept + max(f(C, 2 * p + 1, K, K),
+                                 f(C, p, k) + 2 * f(C, k, k) if p else 0)
+    refit = gram + max(gram, f(C, 2 * k, k) + f(C, k, k) + f(C, k, K))
+    N, L = (h + 1) * K, min(p, h)
+    solve = f(C, N, m + 1)
+    lag_row = 2 * f(C, K, L, K) if L else 0
+    price = f(C, p, K, K) + f(C, L + 1, K, K) + max(
+        f(C, 2 * K, K) + f(C, K, K),
+        f(C, N) + solve + max(solve + lag_row,
+                              2 * f(C, m, m + 1),
+                              2 * f(C, N)))
+    return max(regenerate, assemble, refit, price)
+
+
+class _Resampling:
+    """What every chunk of draws of one bootstrap shares: the estimated
+    VAR, the maps of its recursion (:func:`~tca.model._block_maps`), the
+    rows that its draws resample (:func:`_shocks`) and the chunks'
+    :class:`~tca.linalg.Workspace`, which the first chunk, the largest,
+    sizes and allocates (:meth:`reserve`).  It belongs to one call of
+    :func:`bootstrap_effects`, so its workspace is freed on return."""
+
+    def __init__(self, var: ReducedVar):
+        self.var = var
+        self.maps = _block_maps(var.coefs, var.K, _step(var.K)) if var.p else None
+        self.shocks = _shocks(var)
+        self.workspace = None
+
+    def reserve(self, draws: int, h: int, m: int) -> Workspace:
+        """The workspace, emptied, with room for a chunk of ``draws``
+        draws priced on horizons 0..h by a plan of m literals."""
+        var = self.var
+        floats = _workspace_floats(draws, self.shocks.shape[0] - 1, var.K,
+                                   var.p, h, m, var.intercept is not None)
+        if self.workspace is None or len(self.workspace.buf) < floats:
+            self.workspace = Workspace(floats)
+        self.workspace.reset()
+        return self.workspace
 
 
 _U32 = 0xFFFFFFFF
@@ -323,8 +406,8 @@ def _substreams(seed: int, draws) -> list:
     return states
 
 
-def _indices(states: list, n: int, size: int, out=None,
-             more: bool = False) -> np.ndarray:
+def _indices(states: list, n: int, size: int, out=None, more: bool = False,
+             workspace=None) -> np.ndarray:
     """The next ``size`` resampling indices below n of each PCG64 state
     of ``states``, as ``Generator.integers(0, n, size)`` draws them, in
     the rows of ``out`` (``(len(states), >= size)``, of an integer type
@@ -337,36 +420,42 @@ def _indices(states: list, n: int, size: int, out=None,
     (Lemire's rule); a word of PCG64's 64-bit output gives its low half
     first.  So each draw takes its ``ceil(size / 2)`` raw words in one
     call, and the rule maps the words of ``_LEMIRE_WORDS // size`` draws
-    at a time.  A draw whose words hold a rejected one, or whose state
-    holds a spare half word, draws again with ``integers`` from its
-    state, which is exact."""
+    at a time, in arrays from the low end of ``workspace``.  A draw
+    whose words hold a rejected one, or whose state holds a spare half
+    word, draws again with ``integers`` from its state, which is
+    exact."""
     C = len(states)
     if out is None:
         out = np.empty((C, size), dtype=np.min_scalar_type(n))
     bits = np.random.PCG64(0)  # set to each draw's state in turn
     half = -(-size // 2)
-    group = max(1, _LEMIRE_WORDS // size)
-    words = np.empty((min(group, C), half), dtype="<u8")
-    u = words.view("<u4")[:, :size]
+    group = min(C, max(1, _LEMIRE_WORDS // size))
     threshold = 2 ** 32 % n
     # rejection is rare: a draw of size words has one with probability
     # about size (2**32 mod n) / 2**32
     redo = np.array([state["has_uint32"] for state in states], dtype=bool)
     after = list(states)
-    for lo in range(0, C, group):
-        hi = min(C, lo + group)
-        for c in range(lo, hi):
-            bits.state = states[c]
-            words[c - lo] = bits.random_raw(half)
-            if more:
-                after[c] = bits.state
-        x = u[: hi - lo]
-        if threshold:  # uint32 products wrap to their low words
-            redo[lo:hi] |= np.any(x * np.uint32(n) < threshold, axis=1)
-        m = x.astype(np.uint64)
-        m *= n
-        m >>= 32
-        out[lo:hi, :size] = m
+    with scope(workspace):
+        words = take(workspace, (group, half), "<u8")
+        u = words.view("<u4")[:, :size]
+        low = take(workspace, (group, size), np.uint32)  # u n mod 2**32
+        product = take(workspace, (group, size), np.uint64)
+        for lo in range(0, C, group):
+            hi = min(C, lo + group)
+            for c in range(lo, hi):
+                bits.state = states[c]
+                words[c - lo] = bits.random_raw(half)
+                if more:
+                    after[c] = bits.state
+            x = u[: hi - lo]
+            if threshold:  # uint32 products wrap to their low words
+                np.multiply(x, np.uint32(n), out=low[: hi - lo])
+                redo[lo:hi] |= np.any(low[: hi - lo] < threshold, axis=1)
+            m = product[: hi - lo]
+            m[...] = x
+            m *= n
+            m >>= 32
+            out[lo:hi, :size] = m
     if redo.any():
         rng = np.random.Generator(bits)
         for c in np.flatnonzero(redo):
@@ -378,91 +467,94 @@ def _indices(states: list, n: int, size: int, out=None,
     return out
 
 
-def _regenerate(var: ReducedVar, seed: int, draws, maps=None, shocks=None,
-                buffers=None):
-    """The regenerated samples of the given draws, ``BLOCK_ROWS``
-    periods at a time: blocks ``(len(draws), p + rows, K)`` whose first p
-    rows end the block before (the data's first p rows at the start).
+def _regenerate(sample: _Resampling, seed: int, draws):
+    """The regenerated samples of the given draws of ``sample``'s
+    bootstrap, ``BLOCK_ROWS`` periods at a time: blocks ``(len(draws), p
+    + rows, K)`` whose first p rows end the block before (the data's
+    first p rows at the start).
 
-    Every block is made in the same two buffers, ``buffers``
-    (:func:`_block_buffers`; new ones by default): the block's shocks
-    are gathered into the first, the recursion's input, and the
-    recursion writes its rows into the second.  So a yielded block is
-    valid until the next one is requested, and the consumer may shift it
-    in place; the first buffer is free again while it holds the block.
-    A block that is not a whole number of the recursion's steps keeps
-    its padding rows: it is a view of each sample's first ``p + rows``
-    rows, which are contiguous, so no sample is moved.
+    The arrays come from ``sample.workspace`` (``np.empty`` without one):
+    a block's shocks are gathered at its low end, with indices widened
+    to numpy's index type so that ``np.take`` copies none, and given
+    back before the block is yielded; the recursion
+    (:func:`~tca.model._var_recursion`) takes the block held, and gives
+    it back when the next one is requested.  So a yielded block is valid
+    until then, and the consumer may shift it in place.  A block that is
+    not a whole number of the recursion's steps keeps its padding rows:
+    it is a view of each sample's first ``p + rows`` rows, which are
+    contiguous, so no sample is moved.
     Draw r's indices are ``default_rng((seed, r)).integers(0, n,
     size=n)``, drawn ``INDEX_ROWS`` at a time from the draw's state
     (:func:`_substreams`, :func:`_indices`), which is read back only
-    while another window follows and dropped after the last.  Each
-    block's indices are widened to numpy's index type in the second
-    buffer, free until the recursion, so that ``np.take`` copies none.
-    ``maps`` are the recursion's (:func:`_var_recursion`) and ``shocks``
-    are :func:`_shocks`; both are built once per bootstrap by the
-    caller, or here by default."""
-    if shocks is None:
-        shocks = _shocks(var)
+    while another window follows and dropped after the last."""
+    var, shocks, workspace = sample.var, sample.shocks, sample.workspace
     p, K = var.p, var.K
     n = shocks.shape[0] - 1
     C = len(draws)
-    g, out = _block_buffers(C, n, K, p) if buffers is None else buffers
     states = _substreams(seed, draws)
-    idx = np.empty((C, _padded(min(n, INDEX_ROWS), K)),
-                   dtype=np.min_scalar_type(n))
-    rows = var.data[:p]
-    for start in range(0, n, BLOCK_ROWS):
-        at = start % INDEX_ROWS
-        if at == 0:
-            size = min(INDEX_ROWS, n - start)
-            more = start + size < n
-            _indices(states, n, size, idx, more)
-            if not more:
-                del states
-            # an index past the sample picks the zero row that pads a block
-            idx[:, size:] = n
-        r = min(BLOCK_ROWS, n - start)
-        width = _padded(r, K)
-        step = g[: C * width * K].reshape(C, width, K)
-        # numpy's index type in out, free until the recursion
-        take = out.view(np.intp)[: C * width].reshape(C, width)
-        take[:] = idx[:, at : at + width]
-        # "clip" lets numpy gather into out directly; no index is outside
-        np.take(shocks, take, axis=0, out=step, mode="clip")
-        _var_recursion(var.coefs, None, step, rows, maps, out)
-        block = out[: C * (p + width) * K].reshape(C, p + width, K)[:, : p + r]
-        rows = block[:, r:].copy()  # before the consumer shifts the block
-        yield block
+    with scope(workspace, held=True):
+        idx = take(workspace, (C, _padded(min(n, INDEX_ROWS), K)),
+                   np.min_scalar_type(n), held=True)
+        carried = take(workspace, (C, p, K), held=True)
+        initial = var.data[:p]
+        for start in range(0, n, BLOCK_ROWS):
+            at = start % INDEX_ROWS
+            if at == 0:
+                size = min(INDEX_ROWS, n - start)
+                more = start + size < n
+                _indices(states, n, size, idx, more, workspace)
+                if not more:
+                    del states
+                # an index past the sample picks the zero row that pads a block
+                idx[:, size:] = n
+            r = min(BLOCK_ROWS, n - start)
+            width = _padded(r, K)
+            with scope(workspace, held=True):  # the block, until the next
+                with scope(workspace):
+                    step = take(workspace, (C, width, K))
+                    with scope(workspace):
+                        picks = take(workspace, (C, width), np.intp)
+                        picks[...] = idx[:, at : at + width]
+                        # "clip" lets numpy gather into step directly; no
+                        # index is outside
+                        np.take(shocks, picks, axis=0, out=step, mode="clip")
+                    block = _var_recursion(var.coefs, None, step, initial,
+                                           sample.maps, workspace)[:, : p + r]
+                carried[...] = block[:, r:]  # before the consumer shifts it
+                initial = carried
+                yield block
 
 
-def _draw_effects(var: ReducedVar, ident: InstrumentSpec, dest, root,
-                  h: int, scale_override, seed: int, draws, maps=None,
-                  shocks=None):
-    """Total and channel effects ``(C, (h+1)K)`` of the given bootstrap
-    draws, refitted and priced as one stack, and their discard codes.
-    ``maps`` and ``shocks`` are :func:`_regenerate`'s."""
+def _draw_effects(sample: _Resampling, ident: InstrumentSpec, dest, root,
+                  h: int, scale_override, seed: int, draws):
+    """Total and channel effects ``(C, (h+1)K)`` of the given draws of
+    ``sample``'s bootstrap, refitted and priced as one stack, and their
+    discard codes.  The chunk's large arrays come from the workspace
+    (:meth:`_Resampling.reserve`), so the effects are views of it, valid
+    until the next chunk: the Gram matrix is held through the refit, and
+    the lag matrices that are priced sit at its low end."""
+    var = sample.var
     p, K = var.p, var.K
     intercept = var.intercept is not None
     # the rows are shifted by the data's mean, as in estimate_var_ols
     mu = var.data.mean(axis=0) if intercept else np.zeros(K)
-    buffers = _block_buffers(len(draws), var.data.shape[0] - p, K, p)
-    # _lag_gram empties the list, so the buffers are freed before the
-    # Gram assembly
-    G, n = _lag_gram(_regenerate(var, seed, draws, maps, shocks, buffers),
-                     p, intercept, mu, spare=buffers)
-    k = G.shape[-1] - K
-    coef, ssr, failed = _fit(G, n, k)
-    del G  # equilibrated in place, and not needed to price
+    workspace = sample.reserve(len(draws), h, _plan(root, TERM_CAP)[0].size)
+    with scope(workspace, held=True):
+        G, n = _lag_gram(_regenerate(sample, seed, draws), p, intercept, mu,
+                         workspace)
+        k = G.shape[-1] - K
+        coef, ssr, failed = _fit(G, n, k, workspace)
     full = failed == 0
     # a rank-deficient draw goes on as a white-noise VAR, so that every
     # later stacked call sees finite, well-posed inputs
     dof = n - k
     sigma_u = np.where(full[:, None, None], ssr / dof, np.eye(K))
-    lags = np.where(full[:, None, None, None],
-                    _split_coefficients(coef, p, intercept)[1], 0.0)
+    lags = take(workspace, (len(draws), p, K, K))
+    lags[...] = _split_coefficients(coef, p, intercept)[1]
+    lags[~full] = 0.0
+    del coef, ssr
     total, channel, _, code = _price(lags, sigma_u, ident, dest, root, h,
-                                     scale_override)
+                                     scale_override, workspace)
     return total, channel, np.where(full, code, _RANK)
 
 
@@ -497,7 +589,11 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     re-estimates the VAR on regenerated data and repeats the exact point
     procedure.  Draws whose VAR or identification degenerates are
     discarded and counted by reason; more than 5% discarded raises
-    :class:`BootstrapUnstableError`.
+    :class:`BootstrapUnstableError`.  The draws run in chunks of at most
+    ``CHUNK_BYTES`` (:func:`_draw_bytes`), whose large arrays come from
+    one workspace that this call owns: the first chunk allocates it,
+    the later ones reuse it, and it is freed before the bands are taken,
+    so concurrent calls share nothing.
     """
     data = as_matrix(data, "data")
     T, K = data.shape
@@ -523,17 +619,16 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     size = max(1, CHUNK_BYTES // per_draw)
     # every draw steps the point estimate's coefficients and resamples
     # its residuals
-    maps = _block_maps(var.coefs, K, _step(K)) if var.p else None
-    shocks = _shocks(var)
+    sample = _Resampling(var)
     total = np.empty((R, n))
     channel = np.empty((R, n))
     code = np.empty(R, dtype=int)
     for start in range(0, R, size):
         stop = min(R, start + size)
         total[start:stop], channel[start:stop], code[start:stop] = (
-            _draw_effects(var, ident, ordering.dest, cond.root, h, override,
-                          spec.seed, range(start, stop), maps=maps,
-                          shocks=shocks))
+            _draw_effects(sample, ident, ordering.dest, cond.root, h,
+                          override, spec.seed, range(start, stop)))
+    del sample  # and its workspace, before the bands
 
     counts = np.bincount(code, minlength=len(_DISCARDS) + 1)[1:]
     discarded_by = {cls.__name__: int(c) for cls, c in zip(_DISCARDS, counts)

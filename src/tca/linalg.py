@@ -3,9 +3,16 @@
 Matrices are plain ``numpy`` arrays of floats.  Construction helpers
 validate shape and finiteness; the kernels themselves are pure
 functions on immutable inputs and are safe to call concurrently.
+
+A stacked kernel may take a :class:`Workspace`, a flat float buffer
+that its large arrays are carved from (:func:`take`), so that a caller
+that runs it many times allocates them once.  A workspace belongs to
+one call of that caller, so concurrent calls share none.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,6 +29,71 @@ QL_SINGULAR_RTOL = 1e-12
 #: for m literals) may take; beyond it the build raises ``ValueError``
 #: and the evaluation :class:`~tca.errors.TermExplosionError`.
 MEMORY_BUDGET = 2 ** 30
+
+
+class Workspace:
+    """A flat float buffer that arrays are carved from, at both ends.
+
+    :func:`take` carves an array from the low end, or from the high end
+    when it is ``held``; :func:`scope` gives back what is taken at one
+    end inside it.  So a kernel takes its temporaries from the low end in
+    a scope, and what must outlive them, such as what it returns, held;
+    what a caller still holds is never carved again.  ``peak`` is the
+    most floats taken at once, also by takes that did not fit.
+    """
+
+    __slots__ = ("buf", "low", "high", "peak")
+
+    def __init__(self, floats: int):
+        self.buf = np.empty(floats)
+        self.low, self.high, self.peak = 0, floats, 0
+
+    def reset(self) -> None:
+        """Give back everything."""
+        self.low, self.high = 0, len(self.buf)
+
+
+def take(workspace, shape, dtype=float, held: bool = False) -> np.ndarray:
+    """An uninitialised array of ``shape``, carved from ``workspace`` in
+    whole 64-byte lines, from its high end when ``held``; ``np.empty``
+    when there is no workspace or it has no room left."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    count = math.prod(shape)
+    itemsize = 8 if dtype is float else np.dtype(dtype).itemsize
+    size = -(-count * itemsize // 64) * 8  # floats
+    low, high = workspace.low, workspace.high
+    used = len(workspace.buf) - high + low + size
+    if used > workspace.peak:
+        workspace.peak = used
+    if high - low < size:
+        return np.empty(shape, dtype)
+    if held:
+        start = workspace.high = high - size
+    else:
+        start, workspace.low = low, low + size
+    if dtype is float:
+        return workspace.buf[start : start + count].reshape(shape)
+    return (workspace.buf[start : start + size].view(dtype)[:count]
+            .reshape(shape))
+
+
+class scope:
+    """A context that gives back on exit what is taken from ``workspace``
+    inside it, at its low end, or at its high end when ``held``."""
+
+    __slots__ = ("workspace", "end", "mark")
+
+    def __init__(self, workspace, held: bool = False):
+        self.workspace, self.end = workspace, "high" if held else "low"
+
+    def __enter__(self):
+        if self.workspace is not None:
+            self.mark = getattr(self.workspace, self.end)
+
+    def __exit__(self, *exc):
+        if self.workspace is not None:
+            setattr(self.workspace, self.end, self.mark)
 
 
 def as_matrix(a, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -94,7 +166,7 @@ def cholesky_lower(S):
     return P, ok
 
 
-def cholesky_sweep(S):
+def cholesky_sweep(S, workspace=None):
     """Lower Cholesky factors of a stack of symmetric matrices, and their
     inverses.
 
@@ -108,12 +180,14 @@ def cholesky_sweep(S):
     a matrix gets the same bits alone or in any stack, and the upper
     triangles of ``P`` and ``P^-1`` are exactly 0.  Returns ``(P, P^-1,
     ok)``: ``ok`` marks the positive-definite matrices, and both factors
-    of every other one are the identity.
+    of every other one are the identity.  ``P`` is a view of the
+    bordered array; both are taken held from ``workspace``.
     """
     S = np.asarray(S, dtype=float)
     K = S.shape[-1]
-    F = np.zeros(S.shape[:-2] + (2 * K, K))  # factored in place
+    F = take(workspace, S.shape[:-2] + (2 * K, K), held=True)  # factored in place
     F[..., :K, :] = S  # the sweep reads only the lower triangle
+    F[..., K:, :] = 0.0
     F[..., range(K, 2 * K), range(K)] = 1.0
     ok = np.ones(S.shape[:-2], dtype=bool)
     for j in range(K):
@@ -124,7 +198,8 @@ def cholesky_sweep(S):
         root = np.sqrt(np.where(ok, col[..., 0], 1.0))
         rows[..., 1:, j] = col[..., 1:] / root[..., None]
         rows[..., 0, j] = root
-    P, inv = F[..., :K, :], np.swapaxes(F[..., K:, :], -1, -2).copy()
+    P, inv = F[..., :K, :], take(workspace, S.shape, held=True)
+    inv[...] = np.swapaxes(F[..., K:, :], -1, -2)
     above = np.triu_indices(K, 1)
     P[..., above[0], above[1]] = 0.0
     P[~ok] = inv[~ok] = np.eye(K)
@@ -192,20 +267,27 @@ def _check_blocks(blocks, b) -> None:
         raise DimensionMismatchError("B_0 must be strictly lower-triangular")
 
 
-def _block_solve(blocks, b) -> np.ndarray:
+def _block_solve(blocks, b, workspace=None) -> np.ndarray:
     """:func:`solve_unit_lower` for float arrays of the shapes it checks,
-    unchecked: the kernel of a caller that built ``blocks`` itself."""
+    unchecked: the kernel of a caller that built ``blocks`` itself.  The
+    solution is taken held from ``workspace``."""
     K, nb = blocks.shape[-1], blocks.ndim - 3
     batch = blocks.shape[:-3]
     H = b.shape[nb] // K
     inv = unit_lower_inverse(np.eye(K) - blocks[..., 0, :, :])
-    X = inv[..., None, :, :] @ b.reshape(*batch, H, K, -1)
+    steps = b.reshape(*batch, H, K, -1)
+    X = np.matmul(inv[..., None, :, :], steps,
+                  out=take(workspace, steps.shape, held=True))
     L = min(blocks.shape[-3], H) - 1
     if L > 0:
-        lag_row = np.swapaxes(blocks[..., L:0:-1, :, :], -3, -2)
-        lags = inv @ lag_row.reshape(*batch, K, L * K)  # [B_L .. B_1]
-        flat = X.reshape(*batch, H * K, -1)
-        for t in range(1, H):
-            lo = max(0, t - L) * K
-            X[..., t, :, :] += lags[..., lo - t * K :] @ flat[..., lo : t * K, :]
+        with scope(workspace):
+            lag_row = take(workspace, (*batch, K, L, K))
+            lag_row[...] = np.swapaxes(blocks[..., L:0:-1, :, :], -3, -2)
+            lags = np.matmul(inv, lag_row.reshape(*batch, K, L * K),
+                             out=take(workspace, (*batch, K, L * K)))
+            flat = X.reshape(*batch, H * K, -1)  # lags: [B_L .. B_1]
+            for t in range(1, H):
+                lo = max(0, t - L) * K
+                X[..., t, :, :] += (lags[..., lo - t * K :]
+                                    @ flat[..., lo : t * K, :])
     return X.reshape(b.shape)

@@ -32,7 +32,7 @@ from .errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from .linalg import as_matrix, cholesky_lower, cholesky_sweep
+from .linalg import as_matrix, cholesky_lower, cholesky_sweep, scope, take
 
 __all__ = [
     "VarmaModel",
@@ -230,21 +230,23 @@ class LpEstimates:
     flagged: tuple = ()
 
 
-def _edge_rows(w: np.ndarray, intercept: bool) -> np.ndarray:
+def _edge_rows(w: np.ndarray, intercept: bool, workspace=None) -> np.ndarray:
     """The p regressor rows ``(..., p, k)`` that the p rows ``w`` ``(...,
     p, K)`` make past an end of a sample, zero-padded: row m holds the
     intercept 1 and, as lag i, row ``p + m - i`` of ``w`` for i > m and
-    zeros for i <= m."""
+    zeros for i <= m.  They are taken from ``workspace``."""
     *batch, p, K = w.shape
-    at = p + np.arange(p)[:, None] - np.arange(1, p + 1)
-    padded = np.concatenate([w, np.zeros((*batch, 1, K))], axis=-2)
-    rows = padded[..., np.where(at < p, at, p), :].reshape(*batch, p, p * K)
-    if intercept:
-        rows = np.concatenate([np.ones((*batch, p, 1)), rows], axis=-1)
+    c = int(intercept)
+    rows = take(workspace, (*batch, p, c + p * K))
+    rows[..., :c] = 1.0
+    lags = rows[..., c:].reshape(*batch, p, p, K)
+    for m in range(p):
+        lags[..., m, :m, :] = 0.0
+        lags[..., m, m:, :] = w[..., m:, :][..., ::-1, :]
     return rows
 
 
-def _lag_gram(blocks, p: int, intercept: bool, mu, spare=None) -> tuple:
+def _lag_gram(blocks, p: int, intercept: bool, mu, workspace=None) -> tuple:
     """``(G, n)``: the Gram matrix ``[X | Y]'[X | Y]`` of a VAR(p)
     regression on samples shifted by ``mu``, and its row count n, from
     the samples' rows as they arrive in ``blocks``, without ``[X | Y]``.
@@ -265,76 +267,87 @@ def _lag_gram(blocks, p: int, intercept: bool, mu, spare=None) -> tuple:
     block, so a sample gets the same bits in any stack.
 
     Each block is shifted by ``mu`` in place, so it must be writable and
-    no longer needed by its producer, except its last block, which the
-    Gram matrix reads until it is made.  A block may be a view whose
+    no longer needed by its producer.  A block may be a view whose
     samples lie apart in their buffer, as long as each sample's rows are
-    contiguous.  The lag-0 product takes a copy of a block's targets:
-    into ``spare``, a flat buffer of at least ``C r K`` floats free while
-    the block is read, when given, or the first entry of ``spare`` when
-    it is a list (:func:`~tca.inference._block_buffers`).  Such a list is
-    emptied once the last p rows are copied, so that no block buffer is
-    held here, nor by a caller that holds them only through it, while
-    the Gram matrix is assembled.
+    contiguous: it is shifted in a contiguous copy, since numpy would
+    shift it through its iteration buffers.  The lag-0 product takes a
+    second copy of a block's targets, or, for such a view, its own
+    targets shifted; the product of two views of one buffer is much
+    slower.  ``G`` is taken held from ``workspace``, after the last
+    block; the copies, the lagged products and the last p rows, which
+    are copied from every block, come from its low end.
 
     A diagonal entry is then a difference of sums of squares: one that
     is not positive, or within the rounding of those sums, ``n eps``,
     is set to 0, which marks a zero column.
     """
     K = len(mu)
-    held = spare if isinstance(spare, list) else [spare]
     n, lagged = 0, None
-    for rows in blocks:
-        C, L = rows.shape[:2]
-        # one flat subtraction: broadcasting mu over an axis of length K
-        # costs several times more.  The reshape is a view, also of a
-        # block whose samples lie apart
-        z = rows.reshape(C, L * K)
-        z -= np.tile(mu, L)
-        z = z.reshape(C, L, K)
-        if lagged is None:
-            lagged = np.zeros((C, p + 1, K, K))
-            sums = np.zeros((C, K))
-            head = z[0, :p].copy()  # the first block's buffer is reused
-        y = z[:, p:]
-        yt = np.swapaxes(y, 1, 2)
-        # a copy: the product of two views of one buffer is much slower
-        y0 = np.empty(y.size) if held[0] is None else held[0][: y.size]
-        y0 = y0.reshape(y.shape)
-        y0[:] = y
-        lagged[:, 0] += yt @ y0
-        for d in range(1, p + 1):
-            lagged[:, d] += yt @ z[:, p - d : L - d]
-        sums += np.ones(L - p) @ y
-        n += L - p
-    last = z[:, L - p :].copy()
-    held.clear()
-    del rows, z, y, yt, y0, spare
-    c, k = int(intercept), int(intercept) + K * p
-    # blocks of lag gap j - i = -p..p, the target (lag 0) last
-    gaps = np.concatenate([np.swapaxes(lagged[:, :0:-1], -1, -2), lagged],
-                          axis=1)
-    lag = np.r_[1 : p + 1, 0]
-    G = np.empty((C, k + K, k + K))
-    grid = G[:, c:, c:].reshape(C, p + 1, K, p + 1, K)
-    for i in range(p + 1):  # a block row at a time, to hold no 5-D copy
-        grid[:, i] = gaps[:, p + lag - lag[i]].transpose(0, 2, 1, 3)
-    del gaps, lagged  # freed before the edge products
-    if intercept:
-        G[:, 0, 0] = n
-        G[:, 0, 1:] = G[:, 1:, 0] = np.tile(sums, p + 1)
-    if p:
-        head, tail = _edge_rows(head, intercept), _edge_rows(last, intercept)
-        G[:, :k, :k] += np.swapaxes(head, -1, -2) @ head
-        tail = np.swapaxes(tail, -1, -2) @ tail
-        G[:, :k, :k] -= tail
-        diag = G.reshape(C, -1)[:, :: k + K + 1][:, :k]
-        # n eps bounds the rounding of the sums that the tail cancels
-        spill = np.diagonal(tail, axis1=-2, axis2=-1)
-        diag[diag <= n * np.finfo(float).eps * (diag + 2.0 * spill)] = 0.0
+    with scope(workspace):
+        for rows in blocks:
+            C, L = rows.shape[:2]
+            if lagged is None:
+                lagged = take(workspace, (C, p + 1, K, K))
+                sums = take(workspace, (C, K))
+                last = take(workspace, (C, p, K))
+                lagged.fill(0.0)
+                sums.fill(0.0)
+            with scope(workspace):
+                if rows.flags.c_contiguous:
+                    z, y0 = rows, take(workspace, (C, L - p, K))
+                else:  # the block's own targets are free for the lag-0 copy
+                    z, y0 = take(workspace, rows.shape), rows[:, p:]
+                    z[...] = rows
+                # one flat subtraction: broadcasting mu over an axis of
+                # length K costs several times more
+                z.reshape(C, L * K)[...] -= np.tile(mu, L)
+                if n == 0:
+                    head = z[0, :p].copy()  # the first block's buffer is reused
+                y = z[:, p:]
+                yt = np.swapaxes(y, 1, 2)
+                y0[...] = y
+                lagged[:, 0] += yt @ y0
+                for d in range(1, p + 1):
+                    lagged[:, d] += yt @ z[:, p - d : L - d]
+                sums += np.ones(L - p) @ y
+                last[...] = z[:, L - p :]
+            n += L - p
+        c, k = int(intercept), int(intercept) + K * p
+        G = take(workspace, (C, k + K, k + K), held=True)
+        with scope(workspace):
+            # blocks of lag gap j - i = -p..p, the target (lag 0) last
+            gaps = take(workspace, (C, 2 * p + 1, K, K))
+            gaps[:, :p] = np.swapaxes(lagged[:, :0:-1], -1, -2)
+            gaps[:, p:] = lagged
+            grid = G[:, c:, c:].reshape(C, p + 1, K, p + 1, K)
+            for i, lag in enumerate([*range(1, p + 1), 0]):
+                # block row i: lags 1..p, then the target, each gap a slice
+                grid[:, i, :, :p] = gaps[:, p + 1 - lag : 2 * p + 1 - lag].transpose(
+                    0, 2, 1, 3)
+                grid[:, i, :, p] = gaps[:, p - lag]
+        if intercept:
+            G[:, 0, 0] = n
+            G[:, 0, 1:] = G[:, 1:, 0] = np.tile(sums, p + 1)
+        if p:
+            head = _edge_rows(head, intercept)
+            tail = _edge_rows(last, intercept, workspace)
+            tail = np.matmul(np.swapaxes(tail, -1, -2), tail,
+                             out=take(workspace, (C, k, k)))
+            # in a contiguous copy: numpy would add into the strided
+            # block through its iteration buffers
+            block = take(workspace, (C, k, k))
+            block[...] = G[:, :k, :k]
+            block += np.swapaxes(head, -1, -2) @ head
+            block -= tail
+            G[:, :k, :k] = block
+            diag = G.reshape(C, -1)[:, :: k + K + 1][:, :k]
+            # n eps bounds the rounding of the sums that the tail cancels
+            spill = np.diagonal(tail, axis1=-2, axis2=-1)
+            diag[diag <= n * np.finfo(float).eps * (diag + 2.0 * spill)] = 0.0
     return G, n
 
 
-def _fit(G, n: int, k: int) -> tuple:
+def _fit(G, n: int, k: int, workspace=None) -> tuple:
     """Least squares of the last columns of ``[X | Y]`` on its first
     ``k``, by the normal equations, for a stack of samples of n rows each,
     given by their Gram matrices ``G = [X | Y]'[X | Y]``, ``(..., k + K, k
@@ -343,10 +356,11 @@ def _fit(G, n: int, k: int) -> tuple:
     ``G`` is equilibrated in place, ``D^-1 G D^-1`` with ``D`` the
     column norms, and only its X block is factored, ``P P'``, by a
     column sweep that also makes ``P^-1``
-    (:func:`~tca.linalg.cholesky_sweep`); the rest are products: ``R = P^-1 G_xy``, the coefficients ``P^-T R`` and the
-    residual cross-product, the Schur complement ``G_yy - R'R``.  Each
-    product is one per sample, so a sample gets the same bits in any
-    stack.
+    (:func:`~tca.linalg.cholesky_sweep`); the rest are products: ``R =
+    P^-1 G_xy``, the coefficients ``P^-T R`` and the residual
+    cross-product, the Schur complement ``G_yy - R'R``.  Each product is
+    one per sample, so a sample gets the same bits in any stack.  The
+    sweep's arrays and ``R`` come from ``workspace`` and are given back.
 
     The fit is full rank when it passes every test of ``RANK_TESTS``; a
     column whose diagonal entry is not positive is a zero column.  The
@@ -361,14 +375,30 @@ def _fit(G, n: int, k: int) -> tuple:
     diag = np.diagonal(G, axis1=-2, axis2=-1)
     zero = np.any(diag[..., :k] <= 0.0, axis=-1)
     d = np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    G /= d[..., :, None] * d[..., None, :]  # in place: the caller's G
-    inv, pd = cholesky_sweep(G[..., :k, :k])[1:]  # P itself is not kept
-    bounded = (np.sqrt(k * np.finfo(float).eps * max(n, k))
-               * np.sqrt(np.sum(inv * inv, axis=(-2, -1))) < 1.0)
-    R = inv @ G[..., :k, k:]
-    coef = np.swapaxes(inv, -1, -2) @ R / d[..., :k, None] * d[..., None, k:]
-    dy = d[..., k:, None] * d[..., None, k:]
-    ssr = (G[..., k:, k:] - np.swapaxes(R, -1, -2) @ R) * dy
+    with scope(workspace):  # in place: the caller's G
+        scale = take(workspace, G.shape)
+        scale[...] = d[..., :, None]
+        scale *= d[..., None, :]
+        G /= scale
+    xy = G.shape[:-2] + (k, G.shape[-1] - k)
+    with scope(workspace, held=True):
+        P, inv, pd = cholesky_sweep(G[..., :k, :k], workspace)
+        square = np.multiply(inv, inv, out=P)  # P itself is not kept
+        bounded = (np.sqrt(k * np.finfo(float).eps * max(n, k))
+                   * np.sqrt(np.sum(square, axis=(-2, -1))) < 1.0)
+        with scope(workspace):
+            R = np.matmul(inv, G[..., :k, k:], out=take(workspace, xy))
+            dy = d[..., k:, None] * d[..., None, k:]
+            ssr = (G[..., k:, k:] - np.swapaxes(R, -1, -2) @ R) * dy
+            coef = np.swapaxes(inv, -1, -2) @ R
+        with scope(workspace):
+            # the column scales in full, since numpy would broadcast them
+            # through its iteration buffers
+            scale = take(workspace, xy)
+            scale[...] = d[..., :k, None]
+            coef /= scale
+            scale[...] = d[..., None, k:]
+            coef *= scale
     failed = np.select([np.broadcast_to(n < k, pd.shape), zero, ~pd,
                         ~bounded], [1, 2, 3, 4])
     return coef, ssr, failed
@@ -607,7 +637,7 @@ def _block_maps(coefs, K: int, s: int) -> tuple:
 
 
 def _var_recursion(coefs, intercept, shocks, initial, maps=None,
-                   out=None) -> np.ndarray:
+                   workspace=None) -> np.ndarray:
     """``y_t = c + sum_i coefs[i] y_{t-i} + shocks_t``, unchecked.
 
     Leading axes batch independent samples that share the coefficients:
@@ -615,15 +645,18 @@ def _var_recursion(coefs, intercept, shocks, initial, maps=None,
     ``(..., p, K)``, holds the first p rows; the result is
     ``(..., p + n, K)``.  ``intercept`` may be ``None`` (zero).
     ``maps``, when given, is ``_block_maps(coefs, K, _step(K))``, for a
-    caller that steps the same coefficients many times.  ``out``, when
-    given, is a flat buffer of at least ``C (p + m s) K`` floats (C
-    samples, m steps of s periods) that the result is a view of.
+    caller that steps the same coefficients many times.  The result is a
+    view of ``C (p + m s) K`` floats (C samples, m steps of s periods)
+    taken held from ``workspace``.
     Shocks of a whole number of steps and no intercept are stepped where
     they are, others from a zero-padded copy with the intercept added.
 
     The periods go in steps of ``_step(K)`` from the first, each ``g T +
     w M`` (:func:`_block_maps`): one stacked product per ``BLOCK_ROWS`` block
-    gives its steps' ``g T``, then one per step adds the carried ``w M``.
+    gives its steps' ``g T``, then one per step, into scratch, the carried
+    ``w M``, which is added to a contiguous copy of ``g T`` and copied
+    back, since an add into the strided steps would need numpy's
+    iteration buffers.
     numpy's matmul makes one BLAS call per sample, of a shape fixed by
     ``(K, p)`` and the sample's steps in that ``BLOCK_ROWS`` block, so every
     sample gets the same bits alone or in a stack; and a sample made
@@ -634,27 +667,34 @@ def _var_recursion(coefs, intercept, shocks, initial, maps=None,
     *batch, n, K = shocks.shape
     s, C = _step(K), int(np.prod(batch, dtype=int))
     m = -(-n // s)  # steps; the last is padded with zero shocks
-    if intercept is None and n == m * s:
-        g = shocks.reshape(C, m, s * K)
-    else:
-        g = np.zeros((C, m, s * K))
-        head = g.reshape(C, -1)[:, : n * K]
-        head[:] = shocks.reshape(C, n * K)
-        if intercept is not None:  # one long row per sample, not K at a time
-            head += np.tile(intercept, n)
-    size = C * (p + m * s) * K
-    out = (np.empty(size) if out is None else out[:size]).reshape(C, -1)
-    out[:, : p * K] = np.broadcast_to(initial, (*batch, p, K)).reshape(C, -1)
-    body = out[:, p * K :].reshape(C, m, s * K)
-    if p == 0:
-        body[:] = g
-    else:
-        T, M = _block_maps(coefs, K, s) if maps is None else maps
-        for j in range(0, m, BLOCK_ROWS // s):
-            block = slice(j, j + BLOCK_ROWS // s)  # the steps of a row block
-            np.matmul(g[:, block], T, out=body[:, block])
-        for j in range(m):  # the window of p rows ends where step j starts
-            body[:, j] += (out[:, None, j * s * K : (j * s + p) * K] @ M)[:, 0]
+    out = take(workspace, (C, (p + m * s) * K), held=True)
+    with scope(workspace):
+        if intercept is None and n == m * s:
+            g = shocks.reshape(C, m, s * K)
+        else:
+            g = take(workspace, (C, m, s * K))
+            g.fill(0.0)
+            head = g.reshape(C, -1)[:, : n * K]
+            head[:] = shocks.reshape(C, n * K)
+            if intercept is not None:  # one long row per sample, not K at a time
+                head += np.tile(intercept, n)
+        out[:, : p * K] = np.broadcast_to(initial, (*batch, p, K)).reshape(C, -1)
+        body = out[:, p * K :].reshape(C, m, s * K)
+        if p == 0:
+            body[:] = g
+        else:
+            T, M = _block_maps(coefs, K, s) if maps is None else maps
+            for j in range(0, m, BLOCK_ROWS // s):
+                block = slice(j, j + BLOCK_ROWS // s)  # the steps of a row block
+                np.matmul(g[:, block], T, out=body[:, block])
+            carried = take(workspace, (C, 1, s * K))
+            step = take(workspace, (C, 1, s * K))
+            for j in range(m):  # the window of p rows ends where step j starts
+                np.matmul(out[:, None, j * s * K : (j * s + p) * K], M,
+                          out=carried)
+                step[...] = body[:, j : j + 1]
+                carried += step  # w M + g T has the bits of g T + w M
+                body[:, j : j + 1] = carried
     return out.reshape(C, p + m * s, K)[:, : p + n].reshape(*batch, p + n, K)
 
 

@@ -24,7 +24,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .linalg import (MEMORY_BUDGET, as_matrix, cholesky_sweep, ql_decompose,
-                     solve_unit_lower)
+                     scope, solve_unit_lower, take)
 from .model import ReducedVar, VarmaModel
 
 __all__ = [
@@ -210,7 +210,7 @@ def _triangular_form(source, ordering: TransmissionOrdering, h: int):
     return B_blocks, blocks, Q, [b @ L for b in blocks]
 
 
-def _reduced_form(sigma_u, coefs, dest, h: int):
+def _reduced_form(sigma_u, coefs, dest, h: int, workspace=None):
     """Triangular form of a stack of reduced-form VARs, unchecked.
 
     ``sigma_u`` is ``(..., K, K)`` and ``coefs`` ``(..., p, K, K)``, in
@@ -222,18 +222,23 @@ def _reduced_form(sigma_u, coefs, dest, h: int):
     A_i`` for ``i <= h`` (permuted), and the time-0 ``Omega`` block of a
     permuted impact column ``q`` is ``D L q``.  Returns ``(B_blocks, D
     L, diag(P), ok)``, with ``ok`` marking the positive-definite
-    covariances; the others are built from the identity.
+    covariances; the others are built from the identity.  ``B_blocks``
+    is taken held from ``workspace``.
     """
     rows, cols = np.ix_(dest, dest)
-    P, inv, ok = cholesky_sweep(sigma_u[..., rows, cols])
-    d = np.diagonal(P, axis1=-2, axis2=-1)
+    lags = coefs[..., :h, rows, cols]
     K = len(dest)
-    DL = d[..., :, None] * inv
+    B_blocks = take(workspace, lags.shape[:-3] + (lags.shape[-3] + 1, K, K),
+                    held=True)
+    with scope(workspace, held=True):
+        P, inv, ok = cholesky_sweep(sigma_u[..., rows, cols], workspace)
+        d = np.diagonal(P, axis1=-2, axis2=-1).copy()
+        DL = d[..., :, None] * inv
     DL[..., range(K), range(K)] = 1.0  # d_i (1 / d_i) may round off 1
-    b_diag = -DL
-    b_diag[..., range(K), range(K)] = 0.0
-    lags = DL[..., None, :, :] @ coefs[..., :h, rows, cols]
-    return np.concatenate([b_diag[..., None, :, :], lags], axis=-3), DL, d, ok
+    B_blocks[..., 0, :, :] = -DL
+    B_blocks[..., 0, range(K), range(K)] = 0.0
+    np.matmul(DL[..., None, :, :], lags, out=B_blocks[..., 1:, :, :])
+    return B_blocks, DL, d, ok
 
 
 def make_systems_form(model: VarmaModel, ordering: TransmissionOrdering,

@@ -124,12 +124,14 @@ def test_one_pair_against_a_tree(bench, tmp_path, monkeypatch):
     assert len(entry["pairs"]) == 1
     for label in ("parent", "change"):
         pair = entry["pairs"][0][label]
-        assert sorted(pair) == sorted(names)
+        assert sorted(pair) == sorted(names + list(bench.COUNTERS))
         for name in names:
             spread = entry[label][name]
             assert spread["n"] == 1
             assert spread["min"] == spread["median"] == spread["max"]
             assert spread["median"] == pair[name] > 0
+        for name in bench.COUNTERS:  # a run may fault no page
+            assert entry[label][name]["median"] == pair[name] >= 0
 
 
 def test_first_chunks_are_traced_after_the_last_peak_reading(bench, tmp_path,
@@ -155,8 +157,20 @@ def test_first_chunks_are_traced_after_the_last_peak_reading(bench, tmp_path,
                         lambda *a: events.append("trace") or start(*a))
     out = tmp_path / "stages.json"
     bench.main(["--label", "x", "--runs", "9", "--out", str(out)])
-    assert events == ["rss", "rss", "trace", "trace"]
+    # each workload reads the counters around its whole runs, then its peak
+    assert events == ["rss"] * 6 + ["trace", "trace"]
     report = json.loads(out.read_text())
     for name in ("a", "b"):
         assert report[name]["x"]["first_chunk_mb"] >= 0
         assert report[name]["x"]["peak_rss_mb"] > 0
+
+
+def test_runs_report_their_faults_and_cpu_seconds(bench, tmp_path):
+    # getrusage deltas over the whole runs, per run, beside whole_s and
+    # in the medians that --against pairs
+    setup, stages = bench.WORKLOADS["cli_io"]
+    entry = bench.measure(setup, stages, 1, tmp_path)
+    medians = bench.medians(entry)
+    for key in ("minor_faults", "user_s", "system_s"):
+        assert entry[key] >= 0 and medians[key] == entry[key]
+    assert entry["user_s"] + entry["system_s"] > 0

@@ -502,8 +502,8 @@ class TestBootstrap:
 
         original = tca.inference._fit
 
-        def first_draw_rank_deficient(G, n, k):
-            coef, ssr, failed = original(G, n, k)
+        def first_draw_rank_deficient(G, n, k, *rest):
+            coef, ssr, failed = original(G, n, k, *rest)
             return coef, ssr, np.where(np.arange(len(failed)) == 0, 1, failed)
 
         monkeypatch.setattr(tca.inference, "_fit", first_draw_rank_deficient)

@@ -46,7 +46,10 @@ def make_data(seed, T=800):
 def regenerated(var, seed, draws, maps=None):
     """The samples ``_regenerate`` yields block by block, joined; each
     block is copied, since the next one reuses its buffer."""
-    blocks = [block.copy() for block in _regenerate(var, seed, draws, maps)]
+    sample = inf._Resampling(var)
+    if maps is not None:
+        sample.maps = maps
+    blocks = [block.copy() for block in _regenerate(sample, seed, draws)]
     return np.concatenate([blocks[0]] + [b[:, var.p:] for b in blocks[1:]],
                           axis=1)
 
@@ -159,10 +162,12 @@ class TestSubstreams:
         var = estimate_var_ols(self.criterion_09_shape(), 4)
         draws = [0, 69, 70, 499]
         shocks = np.repeat(np.arange(397.0)[:, None], 4, axis=1)
-        buffers = inf._block_buffers(len(draws), 396, 4, 4)
-        next(_regenerate(var, 909, draws, shocks=shocks, buffers=buffers))
+        sample = inf._Resampling(var)
+        sample.shocks = shocks
+        workspace = sample.reserve(len(draws), 20, 1)
+        next(_regenerate(sample, 909, draws))
         width = inf._padded(inf.BLOCK_ROWS, 4)
-        step = buffers[0][: len(draws) * width * 4].reshape(-1, width, 4)
+        step = workspace.buf[: len(draws) * width * 4].reshape(-1, width, 4)
         assert step[:, :8, 0].astype(int).tolist() == [
             [17, 265, 246, 121, 5, 161, 311, 241],
             [243, 318, 13, 347, 90, 38, 131, 361],
@@ -355,15 +360,15 @@ class TestBootstrapEffects:
 
         calls = []
         for module in (tca.model, tca.system):
-            def spy(S, original=module.cholesky_sweep):
+            def spy(S, *rest, original=module.cholesky_sweep):
                 calls.append(np.shape(S))
-                return original(S)
+                return original(S, *rest)
             monkeypatch.setattr(module, "cholesky_sweep", spy)
         var = estimate_var_ols(make_data(12), 1, True, ("v1", "v2"))
         root = inf.parse_condition("v2_0", ORDERING.labels, 2, H).root
         calls.clear()
-        _, _, code = _draw_effects(var, InstrumentSpec(1, 1.0), ORDERING.dest,
-                                   root, H, None, 5, range(6))
+        _, _, code = _draw_effects(inf._Resampling(var), InstrumentSpec(1, 1.0),
+                                   ORDERING.dest, root, H, None, 5, range(6))
         assert code.tolist() == [0] * 6
         assert calls == [(6, 3, 3), (6, 2, 2)]
 
@@ -395,7 +400,7 @@ class TestBootstrapEffects:
         names = ("ffr", "ygap", "infl", "pcom")
         var = estimate_var_ols(data, 4, True, names)
         root = inf.parse_condition("!ffr_0", names, 4, 20).root
-        _, _, code = _draw_effects(var, InstrumentSpec(1, 0.25),
+        _, _, code = _draw_effects(inf._Resampling(var), InstrumentSpec(1, 0.25),
                                    tuple(range(4)), root, 20, None, 909,
                                    range(40))
         assert code.tolist() == [0] * 40
@@ -428,8 +433,8 @@ class TestBootstrapEffects:
         data = make_data(7)
         original = inf._fit
 
-        def flaky(G, n, k):  # every draw's refit is rank deficient
-            coef, ssr, failed = original(G, n, k)
+        def flaky(G, n, k, *rest):  # every draw's refit is rank deficient
+            coef, ssr, failed = original(G, n, k, *rest)
             return coef, ssr, np.ones_like(failed)
 
         monkeypatch.setattr(inf, "_fit", flaky)
@@ -520,8 +525,8 @@ class TestBootstrapEffects:
         def spoil(kind):
             seen = {"n": 0}
 
-            def fit(G, n, k):
-                coef, ssr, failed = original(G, n, k)
+            def fit(G, n, k, *rest):
+                coef, ssr, failed = original(G, n, k, *rest)
                 first = seen["n"]
                 seen["n"] += len(failed)
                 if first <= 9 < seen["n"]:
@@ -558,8 +563,8 @@ def _fifth_draw_rank_deficient(original):
     rank deficient."""
     seen = {"n": 0}
 
-    def fit(G, n, k):
-        coef, ssr, failed = original(G, n, k)
+    def fit(G, n, k, *rest):
+        coef, ssr, failed = original(G, n, k, *rest)
         first = seen["n"]
         seen["n"] += len(failed)
         if first <= 4 < seen["n"]:
@@ -657,6 +662,120 @@ class TestChunkMemory:
         assert long[1] <= 1.1 * inf.CHUNK_BYTES, long
 
 
+class TestWorkspace:
+    @staticmethod
+    def traced_chunks(data, cond="!ffr_0", replications=500, seed=909):
+        """``[(draws, traced peak, workspace bytes)]`` of each chunk of
+        criterion 09's bootstrap on ``data``, each chunk traced alone."""
+        original = inf._draw_effects
+        seen = []
+
+        def traced(sample, *args):
+            tracemalloc.start()
+            try:
+                result = original(sample, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            seen.append((len(args[-1]), peak, sample.workspace.buf.nbytes))
+            return result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inf, "_draw_effects", traced)
+            bootstrap_effects(data, VarSpec(lags=4), InstrumentSpec(1, 0.25),
+                              TransmissionOrdering.identity(
+                                  ("ffr", "ygap", "infl", "pcom")),
+                              cond, BootstrapSpec(replications=replications,
+                                                  seed=seed), 20)
+        return seen
+
+    def test_later_chunks_allocate_little_outside_the_workspace(self):
+        # the first chunk allocates the workspace, so its traced peak
+        # holds it; the second carves its large arrays from it, and
+        # allocates only small and bounded ones beside it
+        seen = self.traced_chunks(TestSubstreams.criterion_09_shape())
+        assert [draws for draws, _, _ in seen] == [167, 167, 166]
+        (_, first, workspace), (_, second, same) = seen[:2]
+        assert same == workspace
+        assert workspace < first <= 2 * 2 ** 20
+        assert second <= 256 * 2 ** 10, second
+
+    @pytest.mark.parametrize("K,p,T,intercept,h,cond", [
+        (4, 4, 400, True, 20, "!ffr_0"),
+        (4, 4, 400, True, 20, any_horizon("v1", range(21))),
+        (4, 4, 2_100, False, 5, "v1_1 | v2_2"),
+        (2, 1, 60, True, 4, "v1_1"),
+        (3, 0, 130, True, 0, "v1_0"),
+        (6, 0, 500, True, 3, "!v1_1"),
+        (5, 6, 700, True, 8, "v1_1 & !v2_2"),
+        (30, 1, 300, True, 2, "v1_1"),
+    ])
+    def test_every_array_of_a_chunk_fits_its_workspace(self, K, p, T,
+                                                       intercept, h, cond):
+        # _workspace_floats sizes the workspace for the most that a
+        # chunk takes at once, so no take falls back to its own array
+        rng = np.random.default_rng(K + 10 * p)
+        coefs = stable_var_coefs(rng, K, p) if p else []
+        data = simulate_var(coefs, rng.normal(size=K),
+                            rng.normal(size=(T, K)), np.zeros((p, K)))
+        names = ("ffr",) + tuple(f"v{i}" for i in range(1, K))
+        original = inf._draw_effects
+        seen = []
+
+        def spy(sample, *args):
+            result = original(sample, *args)
+            seen.append((sample.workspace.peak, len(sample.workspace.buf)))
+            return result
+
+        parsed = (inf.parse_condition(cond, names, K, h)
+                  if isinstance(cond, str) else cond)
+        m = inf._plan(parsed.root, inf.TERM_CAP)[0].size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inf, "_draw_effects", spy)
+            patch.setattr(inf, "CHUNK_BYTES",
+                          12 * inf._draw_bytes(T - p, K, p, h, m))
+            bootstrap_effects(data, VarSpec(lags=p, intercept=intercept),
+                              InstrumentSpec(1, 0.25),
+                              TransmissionOrdering.identity(names), cond,
+                              BootstrapSpec(replications=30, seed=2), h)
+        assert len(seen) > 1
+        assert all(peak <= floats for peak, floats in seen), seen
+
+    def test_concurrent_bootstraps_keep_their_bands(self):
+        # each call owns its workspace: two threads that run criterion
+        # 09's bootstrap at once get the bands of each call run alone
+        import threading
+
+        data = TestSubstreams.criterion_09_shape()
+
+        def bands(seed):
+            return bootstrap_effects(
+                data, VarSpec(lags=4), InstrumentSpec(1, 0.25),
+                TransmissionOrdering.identity(("ffr", "ygap", "infl", "pcom")),
+                any_horizon("ygap", range(21)),
+                BootstrapSpec(replications=100, seed=seed), 20)
+
+        alone = {seed: bands(seed) for seed in (31, 32)}
+        together = {}
+        start = threading.Barrier(2)
+
+        def run(seed):
+            start.wait()
+            together[seed] = bands(seed)
+
+        threads = [threading.Thread(target=run, args=(seed,))
+                   for seed in alone]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for seed, want in alone.items():
+            for part in ("lower", "upper"):
+                for kind in ("total", "channel", "complement"):
+                    got = getattr(together[seed], part)[kind]
+                    assert got.tobytes() == getattr(want, part)[kind].tobytes()
+
+
 def _policy_case(name):
     """Data, settings and condition of a chunk-invariance case."""
     rng = np.random.default_rng(4040)
@@ -731,7 +850,8 @@ class TestChunking:
         parsed = inf.parse_condition(cond, ordering.labels, var.K, h)
         draws = range(3, 15)
         total, channel, code = _draw_effects(
-            var, ident, ordering.dest, parsed.root, h, override, 23, draws)
+            inf._Resampling(var), ident, ordering.dest, parsed.root, h,
+            override, 23, draws)
         samples = regenerated(var, 23, draws)
         assert np.all(code == 0)
         for r in range(len(draws)):

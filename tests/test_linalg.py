@@ -11,7 +11,8 @@ from scipy.linalg import solve_triangular
 
 from oracles import dense_blocks, dense_solve
 from tca.errors import DimensionMismatchError, SingularMatrixError
-from tca.linalg import (cholesky_lower, cholesky_sweep, ql_decompose,
+from tca.linalg import (Workspace, cholesky_lower, cholesky_sweep, ql_decompose,
+                        scope, take,
                          solve_unit_lower, unit_lower_inverse)
 
 
@@ -249,3 +250,30 @@ def test_package_imports_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+class TestWorkspace:
+    def test_takes_are_carved_from_both_ends_and_given_back(self):
+        ws = Workspace(64)
+        a = take(ws, (2, 3))  # a whole 64-byte line: 8 floats
+        with scope(ws, held=True):
+            b = take(ws, (4,), np.uint16, held=True)
+            with scope(ws):
+                c = take(ws, (5,))
+                assert (ws.low, ws.high) == (16, 56)
+            assert ws.low == 8
+        assert (ws.low, ws.high, ws.peak) == (8, 64, 24)
+        for x in (a, b, c):
+            assert np.shares_memory(x, ws.buf)
+        assert a.shape == (2, 3) and b.dtype == np.uint16
+        assert not np.shares_memory(a, c) and not np.shares_memory(b, c)
+
+    def test_a_take_without_room_or_workspace_is_its_own_array(self):
+        ws = Workspace(16)
+        take(ws, (9,))
+        extra = take(ws, (9,))
+        assert not np.shares_memory(extra, ws.buf) and ws.low == 16
+        assert ws.peak == 32
+        assert take(None, (2, 2)).shape == (2, 2)
+        with scope(None):
+            pass

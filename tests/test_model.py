@@ -22,9 +22,9 @@ from tca.errors import (
     RankDeficientRegressorsError,
     ZeroImpactError,
 )
-from tca.linalg import cholesky_lower
-from tca.model import (BLOCK_ROWS, _STEP_WIDTH, _instrument_impact,
-                       _lag_gram, _step, _var_recursion)
+from tca.linalg import Workspace, cholesky_lower
+from tca.model import (BLOCK_ROWS, _STEP_WIDTH, _block_maps,
+                       _instrument_impact, _lag_gram, _step, _var_recursion)
 
 
 def simulate(rng, coefs, T, intercept=None, chol=None):
@@ -214,9 +214,9 @@ class TestLagGram:
                     for start in range(0, n, BLOCK_ROWS))
 
         G, got_n = _lag_gram(blocks(), p, intercept, mu)
-        # the lag-0 copy in a spare buffer, as the bootstrap's, changes
+        # the arrays carved from a workspace, as the bootstrap's, change
         # no bit
-        spare = np.empty(3 * BLOCK_ROWS * K)
+        spare = Workspace(2 ** 16)
         assert np.array_equal(_lag_gram(blocks(), p, intercept, mu, spare)[0],
                               G)
         assert got_n == n and G.shape == (3, k + K, k + K)
@@ -466,6 +466,29 @@ class TestSimulateVar:
 
 class TestVarRecursion:
     """The blocked recursion against the one-period-at-a-time reference."""
+
+    def test_a_stack_in_a_workspace_allocates_no_buffers(self):
+        # a bootstrap block of criterion 09's chunk: the output and the
+        # step rows come from the workspace, and the step adds run on
+        # contiguous copies, which need none of numpy's iteration buffers
+        import tracemalloc
+
+        rng = np.random.default_rng(5)
+        coefs = stable_var_coefs(rng, 4, 4)
+        shocks = rng.normal(size=(167, BLOCK_ROWS, 4))
+        initial = rng.normal(size=(167, 4, 4))
+        want = _var_recursion(coefs, None, shocks, initial)
+        maps = _block_maps(coefs, 4, _step(4))  # built once per bootstrap
+        workspace = Workspace(2 ** 18)
+        tracemalloc.start()
+        try:
+            got = _var_recursion(coefs, None, shocks, initial, maps, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, workspace.buf)
+        assert got.tobytes() == want.tobytes()
+        assert peak <= 16 * 2 ** 10, peak
 
     @pytest.mark.parametrize("p", [0, 1, 2, 4, 17])
     @pytest.mark.parametrize("K", [1, 2, 4, 6])
