@@ -52,9 +52,10 @@ workloads run in the order of ``WORKLOADS``, so the first one's is its
 own and a later one's covers the ones before it.  A bootstrap workload
 (``CHUNKED``) also reports ``first_chunk_mb``, the ``tracemalloc`` peak
 of its first chunk of draws (``tca.inference._draw_effects``), in MiB
-as ``peak_rss_mb``; the first chunks are traced in a further run of
-each once every workload's ``peak_rss_mb`` is read, since tracing
-raises the process's peak.
+as ``peak_rss_mb``, and ``chunk_draws``, the draws of that chunk and of
+every later one but the last; the first chunks are traced in a further
+run of each once every workload's ``peak_rss_mb`` is read, since
+tracing raises the process's peak.
 
 ``--against SRC`` compares ``--src`` (label ``change``) with ``SRC``
 (label ``parent``) in ``--pairs`` pairs of fresh processes, one of each,
@@ -247,14 +248,17 @@ def installed(stages):
             setattr(module, name, fn)
 
 
-def first_chunk_mb(run):
-    """The ``tracemalloc`` peak, in MiB, of the first chunk of draws that
-    ``run`` prices; the rest of the run is not traced."""
+def first_chunk(run):
+    """``{first_chunk_mb, chunk_draws}`` of the chunks of draws that
+    ``run`` prices: the ``tracemalloc`` peak, in MiB, of the first, and
+    its draws, as many as every later chunk but the last takes; the rest
+    of the run is not traced."""
     import tca.inference as inference
 
-    original, peaks = inference._draw_effects, []
+    original, peaks, draws = inference._draw_effects, [], []
 
     def traced(*args, **kwargs):
+        draws.append(len(args[-1]))
         if peaks:
             return original(*args, **kwargs)
         tracemalloc.start()
@@ -269,13 +273,17 @@ def first_chunk_mb(run):
         run()
     finally:
         inference._draw_effects = original
-    return peaks[0]
+    return {"first_chunk_mb": peaks[0], "chunk_draws": draws[0]}
 
 
 #: Per-run means over the whole runs, from ``getrusage`` before and
 #: after them: minor page faults and user and system CPU seconds.
 COUNTERS = {"minor_faults": "ru_minflt", "user_s": "ru_utime",
             "system_s": "ru_stime"}
+
+#: The memory of a run: the process's peak RSS and, of a bootstrap
+#: (``CHUNKED``), its first chunk's traced peak and draws.
+MEMORY = ("peak_rss_mb", "first_chunk_mb", "chunk_draws")
 
 
 def summary(values):
@@ -308,18 +316,18 @@ def measure(setup, stages, runs, workdir, chunked=False):
              "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
              / 1024}
     if chunked:  # after peak_rss_mb, which tracing would inflate
-        entry["first_chunk_mb"] = first_chunk_mb(run)
+        entry.update(first_chunk(run))
     return entry
 
 
 def medians(entry):
     """The median of the whole run and of each stage, by name, the
     counters of a run, the process's peak RSS and, of a bootstrap, its
-    first chunk's peak."""
+    first chunk's peak and draws."""
     return {"whole_s": entry["whole_s"]["median"],
             **{stage: v["median"] for stage, v in entry["stages_s"].items()},
-            **{key: entry[key] for key in (*COUNTERS, "peak_rss_mb",
-                                           "first_chunk_mb") if key in entry}}
+            **{key: entry[key] for key in (*COUNTERS, *MEMORY)
+               if key in entry}}
 
 
 def compare(args):
@@ -379,9 +387,9 @@ def main(argv=None):
                              f"->{change[metric]['median'] * 1e3:.2f}"
                              for metric in ["whole_s", *WORKLOADS[name][1]])
             memory = "  ".join(
-                f"{key}={parent[key]['median']:.2f}->"
-                f"{change[key]['median']:.2f}"
-                for key in ("peak_rss_mb", "first_chunk_mb") if key in parent)
+                f"{key}={parent[key]['median']:.4g}->"
+                f"{change[key]['median']:.4g}"
+                for key in MEMORY if key in parent)
             counters = "  ".join(
                 f"{key}={parent[key]['median']:.4g}->"
                 f"{change[key]['median']:.4g}" for key in COUNTERS)
@@ -400,14 +408,14 @@ def main(argv=None):
     # traced only after every peak_rss_mb, which tracing would raise
     for workload in (w for w in WORKLOADS if w in CHUNKED):
         with tempfile.TemporaryDirectory() as workdir:
-            entries[workload]["first_chunk_mb"] = first_chunk_mb(
-                WORKLOADS[workload][0](workdir))
+            entries[workload].update(first_chunk(
+                WORKLOADS[workload][0](workdir)))
     for workload, entry in entries.items():
         report.setdefault(workload, {})[args.label] = entry
         stage_text = "  ".join(f"{s}={v['median'] * 1e3:.2f}"
                                for s, v in entry["stages_s"].items())
-        memory = "  ".join(f"{key}={entry[key]:.2f}" for key in
-                           ("peak_rss_mb", "first_chunk_mb") if key in entry)
+        memory = "  ".join(f"{key}={entry[key]:.4g}" for key in MEMORY
+                           if key in entry)
         memory += "  per run: " + "  ".join(f"{key}={entry[key]:.4g}"
                                             for key in COUNTERS)
         print(f"{workload} {args.label}: whole="

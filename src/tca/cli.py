@@ -63,29 +63,33 @@ def _numeric_records(path, reader, width, columns):
     Yields ``(lines, values)``: the physical line on which each record
     starts, and an ``(n, len(columns))`` array of the numeric ``columns``
     read with ``float``.  Records whose cells are all blank are passed
-    over.  A record with other than ``width`` fields, or a numeric
-    cell ``float`` rejects, raises ``ValueError`` naming its line once the
-    records before it have been yielded, so that a caller's own check on
-    those reports first.
+    over.  A record that ``csv`` cannot read, has other than ``width``
+    fields or holds a numeric cell ``float`` rejects raises ``ValueError``
+    naming its line once the records before it have been yielded, so
+    that a caller's own check on those reports first.
     """
     lines, records = [], []
     prev = reader.line_num
-    for row in reader:
-        # line_num is the last physical line read: a quoted cell may span
-        # several, so a record starts one after the previous record ends
-        start, prev = prev + 1, reader.line_num
-        if not "".join(row).strip():  # every cell blank
-            continue
-        if len(row) != width:
-            yield from _parsed(path, lines, records, columns)
-            raise ValueError(
-                f"{path}:{start}: expected {width} fields, got {len(row)}"
-            )
-        lines.append(start)
-        records.append(row)
-        if len(records) == CSV_BATCH:
-            yield from _parsed(path, lines, records, columns)
-            lines, records = [], []
+    try:
+        for row in reader:
+            # line_num is the last physical line read: a quoted cell may
+            # span several, so a record starts one after the previous ends
+            start, prev = prev + 1, reader.line_num
+            if not "".join(row).strip():  # every cell blank
+                continue
+            if len(row) != width:
+                yield from _parsed(path, lines, records, columns)
+                raise ValueError(
+                    f"{path}:{start}: expected {width} fields, got {len(row)}"
+                )
+            lines.append(start)
+            records.append(row)
+            if len(records) == CSV_BATCH:
+                yield from _parsed(path, lines, records, columns)
+                lines, records = [], []
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        yield from _parsed(path, lines, records, columns)
+        raise ValueError(f"{path}:{prev + 1}: {exc}") from None
     yield from _parsed(path, lines, records, columns)
 
 
@@ -116,15 +120,21 @@ def _is_numeric(row, columns) -> bool:
     return True
 
 
+def _header(path, reader) -> list:
+    """The first record of a CSV file, as ``csv`` reads it."""
+    try:
+        return next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}:1: {exc}") from None
+
+
 def read_data_csv(path: str):
     """Numeric CSV with a header row of names; returns (names, T x K array)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        names = [h.strip() for h in header]
+        names = [h.strip() for h in _header(path, reader)]
         blocks = [values for _, values in _numeric_records(
             path, reader, len(names), range(len(names)))]
     if not blocks:
@@ -253,9 +263,7 @@ def verify_effects_csv(path: str) -> int:
     """Re-check channel(s) + complement = total per row; returns row count."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
+        header = _header(path, reader)
         try:
             i_total = header.index("total")
             i_comp = header.index("complement")

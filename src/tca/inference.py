@@ -8,9 +8,9 @@ decomposition.  Percentile intervals are taken across draws.
 
 The point estimate is :func:`point_effects`, the public single-shock
 chain: identify the shock, rebuild its one-shock systems form, price the
-condition.  Draws run in chunks of at most ``CHUNK_BYTES`` of working
-arrays, counted by the phase of a draw that holds the most
-(:func:`_draw_bytes`), on one thread: each step of a chunk is one
+condition.  Draws run in chunks of at most ``CHUNK_BYTES``, counted by
+one model of a chunk's memory (:func:`_chunk_memory`), which also sizes
+its workspace, on one thread: each step of a chunk is one
 stacked numpy or LAPACK call over its draws, and on a stack of one these
 kernels give the point estimate's bits.  A chunk's large arrays are
 carved from one workspace per bootstrap (:class:`_Resampling`), which
@@ -36,6 +36,7 @@ response) is flagged per draw and discarded.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -55,7 +56,7 @@ from .model import (BLOCK_ROWS, ReducedVar, _block_maps, _fit,
                     _instrument_impact, _lag_gram, _split_coefficients,
                     _step, _var_recursion, estimate_var_ols,
                     identify_internal_instrument)
-from .system import (TransmissionOrdering, _reduced_form,
+from .system import (TransmissionOrdering, _check_grid, _reduced_form,
                      reconstruct_from_single_shock)
 
 __all__ = [
@@ -79,10 +80,10 @@ _RANK, _NOT_PD, _ZERO_IMPACT = 1, 2, 3
 
 MAX_DISCARD_SHARE = 0.05
 
-#: Bytes of the working arrays of one chunk of bootstrap draws, 1.875
-#: MiB: at :func:`_draw_bytes` per draw, the most that any phase of a
-#: draw holds at once.  Criterion 09's chunks are of 167 draws.
-CHUNK_BYTES = 15 * 2 ** 17
+#: Bytes that a chunk of bootstrap draws may hold at its peak
+#: (:func:`_chunk_memory`): 2 MiB and 32 KiB, so that criterion 09's
+#: chunks stay at the 167 draws on which its timings were measured.
+CHUNK_BYTES = 2 ** 21 + 2 ** 15
 
 #: Resampling indices per call of a draw's generator, a whole number of
 #: ``BLOCK_ROWS`` blocks.  Each call costs a fixed time, and each index
@@ -213,54 +214,6 @@ def _price(coefs, sigma_u, ident: InstrumentSpec, dest, root, h: int,
     return total, channel, scale, code
 
 
-def _draw_bytes(n: int, K: int, p: int, h: int = 0, m: int = 0) -> int:
-    """Bytes that one bootstrap draw holds at once in a chunk, the most
-    of its three phases, for n regression rows, K variables and p lags,
-    priced on horizons 0..h by a plan of m literals: about the
-    ``tracemalloc`` peak per draw of a chunk before its arrays came from
-    one workspace, a little above it or within 2% below on shapes of K =
-    1..20, p = 0..6, n up to 20,000 and up to 42 literals.  It sets how
-    many draws a chunk takes; :func:`_workspace_floats` sizes the
-    workspace that their large arrays come from, and the small ones,
-    numpy's iteration buffers and the generator states are allocated
-    beside it.
-
-    - Regeneration: the two block buffers of :func:`_regenerate`, of r
-      = ``min(n, BLOCK_ROWS)`` periods padded to whole recursion steps,
-      and a window of resampling indices in the smallest integer type
-      that holds n.  Beside them, while a window is drawn, the draws'
-      generator states (about 0.5 KB each, and as much again read back
-      when another window follows) and the temporaries of Lemire's
-      rule; or, while a block is read, the p + 1 lag products, the
-      column sums, the states kept for the next window, and the larger
-      of a recursion step's product and a lag product, each with
-      numpy's buffers for a strided sum.
-    - Refit: the Gram matrix, the sweep's factor bordered by the
-      identity and the inverse of the factor, three arrays of the
-      regressor block's size, and the sweep's column temporaries
-      (:func:`~tca.model._fit`).  The Gram matrix's assembly, after the
-      last block, holds less.
-    - Pricing: about two arrays of the Gram matrix's size (the
-      coefficients, the triangular form) and the evaluator's ``(h+1) K
-      (m+1)`` solve values, beside the solve's right-hand side or the
-      three ``m (m+1)`` arrays of the path-sum inverse
-      (:func:`~tca.condition._effects`).
-    """
-    r = _padded(min(n, BLOCK_ROWS), K)
-    k = 1 + p * K  # regressors, with an intercept
-    gram = 8 * (k + K) ** 2
-    values = (h + 1) * K * (m + 1)
-    index = np.min_scalar_type(n).itemsize * _padded(min(n, INDEX_ROWS), K)
-    states = 2 ** 10 if n > INDEX_ROWS else 0  # kept for the next window
-    window = 2 ** 10 + 2 * states
-    block = (states + 8 * (p + 1) * K * (K + 1) + 2 ** 8
-             + 24 * K * max(_step(K), K))
-    regenerate = 8 * K * (2 * r + p) + index + max(window, block)
-    refit = gram + 24 * k * k + 64 * (k + 1)
-    price = 2 * gram + 8 * (values + max(values, 3 * m * (m + 1)))
-    return max(regenerate, refit, price)
-
-
 def _padded(rows: int, K: int) -> int:
     """Rows made up to whole steps of the VAR recursion (:func:`_step`)."""
     s = _step(K)
@@ -281,12 +234,16 @@ def _shocks(var: ReducedVar) -> np.ndarray:
     return shocks
 
 
-def _workspace_floats(C: int, n: int, K: int, p: int, h: int, m: int,
-                      intercept: bool) -> int:
-    """Floats of the workspace of a chunk of C draws (:class:`_Resampling`),
-    for n regression rows, K variables and p lags, priced on horizons
-    0..h by a plan of m literals: the most that the arrays of one phase
-    hold at once, each in whole 64-byte lines.
+def _chunk_memory(C: int, n: int, K: int, p: int, h: int, m: int,
+                  intercept: bool) -> tuple:
+    """``(floats, bytes)`` of a chunk of C draws, for n regression rows, K
+    variables and p lags, priced on horizons 0..h by a plan of m
+    literals: the floats of its workspace (:class:`_Resampling`), the
+    most that the arrays of one phase take from it at once, each in
+    whole 64-byte lines; and the bytes that the chunk holds at its peak,
+    the workspace's and the most that one phase allocates beside it.
+
+    In the workspace:
 
     - Regeneration (:func:`_regenerate`, :func:`~tca.model._lag_gram`):
       held, the index window, the carried p rows and a block of
@@ -303,6 +260,22 @@ def _workspace_floats(C: int, n: int, K: int, p: int, h: int, m: int,
       beside the sweep of the covariances, or the shock column and the
       solve with its right-hand side and lag row, with the path-sum
       inverse's input and ``g``, or with the channel and a product.
+
+    Beside it, 32 KB of small arrays and objects, and the most of these,
+    where ``(C, K, K)`` arrays stand for the small temporaries of a step
+    and numpy's iteration buffer is 64 KB or the size of its operation:
+
+    - Regeneration: the draws' generator states, 1 KB each as they are
+      derived, or kept beside the next window's, read back; and the
+      buffer of a block's shift, ``z -= tile(mu, L)``.
+    - Refit: ``coef``, and ``ssr``, its scaled copy, ``sigma_u`` and a
+      product; and the buffer of ``scale *= d[..., None, :]``.
+    - Pricing: ``sigma_u`` and four temporaries, beside the triangular
+      form's permuted lag matrices, or beside the evaluator's path-sum
+      inverse (``np.linalg.inv``'s ``(C, m, m)`` result) and the solve's
+      rows at the literals, with the three buffers of ``g``'s ``eye(m) -
+      inv`` or two systems' lists of ``g``: the next system's m lists of
+      m + 1 floats are made before the last's are freed.
     """
     def f(*dims, itemsize=8):
         return -(-math.prod(dims) * itemsize // 64) * 8
@@ -333,7 +306,19 @@ def _workspace_floats(C: int, n: int, K: int, p: int, h: int, m: int,
         f(C, N) + solve + max(solve + lag_row,
                               2 * f(C, m, m + 1),
                               2 * f(C, N)))
-    return max(regenerate, assemble, refit, price)
+    floats = max(regenerate, assemble, refit, price)
+
+    def buffer(count):  # numpy's iteration buffer for count floats
+        return min(2 ** 16, 8 * count)
+
+    square = 8 * C * K * K
+    lists = 2 * (56 + m * (64 + 32 * (m + 1)))  # lists 56+8n B, floats 24 B
+    beside = 2 ** 15 + max(
+        2 ** 10 * C + buffer(C * (p + r) * K),
+        8 * C * k * K + 4 * square + buffer(C * (k + K) ** 2),
+        5 * square + max(8 * C * L * K * K, 8 * C * m * (m + 1) + max(
+            3 * buffer(C * m * m) + 8 * m * m, lists)))
+    return floats, 8 * floats + beside
 
 
 class _Resampling:
@@ -350,12 +335,16 @@ class _Resampling:
         self.shocks = _shocks(var)
         self.workspace = None
 
+    def memory(self, draws: int, h: int, m: int) -> tuple:
+        """:func:`_chunk_memory` of a chunk of ``draws`` draws."""
+        var = self.var
+        return _chunk_memory(draws, self.shocks.shape[0] - 1, var.K, var.p,
+                             h, m, var.intercept is not None)
+
     def reserve(self, draws: int, h: int, m: int) -> Workspace:
         """The workspace, emptied, with room for a chunk of ``draws``
         draws priced on horizons 0..h by a plan of m literals."""
-        var = self.var
-        floats = _workspace_floats(draws, self.shocks.shape[0] - 1, var.K,
-                                   var.p, h, m, var.intercept is not None)
+        floats = self.memory(draws, h, m)[0]
         if self.workspace is None or len(self.workspace.buf) < floats:
             self.workspace = Workspace(floats)
         self.workspace.reset()
@@ -589,11 +578,11 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     re-estimates the VAR on regenerated data and repeats the exact point
     procedure.  Draws whose VAR or identification degenerates are
     discarded and counted by reason; more than 5% discarded raises
-    :class:`BootstrapUnstableError`.  The draws run in chunks of at most
-    ``CHUNK_BYTES`` (:func:`_draw_bytes`), whose large arrays come from
-    one workspace that this call owns: the first chunk allocates it,
-    the later ones reuse it, and it is freed before the bands are taken,
-    so concurrent calls share nothing.
+    :class:`BootstrapUnstableError`.  The draws run in chunks of the most
+    draws that fit ``CHUNK_BYTES`` (:func:`_chunk_memory`), whose large
+    arrays come from one workspace that this call owns: the first chunk
+    allocates it, the later ones reuse it, and it is freed before the
+    bands are taken, so concurrent calls share nothing.
     """
     data = as_matrix(data, "data")
     T, K = data.shape
@@ -603,6 +592,7 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
         )
     # data-order names recovered from the ordering's permutation
     names = tuple(ordering.labels[ordering.dest.index(i)] for i in range(K))
+    _check_grid(ordering, names, h)  # before the condition is parsed on it
     var = estimate_var_ols(data, var_spec.lags, var_spec.intercept, names)
     if isinstance(cond, str):
         cond = parse_condition(cond, ordering.labels, var.K, h)
@@ -614,12 +604,13 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
 
     R = spec.replications
     n = (h + 1) * K
-    per_draw = _draw_bytes(T - var.p, K, var.p, h,
-                           _plan(cond.root, TERM_CAP)[0].size)
-    size = max(1, CHUNK_BYTES // per_draw)
     # every draw steps the point estimate's coefficients and resamples
     # its residuals
     sample = _Resampling(var)
+    m = _plan(cond.root, TERM_CAP)[0].size
+    # the most draws whose chunk fits CHUNK_BYTES, and at least one
+    size = max(1, bisect.bisect(range(1, R + 1), CHUNK_BYTES,
+                                key=lambda C: sample.memory(C, h, m)[1]))
     total = np.empty((R, n))
     channel = np.empty((R, n))
     code = np.empty(R, dtype=int)

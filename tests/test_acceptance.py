@@ -405,8 +405,8 @@ def test_criterion_09_empirical_shape_and_runtime(monkeypatch):
     elapsed = time.perf_counter() - t0
 
     # the same bootstrap in chunks of 7 draws gives the same bands
-    draw_bytes = tca.inference._draw_bytes(396, 4, 4)
-    monkeypatch.setattr(tca.inference, "CHUNK_BYTES", 7 * draw_bytes)
+    seven = tca.inference._chunk_memory(7, 396, 4, 4, h, 1, True)[1]
+    monkeypatch.setattr(tca.inference, "CHUNK_BYTES", seven)
     chunked = bootstrap_effects(data, VarSpec(lags=4), ident, ordering,
                                 "!ffr_0",
                                 BootstrapSpec(replications=500, seed=909), h)

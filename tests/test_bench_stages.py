@@ -1,8 +1,8 @@
 """Smoke test of scripts/bench_stages.py: every stage of every workload is
 timed, a stage resolves while any of its names does, the timers leave
 every binding as they found it, a bootstrap workload reports its first
-chunk's traced peak, and a comparison in pairs of processes writes each
-pair's medians and their spread."""
+chunk's traced peak and draws, and a comparison in pairs of processes
+writes each pair's medians and their spread."""
 
 import importlib.util
 import json
@@ -66,8 +66,12 @@ def test_bootstrap_workloads_report_their_first_chunk(bench, tmp_path,
         entry = bench.measure(setup, stages, 1, tmp_path, chunked=True)
         assert tca.inference._draw_effects is draw_effects
         assert 0.5 * budget < entry["first_chunk_mb"] <= 1.1 * budget
+        # criterion 09's chunks, and fewer draws for 21 literals
+        assert (entry["chunk_draws"] == 167 if workload == "bootstrap"
+                else 1 <= entry["chunk_draws"] < 167)
         medians = bench.medians(entry)
         assert medians["first_chunk_mb"] == entry["first_chunk_mb"]
+        assert medians["chunk_draws"] == entry["chunk_draws"]
         assert medians["peak_rss_mb"] == entry["peak_rss_mb"] > 0
     setup, stages = bench.WORKLOADS["cli_io"]
     assert "first_chunk_mb" not in bench.measure(setup, stages, 1, tmp_path)
@@ -145,9 +149,9 @@ def test_first_chunks_are_traced_after_the_last_peak_reading(bench, tmp_path,
     getrusage, start = bench.resource.getrusage, bench.tracemalloc.start
 
     def workload(workdir):
-        return lambda: tca.inference._draw_effects()
+        return lambda: tca.inference._draw_effects(range(3))
 
-    monkeypatch.setattr(tca.inference, "_draw_effects", lambda: None)
+    monkeypatch.setattr(tca.inference, "_draw_effects", lambda draws: None)
     monkeypatch.setattr(bench, "WORKLOADS", {"a": (workload, {}),
                                              "b": (workload, {})})
     monkeypatch.setattr(bench, "CHUNKED", ("a", "b"))
@@ -162,6 +166,7 @@ def test_first_chunks_are_traced_after_the_last_peak_reading(bench, tmp_path,
     report = json.loads(out.read_text())
     for name in ("a", "b"):
         assert report[name]["x"]["first_chunk_mb"] >= 0
+        assert report[name]["x"]["chunk_draws"] == 3
         assert report[name]["x"]["peak_rss_mb"] > 0
 
 

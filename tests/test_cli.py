@@ -452,6 +452,15 @@ class TestBootstrap:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_negative_horizon_exits_2(self, tmp_path, var_data, capsys):
+        # as transmission and paths do, not as a condition problem
+        out = tmp_path / "e.csv"
+        args = self.boot_args(var_data, out)
+        args[args.index("--horizon") + 1] = "-3"
+        assert main(args) == 2
+        assert "error: horizon must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chunk_size_invariance(self, tmp_path, var_data, monkeypatch):
         # all 25 draws in one chunk, then one draw per chunk
         import tca.inference as inf
@@ -765,6 +774,33 @@ class TestCsvLineNumbers:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert (f"{path}:5: non-numeric value in ['5', 'x']"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap", "verify"])
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_field_over_the_csv_limit(self, tmp_path, capsys, command, where):
+        # csv's own error, on the line where its record starts
+        big = "9" * (csv.field_size_limit() + 1)
+        head = "total,channel,complement" if command == "verify" else "a,b,c"
+        path = tmp_path / "d.csv"
+        if where == "header":
+            path.write_text(f"{head},{big}\n1,1,0\n")
+        else:
+            path.write_text(f'{head}\n1,1,0\n"3\n",{big},0\n5,5,0\n')
+        out = str(tmp_path / "o")
+        code = main({
+            "estimate": ["estimate", "--data", str(path), "--lags", "1",
+                         "--out", out],
+            "bootstrap": ["bootstrap", "--data", str(path), "--lags", "1",
+                          "--order", "a,b,c", "--shock", "instrument",
+                          "--normalize", "a=1", "--condition", "b_0",
+                          "--horizon", "1", "--reps", "5", "--seed", "1",
+                          "--out", out],
+            "verify": ["verify", str(path)],
+        }[command])
+        assert code == 2
+        line = 1 if where == "header" else 3
+        assert (f"{path}:{line}: field larger than field limit"
                 in capsys.readouterr().err)
 
 

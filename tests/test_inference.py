@@ -311,6 +311,14 @@ class TestBootstrapEffects:
             assert np.array_equal(whole.lower[kind], single.lower[kind])
             assert np.array_equal(whole.upper[kind], single.upper[kind])
 
+    def test_negative_horizon_is_rejected_before_the_condition(self):
+        # the grid is checked first: "v2_0" would be outside 0..-3
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            bootstrap_effects(make_data(2), VarSpec(lags=1),
+                              InstrumentSpec(normalize_on=1, impact=1.0),
+                              ORDERING, "v2_0",
+                              BootstrapSpec(replications=5, seed=1), -3)
+
     def test_single_replication_collapses(self):
         data = make_data(2)
         bands = run(data, reps=1)
@@ -507,8 +515,9 @@ class TestBootstrapEffects:
         bands = run(data, reps=40)
         assert bands.discarded_by == {"RankDeficientRegressorsError": 1}
 
-    @pytest.mark.parametrize("chunk_bytes", [None, 7 * inf._draw_bytes(799, 2, 1)],
-                             ids=["default_chunks", "chunks_of_7"])
+    @pytest.mark.parametrize(
+        "chunk_bytes", [None, inf._chunk_memory(7, 799, 2, 1, H, 1, True)[1]],
+        ids=["default_chunks", "chunks_of_7"])
     def test_one_bad_draw_in_a_chunk_discards_that_draw_only(
             self, monkeypatch, chunk_bytes):
         # draw 9 gets a covariance that is not positive definite, negated
@@ -647,7 +656,7 @@ class TestChunkMemory:
     ], ids=["21_literals", "42_literals"])
     def test_pricing_many_literals_stays_within_the_budget(self, cond):
         # the evaluator's solve columns and path-sum inverses, counted by
-        # _draw_bytes, take fewer draws a chunk
+        # _chunk_memory, take fewer draws a chunk
         draws, peak = _first_chunk_peak(400, cond)
         assert draws < 70
         assert peak <= 1.1 * inf.CHUNK_BYTES, (draws, peak)
@@ -700,46 +709,75 @@ class TestWorkspace:
         assert workspace < first <= 2 * 2 ** 20
         assert second <= 256 * 2 ** 10, second
 
-    @pytest.mark.parametrize("K,p,T,intercept,h,cond", [
-        (4, 4, 400, True, 20, "!ffr_0"),
-        (4, 4, 400, True, 20, any_horizon("v1", range(21))),
-        (4, 4, 2_100, False, 5, "v1_1 | v2_2"),
-        (2, 1, 60, True, 4, "v1_1"),
-        (3, 0, 130, True, 0, "v1_0"),
-        (6, 0, 500, True, 3, "!v1_1"),
-        (5, 6, 700, True, 8, "v1_1 & !v2_2"),
-        (30, 1, 300, True, 2, "v1_1"),
+    @pytest.mark.parametrize("K,p,T,intercept,h,cond,chunk", [
+        (4, 4, 400, True, 20, "!ffr_0", 12),
+        (4, 4, 400, True, 20, any_horizon("v1", range(21)), 12),
+        (4, 4, 2_100, False, 5, "v1_1 | v2_2", 12),
+        (2, 1, 60, True, 4, "v1_1", 12),
+        (3, 0, 130, True, 0, "v1_0", 12),
+        (6, 0, 500, True, 3, "!v1_1", 12),
+        (5, 6, 700, True, 8, "v1_1 & !v2_2", 12),
+        (30, 1, 300, True, 2, "v1_1", 12),
+        # criterion 09's shape in default chunks: 1, 21 and 42 literals,
+        # and the long samples
+        (4, 4, 400, True, 20, "!ffr_0", None),
+        (4, 4, 400, True, 20, any_horizon("v1", range(21)), None),
+        (4, 4, 400, True, 20, f"({any_horizon('v1', range(21))}) & "
+                              f"!({any_horizon('v2', range(21))})", None),
+        (4, 4, 4_000, True, 20, "!ffr_0", None),
+        (4, 4, 20_000, True, 20, "!ffr_0", None),
     ])
     def test_every_array_of_a_chunk_fits_its_workspace(self, K, p, T,
-                                                       intercept, h, cond):
-        # _workspace_floats sizes the workspace for the most that a
-        # chunk takes at once, so no take falls back to its own array
+                                                       intercept, h, cond,
+                                                       chunk):
+        # _chunk_memory sizes the workspace for the most that a chunk
+        # takes at once, so no take falls back to its own array; and its
+        # bytes bound the traced peak of the first chunk from above, by
+        # at most 15% in chunks of the default size
         rng = np.random.default_rng(K + 10 * p)
         coefs = stable_var_coefs(rng, K, p) if p else []
-        data = simulate_var(coefs, rng.normal(size=K),
-                            rng.normal(size=(T, K)), np.zeros((p, K)))
+        data = simulate_var(coefs, rng.normal(size=K),  # T rows
+                            rng.normal(size=(T - p, K)), np.zeros((p, K)))
         names = ("ffr",) + tuple(f"v{i}" for i in range(1, K))
         original = inf._draw_effects
-        seen = []
+        seen, chunks = [], []
 
         def spy(sample, *args):
-            result = original(sample, *args)
+            if not seen:  # the first chunk is traced
+                tracemalloc.start()
+            try:
+                result = original(sample, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             seen.append((sample.workspace.peak, len(sample.workspace.buf)))
+            chunks.append((len(args[-1]), peak))
+            if len(seen) == 2:  # and the next reuses its workspace
+                raise _FirstChunk
             return result
 
         parsed = (inf.parse_condition(cond, names, K, h)
                   if isinstance(cond, str) else cond)
         m = inf._plan(parsed.root, inf.TERM_CAP)[0].size
-        with pytest.MonkeyPatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(_FirstChunk):
             patch.setattr(inf, "_draw_effects", spy)
-            patch.setattr(inf, "CHUNK_BYTES",
-                          12 * inf._draw_bytes(T - p, K, p, h, m))
+            if chunk is not None:
+                patch.setattr(inf, "CHUNK_BYTES", inf._chunk_memory(
+                    chunk, T - p, K, p, h, m, intercept)[1])
             bootstrap_effects(data, VarSpec(lags=p, intercept=intercept),
                               InstrumentSpec(1, 0.25),
                               TransmissionOrdering.identity(names), cond,
-                              BootstrapSpec(replications=30, seed=2), h)
+                              BootstrapSpec(replications=30 if chunk else 500,
+                                            seed=2), h)
         assert len(seen) > 1
         assert all(peak <= floats for peak, floats in seen), seen
+        draws, traced = chunks[0]
+        modelled = inf._chunk_memory(draws, T - p, K, p, h, m, intercept)[1]
+        assert traced <= modelled, (draws, traced, modelled)
+        if chunk is None:
+            assert modelled <= 1.15 * traced, (draws, traced, modelled)
+        else:
+            assert draws == chunk
 
     def test_concurrent_bootstraps_keep_their_bands(self):
         # each call owns its workspace: two threads that run criterion
@@ -806,7 +844,8 @@ class TestChunking:
         data, var_spec, ordering, cond, h, freeze = _policy_case(name)
         p, K = var_spec.lags, data.shape[1]
         n = data.shape[0] - p
-        draw_bytes = inf._draw_bytes(n, K, p)
+        m = inf._plan(inf.parse_condition(cond, ordering.labels, K, h).root,
+                      inf.TERM_CAP)[0].size
         sizes = []
         original = inf._draw_effects
 
@@ -818,7 +857,8 @@ class TestChunking:
         runs = {}
         for chunk in (None, 1, 7):  # the default first
             if chunk is not None:
-                monkeypatch.setattr(inf, "CHUNK_BYTES", chunk * draw_bytes)
+                monkeypatch.setattr(inf, "CHUNK_BYTES", inf._chunk_memory(
+                    chunk, n, K, p, h, m, var_spec.intercept)[1])
             sizes.clear()
             runs[chunk] = bootstrap_effects(
                 data, var_spec, InstrumentSpec(normalize_on=1, impact=0.25),
