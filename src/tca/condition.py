@@ -8,16 +8,18 @@ with parentheses.  A chain of one operator parses into one n-ary
 an equal tree.  Paths visit system indices in increasing order, so a
 condition is decided literal by literal.  A parsed condition is compiled
 once into a plan over states (last visited literal, residual formula),
-with residuals interned as an ordered BDD; evaluating it takes one
-multi-column triangular solve on ``B`` (the shock and a unit column per
-literal), the inverse of the small unit-triangular matrix of path sums
-between literals, and one scalar step per plan transition.  The same
-evaluator prices conditions from IRF matrices alone, after rebuilding
-``B`` from them.
+with residuals interned as an ordered BDD; a state whose residual is
+TRUE when it is made absorbs and takes no further step.  Evaluating the
+plan takes one multi-column triangular solve on ``B`` (the shock and a
+unit column per literal), a solve of the small unit-triangular matrix of
+path sums between literals for the columns the plan reads, and one
+scalar step per transition.  The same evaluator prices conditions from
+IRF matrices alone, after rebuilding ``B`` from them.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -34,8 +36,7 @@ from .errors import (
     UnknownVariableError,
 )
 from .linalg import (MEMORY_BUDGET, _block_solve, _check_blocks, as_matrix,
-                     scope, take,
-                     solve_unit_lower, unit_lower_inverse)
+                     scope, solve_unit_lower, take)
 from .system import SystemsForm
 
 __all__ = [
@@ -378,9 +379,9 @@ class EffectTable:
 # ---------------------------------------------------------------------------
 # Evaluation
 #
-# Column 0 of the masked solve prices the literal-free stretches of paths
-# from the shock, column 1 + k those from the literal of rank k; a state's
-# column is that of its last visited literal.
+# Column 0 of the solve prices the paths from the shock, column 1 + k
+# those from the literal of rank k; a state's column is that of its last
+# visited literal.
 
 _LEAF = sys.maxsize  # variable of the two terminal nodes, after every index
 
@@ -460,53 +461,84 @@ class _Bdd:
 
 @lru_cache(maxsize=512)
 def _plan(root, cap: int):
-    """``(literals, steps, column, accept)`` of the forward pass.
+    """``(literals, columns, steps, index, states, priced)`` of the
+    forward pass over ``states`` states, state 0 the start.
 
-    State 0 is the start.  ``steps`` lists ``(source, target, k, c)`` in
-    topological order, where the target's last visited literal has rank
-    ``k`` and ``c`` is the source's column; ``accept`` marks the states
-    whose residual holds if no further literal is visited.
+    ``steps`` lists ``(source, target)`` in topological order, ``index``
+    where each one's weight sits in the path-sum solve of ``columns``:
+    those that steps leave from, and those of the states whose residual
+    holds if no further literal is visited.  ``priced`` lists the
+    ``(state, slot)`` summed at the end: slot ``2c`` for an absorbing
+    state of column c, ``2c + 1`` for another.
     """
     bdd = _Bdd(cap)
     top = bdd.build(root)
     literals = sorted({v for v, _, _ in bdd.nodes[2:]})
-    # per state: its residual if no further literal is visited; every
-    # BDD variable is a literal, so each literal looks one node deep
-    column, cursor, steps = [0], [top], []
+    column = [0]  # per state: 0 for the start, 1 + k at literal k
+    absorbing = [0] if top == 1 else []
+    # live states and their residuals if no further literal is visited;
+    # every BDD variable is a literal, so each literal looks one node deep
+    live, steps, reads = [(0, top)] if top > 1 else [], [], []
     for k, lit in enumerate(literals):
-        arrivals = {}
-        for s in range(len(cursor)):
-            r = cursor[s]
+        arrivals, kept = {}, []
+        for s, r in live:
             v, low, high = bdd.nodes[r]
+            visit = r
             if v == lit:
-                r, cursor[s] = high, low
+                visit, r = high, low
+            if visit:
+                target = arrivals.setdefault(visit, len(column) + len(arrivals))
+                steps.append((s, target))
+                reads.append((k, column[s]))
             if r:
-                target = arrivals.setdefault(r, len(cursor) + len(arrivals))
-                steps.append((s, target, k, column[s]))
+                kept.append((s, r))
         if len(steps) > cap:
             raise TermExplosionError(f"more than {cap} evaluator transitions")
-        cursor += arrivals
+        for r, target in arrivals.items():
+            if r == 1:
+                absorbing.append(target)
+            else:
+                kept.append((target, r))
         column += [k + 1] * len(arrivals)
-    return (np.array(literals, dtype=np.intp) - 1, tuple(steps),
-            np.array(column), np.array(cursor) == 1)
+        live = kept
+    accepting = [s for s, r in live if r == 1]
+    columns = sorted({c for _, c in reads}.union(column[s] for s in accepting))
+    where = {c: j for j, c in enumerate(columns)}
+    return (np.array(literals, dtype=np.intp) - 1,
+            np.array(columns, dtype=np.intp), tuple(steps),
+            np.array([k * len(columns) + where[c] for k, c in reads],
+                     dtype=np.intp), len(column),
+            tuple((s, 2 * column[s]) for s in absorbing)
+            + tuple((s, 2 * column[s] + 1) for s in accepting))
+
+
+#: Rows of the path-sum system per LAPACK solve, whose LU takes m**3
+#: work: a long plan is solved in diagonal blocks.
+_SOLVE_ROWS = 64
 
 
 def _effects(B_blocks, col, root, workspace=None):
     """Total and channel effects of the shock column ``col`` on every
     system index, for ``B`` given by its lag blocks.
 
+    The rows of the solve at the literals are the unit lower-triangular
+    path sums between them, ``A``; a path splits at the first literal it
+    visits after a state's, so solving ``A`` against the shock's rows
+    gives the first-visit weights, and against minus a unit column the
+    weights from one literal to the next.  An absorbing state prices
+    every continuation with its column of the solve, any other accepted
+    state only the stretches that visit no further literal.
+
     Leading axes batch systems: ``B_blocks`` is ``(..., L+1, K, K)`` and
-    ``col`` ``(..., n)``, and so are both results.  Every system takes
-    the same plan: the solve, the inverse, ``g`` and the sums of the
-    accepting states run over the batch, the plan's steps once per
-    system.  The blocks are not checked here:
-    they must be as :func:`~tca.linalg.solve_unit_lower` takes them,
-    which :func:`transmission_effect` checks once per system.  Both
-    results are taken held from ``workspace``, the total as part of the
-    solve.
+    ``col`` ``(..., n)``, and so are both results.  The solves and the
+    sums run over the batch, the plan's steps once per system.  The
+    blocks are not checked here: they must be as
+    :func:`~tca.linalg.solve_unit_lower` takes them, which
+    :func:`transmission_effect` checks once per system.  Both results are
+    taken held from ``workspace``, the total as part of the solve.
     """
     try:  # hashing the root for the cache and building it both recurse
-        lits, steps, column, accept = _plan(root, TERM_CAP)
+        lits, columns, steps, index, states, priced = _plan(root, TERM_CAP)
     except RecursionError:
         raise TermExplosionError(
             "condition too deeply nested for the evaluator plan"
@@ -519,6 +551,7 @@ def _effects(B_blocks, col, root, workspace=None):
             f"{m} literals on {n} system indices need {8 * col.size * (m + 1)} "
             f"bytes of solve columns, over the {MEMORY_BUDGET}-byte budget"
         )
+    batch, R = col.shape[:-1], math.prod(col.shape[:-1])
     # every path from the shock and from each literal
     with scope(workspace):
         rhs = take(workspace, col.shape + (m + 1,))
@@ -526,51 +559,50 @@ def _effects(B_blocks, col, root, workspace=None):
         rhs[..., 0] = col
         rhs[..., lits, np.arange(1, m + 1)] = 1.0
         Z = _block_solve(B_blocks, rhs, workspace)
-    total, paths = Z[..., 0], Z[..., 1:]
-    R = int(np.prod(col.shape[:-1]))
+    channel = take(workspace, col.shape, held=True)
     with scope(workspace):
-        # the solve's rows at the literals, taken from the contiguous Z,
-        # which np.take does not copy
-        at = np.take(Z, lits, axis=-2, mode="clip",
-                     out=take(workspace, col.shape[:-1] + (m, m + 1)))
-        at_lits = at[..., 0].copy()
-        # between, the paths' rows at the literals, is unit
-        # lower-triangular, and a path that visits literals splits at its
-        # first one; so its inverse gives g[k][0] (the shock into literal
-        # k) and g[k][1 + a] (literal a into k), each path visiting no
-        # other literal
-        inv = unit_lower_inverse(at[..., 1:])
-        g = take(workspace, col.shape[:-1] + (m, m + 1))
-        np.matmul(inv, at_lits[..., None], out=g[..., :1])
-        np.subtract(np.eye(m), inv, out=g[..., 1:])
-
-        flat_g = g.reshape(R, m, m + 1)
-        amp = np.zeros((R, len(column)))
-        amp[:, 0] = 1.0
+        Y = take(workspace, batch + (m, len(columns)))
+        Y.fill(0.0)
+        for j, c in enumerate(columns.tolist()):
+            if c:
+                Y[..., c - 1, j] = -1.0
+            else:
+                Y[..., j] = Z[..., lits, 0]
+        # A Y = rhs in place, by blocks, A[j, k] = Z[lits[j], 1 + k]:
+        # reversed, a block is unit upper-triangular, so LAPACK's LU swaps
+        # no rows and back-substitutes, one system at a time
+        for i in range(0, m, _SOLVE_ROWS):
+            e = min(m, i + _SOLVE_ROWS)
+            if i:
+                Y[..., i:e, :] -= Z[..., lits[i:e], 1 : i + 1] @ Y[..., :i, :]
+            block = Y[..., i:e, :][..., ::-1, :]
+            block[...] = np.linalg.solve(
+                Z[..., lits[e - 1 : i - 1 if i else None : -1], e : i : -1], block)
+        # each system's priced states, summed in state order: u[..., c, 0]
+        # weighs column c of the solve, u[..., c, 1] its stretches
+        u = np.zeros(batch + (m + 1, 2))
+        sums = u.reshape(R, -1)
         if steps:
-            for r in range(R):
-                g_r = flat_g[r].tolist()  # one system's floats at a time
-                a = amp[r].tolist()
-                for s, target, k, c in steps:
-                    a[target] += a[s] * g_r[k][c]
-                amp[r] = a
-    # each system's accepting states, summed in state order from 0 as
-    # one bincount over the batch; a sum never holds -0.0, so leaving
-    # out the other states' zeros changes no bit
-    where = (m + 1) * np.arange(R)[:, None] + column[accept]
-    w = np.bincount(where.reshape(-1), weights=amp[:, accept].reshape(-1),
-                    minlength=R * (m + 1)).reshape(col.shape[:-1] + (m + 1,))
-    # w[0] weighs the paths that visit no literal, w[1 + k] those whose
-    # last literal is k; the paths from k that visit no further literal
-    # are the columns paths @ inv
-    rest = w[..., 1:] - w[..., :1] * at_lits
-    channel = np.multiply(w[..., :1], total,
-                          out=take(workspace, total.shape, held=True))
-    with scope(workspace):
-        channel += np.matmul(paths, inv @ rest[..., None],
-                             out=take(workspace, total.shape + (1,)))[..., 0]
-    channel[..., lits] = w[..., 1:]
-    return total, channel
+            weights = Y.reshape(R, -1)[:, index]
+            for r in range(R):  # one system's floats at a time
+                a = [1.0] + [0.0] * (states - 1)
+                for (s, target), x in zip(steps, weights[r].tolist()):
+                    a[target] += a[s] * x
+                row = [0.0] * (2 * m + 2)
+                for s, k in priced:
+                    row[k] += a[s]
+                sums[r] = row
+        else:  # the start alone
+            sums[:, [k for _, k in priced]] = 1.0
+        # a stretch is its column less the paths through later literals,
+        # and at a literal the paths that end there
+        ends = u[..., 1:, 1].copy()
+        u[..., 1:, 1] = -(Y @ u[..., columns, 1:])[..., 0]
+        np.matmul(Z, u[..., 1:], out=channel[..., None])
+        channel[..., lits] = ends
+        channel += np.matmul(Z, u[..., :1],
+                             out=take(workspace, batch + (n, 1)))[..., 0]
+    return Z[..., 0], channel
 
 
 def _table(cond, labels, shock_label, xi, total, channel) -> EffectTable:
@@ -597,9 +629,12 @@ def transmission_effect(system: SystemsForm, cond, shock: int | None = None,
     :func:`~tca.system.reconstruct_from_single_shock`.  ``cond`` may be
     text, parsed against the system's ordering.  The channel sums the
     effects of the paths whose set of visited literals satisfies the
-    condition; the complement is the remainder of the total.  Raises
-    :class:`TermExplosionError` when the condition's evaluator plan
-    exceeds ``TERM_CAP``.
+    condition; the complement is the remainder of the total.  The
+    evaluator takes one solve for the shock and every literal, one solve
+    of the path sums between literals for the columns its plan reads,
+    and one step per plan transition; a disjunction of m literals takes
+    m.  Raises :class:`TermExplosionError` when the plan exceeds
+    ``TERM_CAP``.
     """
     col = system.shock_column(shock)
     # the one check of the blocks; the evaluator's solves run unchecked

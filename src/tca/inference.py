@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import (TERM_CAP, TransmissionCondition, _effects, _plan,
-                        parse_condition, transmission_effect)
+from .condition import (_SOLVE_ROWS, TERM_CAP, TransmissionCondition,
+                        _effects, _plan, parse_condition, transmission_effect)
 from .errors import (
     BootstrapUnstableError,
     DimensionMismatchError,
@@ -234,11 +234,11 @@ def _shocks(var: ReducedVar) -> np.ndarray:
     return shocks
 
 
-def _chunk_memory(C: int, n: int, K: int, p: int, h: int, m: int,
+def _chunk_memory(C: int, n: int, K: int, p: int, h: int, plan,
                   intercept: bool) -> tuple:
     """``(floats, bytes)`` of a chunk of C draws, for n regression rows, K
-    variables and p lags, priced on horizons 0..h by a plan of m
-    literals: the floats of its workspace (:class:`_Resampling`), the
+    variables and p lags, priced on horizons 0..h by the evaluator's
+    ``plan``: the floats of its workspace (:class:`_Resampling`), the
     most that the arrays of one phase take from it at once, each in
     whole 64-byte lines; and the bytes that the chunk holds at its peak,
     the workspace's and the most that one phase allocates beside it.
@@ -258,8 +258,8 @@ def _chunk_memory(C: int, n: int, K: int, p: int, h: int, m: int,
       the sweep's bordered factor, its inverse and ``R``.
     - Pricing (:func:`_price`): the lag matrices and the triangular form,
       beside the sweep of the covariances, or the shock column and the
-      solve with its right-hand side and lag row, with the path-sum
-      inverse's input and ``g``, or with the channel and a product.
+      solve with its right-hand side and lag row, or with the channel,
+      the path-sum solve and a product.
 
     Beside it, 32 KB of small arrays and objects, and the most of these,
     where ``(C, K, K)`` arrays stand for the small temporaries of a step
@@ -271,11 +271,10 @@ def _chunk_memory(C: int, n: int, K: int, p: int, h: int, m: int,
     - Refit: ``coef``, and ``ssr``, its scaled copy, ``sigma_u`` and a
       product; and the buffer of ``scale *= d[..., None, :]``.
     - Pricing: ``sigma_u`` and four temporaries, beside the triangular
-      form's permuted lag matrices, or beside the evaluator's path-sum
-      inverse (``np.linalg.inv``'s ``(C, m, m)`` result) and the solve's
-      rows at the literals, with the three buffers of ``g``'s ``eye(m) -
-      inv`` or two systems' lists of ``g``: the next system's m lists of
-      m + 1 floats are made before the last's are freed.
+      form's permuted lag matrices, or the evaluator's sums of m literals,
+      beside a block of b path-sum rows, its solve and the product for
+      the rows before it; or the steps' weights and two systems' lists
+      of them, of their S states and of their sums; or the stretches.
     """
     def f(*dims, itemsize=8):
         return -(-math.prod(dims) * itemsize // 64) * 8
@@ -299,25 +298,28 @@ def _chunk_memory(C: int, n: int, K: int, p: int, h: int, m: int,
                                  f(C, p, k) + 2 * f(C, k, k) if p else 0)
     refit = gram + max(gram, f(C, 2 * k, k) + f(C, k, k) + f(C, k, K))
     N, L = (h + 1) * K, min(p, h)
+    lits, columns, steps, _, S, _ = plan
+    m = lits.size
     solve = f(C, N, m + 1)
     lag_row = 2 * f(C, K, L, K) if L else 0
     price = f(C, p, K, K) + f(C, L + 1, K, K) + max(
         f(C, 2 * K, K) + f(C, K, K),
         f(C, N) + solve + max(solve + lag_row,
-                              2 * f(C, m, m + 1),
-                              2 * f(C, N)))
+                              2 * f(C, N) + f(C, m, columns.size)))
     floats = max(regenerate, assemble, refit, price)
 
     def buffer(count):  # numpy's iteration buffer for count floats
         return min(2 ** 16, 8 * count)
 
     square = 8 * C * K * K
-    lists = 2 * (56 + m * (64 + 32 * (m + 1)))  # lists 56+8n B, floats 24 B
+    b, c, steps = min(m, _SOLVE_ROWS), max(columns.size, 1), len(steps)
+    lists = 2 * (168 + 32 * (steps + S + 2 * m))  # lists 56+8n B, floats 24 B
+    evaluate = 16 * C * (m + 1) + max(8 * C * b * (m + c) + 8 * b * (b + c),
+                                      8 * C * steps + lists, 8 * C * (3 * m + c))
     beside = 2 ** 15 + max(
         2 ** 10 * C + buffer(C * (p + r) * K),
         8 * C * k * K + 4 * square + buffer(C * (k + K) ** 2),
-        5 * square + max(8 * C * L * K * K, 8 * C * m * (m + 1) + max(
-            3 * buffer(C * m * m) + 8 * m * m, lists)))
+        5 * square + max(8 * C * L * K * K, evaluate))
     return floats, 8 * floats + beside
 
 
@@ -335,16 +337,16 @@ class _Resampling:
         self.shocks = _shocks(var)
         self.workspace = None
 
-    def memory(self, draws: int, h: int, m: int) -> tuple:
+    def memory(self, draws: int, h: int, plan) -> tuple:
         """:func:`_chunk_memory` of a chunk of ``draws`` draws."""
         var = self.var
         return _chunk_memory(draws, self.shocks.shape[0] - 1, var.K, var.p,
-                             h, m, var.intercept is not None)
+                             h, plan, var.intercept is not None)
 
-    def reserve(self, draws: int, h: int, m: int) -> Workspace:
+    def reserve(self, draws: int, h: int, plan) -> Workspace:
         """The workspace, emptied, with room for a chunk of ``draws``
-        draws priced on horizons 0..h by a plan of m literals."""
-        floats = self.memory(draws, h, m)[0]
+        draws priced on horizons 0..h by the evaluator's ``plan``."""
+        floats = self.memory(draws, h, plan)[0]
         if self.workspace is None or len(self.workspace.buf) < floats:
             self.workspace = Workspace(floats)
         self.workspace.reset()
@@ -527,7 +529,7 @@ def _draw_effects(sample: _Resampling, ident: InstrumentSpec, dest, root,
     intercept = var.intercept is not None
     # the rows are shifted by the data's mean, as in estimate_var_ols
     mu = var.data.mean(axis=0) if intercept else np.zeros(K)
-    workspace = sample.reserve(len(draws), h, _plan(root, TERM_CAP)[0].size)
+    workspace = sample.reserve(len(draws), h, _plan(root, TERM_CAP))
     with scope(workspace, held=True):
         G, n = _lag_gram(_regenerate(sample, seed, draws), p, intercept, mu,
                          workspace)
@@ -607,10 +609,10 @@ def bootstrap_effects(data, var_spec: VarSpec, ident: InstrumentSpec,
     # every draw steps the point estimate's coefficients and resamples
     # its residuals
     sample = _Resampling(var)
-    m = _plan(cond.root, TERM_CAP)[0].size
+    plan = _plan(cond.root, TERM_CAP)
     # the most draws whose chunk fits CHUNK_BYTES, and at least one
     size = max(1, bisect.bisect(range(1, R + 1), CHUNK_BYTES,
-                                key=lambda C: sample.memory(C, h, m)[1]))
+                                key=lambda C: sample.memory(C, h, plan)[1]))
     total = np.empty((R, n))
     channel = np.empty((R, n))
     code = np.empty(R, dtype=int)

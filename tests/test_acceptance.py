@@ -45,7 +45,7 @@ from tca import (
 )
 import tca.inference
 from tca.cli import main
-from tca.condition import Not, satisfied_by
+from tca.condition import Not, Var, satisfied_by
 from tca.inference import (
     BootstrapSpec,
     InstrumentSpec,
@@ -405,7 +405,8 @@ def test_criterion_09_empirical_shape_and_runtime(monkeypatch):
     elapsed = time.perf_counter() - t0
 
     # the same bootstrap in chunks of 7 draws gives the same bands
-    seven = tca.inference._chunk_memory(7, 396, 4, 4, h, 1, True)[1]
+    plan = tca.inference._plan(Not(Var(1)), tca.inference.TERM_CAP)  # !ffr_0
+    seven = tca.inference._chunk_memory(7, 396, 4, 4, h, plan, True)[1]
     monkeypatch.setattr(tca.inference, "CHUNK_BYTES", seven)
     chunked = bootstrap_effects(data, VarSpec(lags=4), ident, ordering,
                                 "!ffr_0",

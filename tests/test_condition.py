@@ -446,22 +446,24 @@ class TestTransmissionEffect:
 
     def test_too_deep_plan_raises_term_explosion(self, rng):
         # two interleaved chains build a BDD two levels per horizon deep,
-        # which only the cap bounds: through horizon 499 the plan takes
-        # 998,501 transitions, through 500 it takes 1,002,502
+        # which only the cap bounds; a state that has visited one chain
+        # still steps at every later literal of both, so through horizon
+        # 706 the plan takes 999,698 transitions, through 707 it takes
+        # 1,002,528
         m = random_varma(rng, K=4, ell=2)
-        sf = make_systems_form(m, random_ordering(rng, m.var_names), 500)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 707)
         v2, v3 = sf.ordering.labels[1:3]
 
         def both(h):
             return " & ".join(f"({any_horizon(v, range(h + 1))})" for v in (v2, v3))
 
-        through = transmission_effect(sf, both(499), shock=1)
-        never = transmission_effect(sf, f"!({both(499)})", shock=1)
+        through = transmission_effect(sf, both(706), shock=1)
+        never = transmission_effect(sf, f"!({both(706)})", shock=1)
         scale = np.maximum(1.0, np.abs(through.total))
         gap = np.abs(through.channel + never.channel - through.total) / scale
         assert np.max(gap) <= 1e-10
         with pytest.raises(TermExplosionError, match="transitions"):
-            transmission_effect(sf, both(500), shock=1)
+            transmission_effect(sf, both(707), shock=1)
         # a tree built by hand, alternating & and | so that nothing
         # splices, is 1,000 levels deep to hash and to build
         sf = make_systems_form(VarmaModel(var_names=("y",), A0=[[1.0]]),
@@ -487,10 +489,10 @@ class TestTransmissionEffect:
         assert np.max(np.abs(table.channel.reshape(-1) - oracle)) <= 1e-12 * scale
 
     def test_five_thousand_literal_chain(self):
-        # a flat chain adds no depth to parse, print, hash or build: the
-        # plan of its negation is one state that no literal leaves alive,
-        # while the chain itself needs a transition per earlier state and
-        # literal (12.5 million) and stops at the cap
+        # a flat chain adds no depth to parse, print, hash or build; its
+        # plan takes one transition per literal, each into a state that
+        # absorbs, and its negation's plan is one state that no literal
+        # leaves alive
         from tca.condition import TERM_CAP, _plan
 
         m = VarmaModel(var_names=("y",), A0=[[1.0]], A=([[0.6]],))
@@ -499,10 +501,31 @@ class TestTransmissionEffect:
         assert len(cond.root.operands) == 5000
         again = parse_condition(cond.canonical_text(), ("y",), 1, 4999)
         assert again.root == cond.root
-        lits, steps, _, accept = _plan(Not(cond.root), TERM_CAP)
-        assert lits.size == 5000 and steps == () and accept.tolist() == [True]
-        with pytest.raises(TermExplosionError, match="transitions"):
-            transmission_effect(sf, cond, shock=1)
+        lits, _, steps, _, states, _ = _plan(cond.root, TERM_CAP)
+        assert lits.size == 5000 and len(steps) == 5000 and states == 5001
+        lits, _, steps, _, states, _ = _plan(Not(cond.root), TERM_CAP)
+        assert lits.size == 5000 and steps == () and states == 1
+        # every path visits y_0, and every index is a literal
+        through = transmission_effect(sf, cond, shock=1)
+        gap = np.abs(through.channel - through.total)
+        assert np.max(gap / np.maximum(1.0, np.abs(through.total))) <= 1e-12
+        never = transmission_effect(sf, wrap_condition(Not(cond.root), sf),
+                                    shock=1)
+        assert np.max(np.abs(never.channel)) == 0.0
+
+    def test_any_horizon_at_two_thousand_horizons(self, rng):
+        # 2,001 literals at K=4 with TERM_CAP unchanged: one transition
+        # per literal for the channel, none for its negation
+        m = random_varma(rng, K=4, ell=2, q=1)
+        sf = make_systems_form(m, random_ordering(rng, m.var_names), 2000)
+        text = any_horizon(sf.ordering.labels[1], range(2001))
+        through = transmission_effect(sf, text, shock=1)
+        never = transmission_effect(sf, f"!({text})", shock=1)
+        scale = np.maximum(1.0, np.abs(through.total))
+        gap = np.abs(through.channel + never.channel - through.total) / scale
+        assert np.max(gap) <= 1e-12
+        assert np.all(never.channel[:, 1] == 0.0)
+        assert through.channel[0, 0] == 0.0  # ordered before every literal
 
     def test_cell_rejects_out_of_range_indices(self):
         table = transmission_effect(three_var_sf(0.2, 0.5, 0.8, 1.5, h=1),
@@ -536,19 +559,51 @@ class TestTransmissionEffect:
                 assert abs(table.cell("channel", r, t) - oracle) <= 1e-10
 
     def test_decomposition_identity_against_negated_condition(self, rng):
+        # to 1e-12 on random formulas and on the constants, where the
+        # start state itself absorbs (true, x3 | !x3) or dies (false)
+        from tca.condition import TERM_CAP, _plan
+
         for trial in range(25):
             m = random_varma(rng, K=3, ell=1, q=1)
             sf = make_systems_form(m, random_ordering(rng, m.var_names), 2)
-            root = random_condition(rng, sf.size, 3)
-            cond = wrap_condition(root, sf)
-            neg = wrap_condition(Not(root), sf)
             shock = int(rng.integers(1, 4))
-            t1 = transmission_effect(sf, cond, shock=shock)
-            t2 = transmission_effect(sf, neg, shock=shock)
-            scale = np.maximum(1.0, np.abs(t1.total))
-            gap = np.abs(t1.channel + t2.channel - t1.total) / scale
-            assert np.max(gap) <= 1e-10
-            assert t1.max_identity_gap() <= 1e-12
+            for root in (random_condition(rng, sf.size, 3), TRUE, FALSE,
+                         Or((Var(3), Not(Var(3))))):
+                cond = wrap_condition(root, sf)
+                neg = wrap_condition(Not(root), sf)
+                t1 = transmission_effect(sf, cond, shock=shock)
+                t2 = transmission_effect(sf, neg, shock=shock)
+                scale = np.maximum(1.0, np.abs(t1.total))
+                gap = np.abs(t1.channel + t2.channel - t1.total) / scale
+                assert np.max(gap) <= 1e-12
+                assert t1.max_identity_gap() <= 1e-12
+            assert np.array_equal(t1.channel, t1.total)
+            assert _plan(root, TERM_CAP)[5] == ((0, 0),)
+
+    def test_a_state_true_by_skipping_a_literal_still_avoids_it(self, rng):
+        # after x_a the residual of x_a & !x_b turns true only once x_b is
+        # passed unvisited: that state must not absorb, or the channel
+        # would count the paths from x_a through x_b
+        from tca.condition import TERM_CAP, _plan
+
+        for trial in range(8):
+            m = random_varma(rng, K=3, ell=1, q=1)
+            sf = make_systems_form(m, random_ordering(rng, m.var_names), 2)
+            a, b, c = sorted(int(v) for v in rng.choice(sf.size, 3, replace=False) + 1)
+            shock = int(rng.integers(1, 4))
+            for text in (f"x{a} & !x{b}", f"(x{a} & !x{b}) | x{c}",
+                         f"x{a} & !(x{b} | x{c})", f"!x{a} | (x{b} & !x{c})"):
+                cond = parse_condition(text, sf.ordering.labels, sf.K, sf.h)
+                table = transmission_effect(sf, cond, shock=shock)
+                for target in range(1, sf.size + 1):
+                    r, t = sf.var_horizon(target)
+                    oracle = path_filter_effect(sf, shock, target, cond)
+                    assert abs(table.cell("channel", r, t) - oracle) <= 1e-10
+            # the state made at x_a is priced as a stretch, in an odd slot
+            _, _, steps, _, _, priced = _plan(
+                parse_condition(f"x{a} & !x{b}", sf.ordering.labels, sf.K,
+                                sf.h).root, TERM_CAP)
+            assert steps == ((0, 1),) and priced == ((1, 3),)
 
     def test_xi_scaling_is_linear(self, rng):
         m = random_varma(rng, K=3, ell=1)
@@ -633,11 +688,13 @@ class TestTransmissionEffect:
 
 
 class TestBatchedEvaluator:
-    @pytest.mark.parametrize("kind", ["no_steps", "any_horizon", "random"])
+    @pytest.mark.parametrize("kind", ["no_steps", "any_horizon", "random",
+                                      "absorbing_and_stretches"])
     def test_a_batch_is_the_stack_of_single_systems(self, rng, kind):
         # a (2, 3) batch of random systems priced at once against each
-        # priced alone, bit for bit: the accepting states' sums of the
-        # batch come from one bincount, the plan's steps run per system
+        # priced alone, bit for bit: the path-sum solve and the sums of
+        # the priced states run over the batch, the plan's steps per
+        # system
         from tca.condition import TERM_CAP, _effects, _plan
 
         K, L, h = 3, 2, 4
@@ -651,13 +708,18 @@ class TestBatchedEvaluator:
             elif kind == "any_horizon":
                 root = parse_condition(any_horizon("pi", range(h + 1)),
                                        LABELS3, K, h).root
-            else:
+            elif kind == "random":
                 root = random_condition(rng, n, 5)
-            steps = _plan(root, TERM_CAP)[1]
+            else:  # x_a absorbs; x_b & !x_c is priced as a stretch
+                a, b, c = sorted(int(v) for v in rng.choice(n, 3, replace=False) + 1)
+                root = Or((Var(a), And((Var(b), Not(Var(c))))))
+            _, _, steps, _, _, priced = _plan(root, TERM_CAP)
             if kind == "no_steps":
                 assert not steps
             elif kind == "any_horizon":
-                assert steps
+                assert len(steps) == h + 1 and not any(k & 1 for _, k in priced)
+            elif kind == "absorbing_and_stretches":
+                assert {k & 1 for _, k in priced} == {0, 1}
             total, channel = _effects(blocks, col, root)
             assert total.shape == channel.shape == (2, 3, n)
             for i in range(2):
@@ -665,6 +727,34 @@ class TestBatchedEvaluator:
                     one = _effects(blocks[i, j], col[i, j], root)
                     assert one[0].tobytes() == total[i, j].tobytes()
                     assert one[1].tobytes() == channel[i, j].tobytes()
+
+    def test_a_long_plan_solves_its_path_sums_in_blocks(self, rng,
+                                                        monkeypatch):
+        # 150 literals take three blocks of the path-sum solve, whose
+        # result matches one solve of every row, and a batch stays the
+        # stack of single systems
+        import tca.condition
+        from tca.condition import _effects
+
+        K, L, h = 2, 2, 149
+        n = (h + 1) * K
+        blocks = rng.normal(scale=0.3, size=(2, L + 1, K, K))
+        blocks[..., 0, :, :] = np.tril(blocks[..., 0, :, :], -1)
+        col = rng.normal(size=(2, n))
+        labels = ("a", "b")
+        for text in (any_horizon("a", range(h + 1)),
+                     f"({any_horizon('a', range(0, h + 1, 2))}) & "
+                     f"!({any_horizon('b', range(1, h + 1, 2))})"):
+            root = parse_condition(text, labels, K, h).root
+            blocked = _effects(blocks, col, root)
+            for i in range(2):
+                one = _effects(blocks[i], col[i], root)
+                assert one[1].tobytes() == blocked[1][i].tobytes()
+            monkeypatch.setattr(tca.condition, "_SOLVE_ROWS", 1000)
+            whole = _effects(blocks, col, root)
+            monkeypatch.undo()
+            scale = np.maximum(1.0, np.abs(whole[0]))
+            assert np.max(np.abs(blocked[1] - whole[1]) / scale) <= 1e-12
 
 
 class TestEffectFromIrfs:

@@ -16,7 +16,7 @@ from tca import (
     simulate_var,
     transmission_effect,
 )
-from tca.condition import any_horizon
+from tca.condition import Not, Var, any_horizon
 from tca.errors import BootstrapUnstableError, RankDeficientRegressorsError
 import tca.inference as inf
 from tca.inference import (
@@ -165,7 +165,8 @@ class TestSubstreams:
         shocks = np.repeat(np.arange(397.0)[:, None], 4, axis=1)
         sample = inf._Resampling(var)
         sample.shocks = shocks
-        workspace = sample.reserve(len(draws), 20, 1)
+        workspace = sample.reserve(len(draws), 20,
+                                   inf._plan(Not(Var(1)), inf.TERM_CAP))
         next(_regenerate(sample, 909, draws))
         width = inf._padded(inf.BLOCK_ROWS, 4)
         step = workspace.buf[: len(draws) * width * 4].reshape(-1, width, 4)
@@ -517,7 +518,8 @@ class TestBootstrapEffects:
         assert bands.discarded_by == {"RankDeficientRegressorsError": 1}
 
     @pytest.mark.parametrize(
-        "chunk_bytes", [None, inf._chunk_memory(7, 799, 2, 1, H, 1, True)[1]],
+        "chunk_bytes", [None, inf._chunk_memory(
+            7, 799, 2, 1, H, inf._plan(Var(2), inf.TERM_CAP), True)[1]],
         ids=["default_chunks", "chunks_of_7"])
     def test_one_bad_draw_in_a_chunk_discards_that_draw_only(
             self, monkeypatch, chunk_bytes):
@@ -656,7 +658,7 @@ class TestChunkMemory:
         f"!({any_horizon('infl', range(21))})",
     ], ids=["21_literals", "42_literals"])
     def test_pricing_many_literals_stays_within_the_budget(self, cond):
-        # the evaluator's solve columns and path-sum inverses, counted by
+        # the evaluator's solve columns and path-sum solves, counted by
         # _chunk_memory, take fewer draws a chunk
         draws, peak = _first_chunk_peak(400, cond)
         assert draws < 70
@@ -759,14 +761,14 @@ class TestWorkspace:
 
         parsed = (inf.parse_condition(cond, names, K, h)
                   if isinstance(cond, str) else cond)
-        m = inf._plan(parsed.root, inf.TERM_CAP)[0].size
+        plan = inf._plan(parsed.root, inf.TERM_CAP)
         stop = (pytest.raises(_FirstChunk) if chunk is None
                 else contextlib.nullcontext())
         with pytest.MonkeyPatch.context() as patch, stop:
             patch.setattr(inf, "_draw_effects", spy)
             if chunk is not None:
                 patch.setattr(inf, "CHUNK_BYTES", inf._chunk_memory(
-                    chunk, T, K, p, h, m, intercept)[1])
+                    chunk, T, K, p, h, plan, intercept)[1])
             bootstrap_effects(data, VarSpec(lags=p, intercept=intercept),
                               InstrumentSpec(1, 0.25),
                               TransmissionOrdering.identity(names), cond,
@@ -775,7 +777,7 @@ class TestWorkspace:
         assert len(seen) > 1
         assert all(peak <= floats for peak, floats in seen), seen
         draws, traced = chunks[0]
-        modelled = inf._chunk_memory(draws, T, K, p, h, m, intercept)[1]
+        modelled = inf._chunk_memory(draws, T, K, p, h, plan, intercept)[1]
         assert traced <= modelled, (draws, traced, modelled)
         if chunk is None:
             assert modelled <= 1.15 * traced, (draws, traced, modelled)
@@ -836,19 +838,21 @@ def _policy_case(name):
     ordering = TransmissionOrdering.from_names(names,
                                                ("ffr", "pcom", "infl", "ygap"))
     spec = VarSpec(lags=4, intercept=name != "no_intercept")
+    if name == "any_horizon":  # absorbing states: one per horizon
+        return data, spec, ordering, any_horizon("ygap", range(21)), 20, False
     cond = "!ffr_0 & (pcom_1 | infl_2)"
     return data, spec, ordering, cond, 3, name == "frozen"
 
 
 class TestChunking:
     @pytest.mark.parametrize("name", ["var4", "frozen", "static",
-                                      "no_intercept"])
+                                      "no_intercept", "any_horizon"])
     def test_chunk_size_does_not_change_bands(self, monkeypatch, name):
         data, var_spec, ordering, cond, h, freeze = _policy_case(name)
         p, K = var_spec.lags, data.shape[1]
         n = data.shape[0] - p
-        m = inf._plan(inf.parse_condition(cond, ordering.labels, K, h).root,
-                      inf.TERM_CAP)[0].size
+        plan = inf._plan(inf.parse_condition(cond, ordering.labels, K, h).root,
+                         inf.TERM_CAP)
         sizes = []
         original = inf._draw_effects
 
@@ -861,7 +865,7 @@ class TestChunking:
         for chunk in (None, 1, 7):  # the default first
             if chunk is not None:
                 monkeypatch.setattr(inf, "CHUNK_BYTES", inf._chunk_memory(
-                    chunk, n, K, p, h, m, var_spec.intercept)[1])
+                    chunk, n, K, p, h, plan, var_spec.intercept)[1])
             sizes.clear()
             runs[chunk] = bootstrap_effects(
                 data, var_spec, InstrumentSpec(normalize_on=1, impact=0.25),
